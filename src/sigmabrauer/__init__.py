@@ -67,6 +67,7 @@ from .modcat import (
     dot_product_form,
     ext_dim,
     injective_presentation,
+    isotypic_multiplicities,
     monomial_cubic_form,
     multiplicity,
     random_form,

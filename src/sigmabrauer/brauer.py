@@ -404,22 +404,84 @@ def morphism_to_json(f: Morphism) -> dict:
     return {"source_size": f.source, "target_size": f.target, "terms": terms}
 
 
-def morphism_from_json(doc: dict, sigma) -> Morphism:
+def _json_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    return value
+
+
+def _json_list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a JSON list")
+    return value
+
+
+def _json_field(obj: dict, key: str, what: str):
+    if key not in obj:
+        raise ValueError(f"{what} has no {key!r} entry")
+    return obj[key]
+
+
+def _json_int(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer")
+    return value
+
+
+def _json_rational(value, what: str) -> Fraction:
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(f"{what} must be an integer or a \"p/q\" string")
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"{what} has a zero denominator") from None
+
+
+def morphism_from_json(doc: dict, sigma, max_size: int | None = None) -> Morphism:
+    """Read the serialization written by `morphism_to_json`.
+
+    Raises ValueError on a malformed document: a missing entry or one of
+    the wrong shape, a negative size or one above `max_size` (checked
+    before anything is built), a block type outside sigma or a block
+    support outside 1..source_size.
+    """
     sigma = PartitionTuple(sigma)
-    n = int(doc["source_size"])
-    m = int(doc["target_size"])
+    doc = _json_object(doc, "a morphism")
+    n, m = (_json_int(_json_field(doc, k, "a morphism"), k) for k in ("source_size", "target_size"))
+    for key, v in (("source_size", n), ("target_size", m)):
+        if v < 0:
+            raise ValueError(f"{key} must be non-negative")
+        if max_size is not None and v > max_size:
+            raise ValueError(f"{key}={v} exceeds the degree bound {max_size}")
     total = Morphism.zero(sigma, n, m)
-    for term in doc.get("terms", []):
-        coeff = Fraction(term["coef"])
-        blocks = [
-            (
-                tuple(int(x) for x in b["support"]),
-                int(b["type"]),
-                [Fraction(c) for c in b["coords"]],
+    for term in _json_list(doc.get("terms", []), "terms"):
+        term = _json_object(term, "a term")
+        coeff = _json_rational(_json_field(term, "coef", "a term"), "coef")
+        blocks = []
+        for b in _json_list(term.get("blocks", []), "blocks"):
+            b = _json_object(b, "a block")
+            support = tuple(
+                _json_int(x, "a support label")
+                for x in _json_list(_json_field(b, "support", "a block"), "support")
             )
-            for b in term.get("blocks", [])
-        ]
-        matching = [(int(s), int(t)) for s, t in term.get("matching", [])]
+            if len(set(support)) != len(support) or not all(1 <= x <= n for x in support):
+                raise ValueError(f"block support must be distinct labels in 1..{n}")
+            p = _json_int(_json_field(b, "type", "a block"), "type")
+            if not 0 <= p < len(sigma):
+                raise ValueError(f"block type {p} is outside 0..{len(sigma) - 1}")
+            coords = [
+                _json_rational(c, "a coordinate")
+                for c in _json_list(_json_field(b, "coords", "a block"), "coords")
+            ]
+            blocks.append((support, p, coords))
+        matching = []
+        for pair in _json_list(term.get("matching", []), "matching"):
+            pair = _json_list(pair, "a matching pair")
+            if len(pair) != 2:
+                raise ValueError("a matching pair must have two entries")
+            matching.append(
+                (_json_int(pair[0], "a source label"), _json_int(pair[1], "a target label"))
+            )
         total = total + Morphism.from_blocks(sigma, n, m, blocks, matching, coeff)
     return total
 

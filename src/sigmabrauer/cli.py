@@ -124,15 +124,24 @@ def _run(args) -> dict:
     if args.command == "homdim":
         sigma = _pure_sigma(args.sigma)
         _check_bound(bound, n=args.n, m=args.m)
+        for name, v in (("n", args.n), ("m", args.m)):
+            if v < 0:
+                raise PreconditionError(f"{name} must be non-negative")
         return {"dim": len(hom_basis(sigma, args.n, args.m))}
 
     if args.command == "compose":
         with open(args.infile) as fh:
-            doc = json.load(fh)
+            try:
+                doc = json.load(fh)
+            except RecursionError:
+                raise PreconditionError("the document is nested too deeply") from None
+        if not isinstance(doc, dict) or not {"sigma", "f", "g"} <= doc.keys():
+            raise PreconditionError('the document must be an object with "sigma", "f" and "g"')
+        if not isinstance(doc["sigma"], str):
+            raise PreconditionError('"sigma" must be a string in the tuple grammar')
         sigma = _pure_sigma(doc["sigma"])
-        f = morphism_from_json(doc["f"], sigma)
-        g = morphism_from_json(doc["g"], sigma)
-        _check_bound(bound, n=f.source, m=g.target)
+        f = morphism_from_json(doc["f"], sigma, max_size=bound)
+        g = morphism_from_json(doc["g"], sigma, max_size=bound)
         return morphism_to_json(g.compose(f))
 
     if args.command == "mult":

@@ -161,7 +161,8 @@ def specht_dim(p: Partition) -> int:
     for i, j in p.cells():
         denom *= p.hook(i, j)
     d, rem = divmod(factorial(n), denom)
-    assert rem == 0
+    if rem:
+        raise RuntimeError("hook length product does not divide n!")
     return d
 
 
@@ -182,7 +183,8 @@ def schur_dim(p: Partition, n: int) -> int:
         num *= n + j - i
         den *= p.hook(i, j)
     d, rem = divmod(num, den)
-    assert rem == 0
+    if rem:
+        raise RuntimeError("hook product does not divide the content product")
     return d
 
 

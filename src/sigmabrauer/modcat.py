@@ -15,7 +15,7 @@ import random
 from fractions import Fraction
 from itertools import combinations, product
 
-from .combinat import Partition, PartitionTuple, schur_dim, specht_dim
+from .combinat import Partition, PartitionTuple, partitions, schur_dim, specht_dim
 from .exactla import RatMat, kernel_basis_with_free, solve, vstack
 from .brauer import Morphism, hom_basis
 from .schurweyl import get_tensor_rep, specht_word_expansions
@@ -26,7 +26,7 @@ from .symfun import (
     lr_product,
     sym_algebra_degree,
 )
-from .specht import isotypic_projector
+from .specht import centralizer_size, class_representative, sn_character
 
 
 class FormPoint:
@@ -183,9 +183,13 @@ def theta_apply(form: FormPoint, f: Morphism) -> RatMat:
 
 class TracelessSpace:
     """The joint kernel of all block contractions inside a tensor power,
-    carrying the restricted symmetric group action."""
+    carrying the restricted symmetric group action.
 
-    __slots__ = ("sigma", "form", "n", "ambient_dim", "basis", "free_cols", "words", "_gens")
+    `basis` is an RREF kernel basis: the i-th vector is 1 at
+    free_cols[i] and 0 at every other free column, so the coordinates of
+    a vector of the space are its entries at the free columns."""
+
+    __slots__ = ("sigma", "form", "n", "ambient_dim", "basis", "free_cols", "words", "_mults")
 
     def __init__(self, sigma, form: FormPoint, n: int, basis, free_cols):
         self.sigma = sigma
@@ -195,44 +199,11 @@ class TracelessSpace:
         self.basis = basis
         self.free_cols = free_cols
         self.words = list(product(range(1, form.N + 1), repeat=n))
-        self._gens = None
+        self._mults = None
 
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def coords(self, vec) -> tuple[Fraction, ...]:
-        """Coordinates via the free columns of the kernel basis."""
-        return tuple(vec[c] for c in self.free_cols)
-
-    def _permute_vector(self, vec, one_line):
-        """Apply the place permutation (slot i content moves to slot
-        one_line[i]) to an ambient vector."""
-        N = self.form.N
-        out = [Fraction(0)] * self.ambient_dim
-        for idx, c in enumerate(vec):
-            if c == 0:
-                continue
-            w = self.words[idx]
-            neww = [0] * self.n
-            for i in range(self.n):
-                neww[one_line[i]] = w[i]
-            out[_word_index(tuple(neww), N)] = c
-        return out
-
-    def perm_matrix(self, one_line) -> RatMat:
-        cols = [self.coords(self._permute_vector(b, one_line)) for b in self.basis]
-        return RatMat(self.dim, self.dim, list(zip(*cols)) if cols else [])
-
-    def generators(self) -> list[RatMat]:
-        if self._gens is None:
-            gens = []
-            for k in range(self.n - 1):
-                ol = list(range(self.n))
-                ol[k], ol[k + 1] = ol[k + 1], ol[k]
-                gens.append(self.perm_matrix(tuple(ol)))
-            self._gens = gens
-        return self._gens
 
 
 def _constraint_matrices(sigma: PartitionTuple, form: FormPoint, n: int) -> list[RatMat]:
@@ -285,32 +256,85 @@ def traceless_space(sigma, form: FormPoint, n: int) -> TracelessSpace:
     return space
 
 
+def _check_slot_stable(space: TracelessSpace):
+    """Exact certificate that the space is a symmetric group representation:
+    each adjacent slot transposition s_k maps each basis vector b into the
+    span, i.e. s_k b equals the combination of the basis with coefficients
+    read off the free columns of s_k b."""
+    N, n = space.form.N, space.n
+    sparse = [{i: c for i, c in enumerate(b) if c} for b in space.basis]
+    free_pos = {c: j for j, c in enumerate(space.free_cols)}
+    for k in range(n - 1):
+        # swapping the digits a, b of slots k, k+1 moves the word index by
+        # (b - a) * (N^(n-1-k) - N^(n-2-k))
+        step = N ** (n - 1 - k) - N ** (n - 2 - k)
+        for b in sparse:
+            image = {}
+            for i, c in b.items():
+                w = space.words[i]
+                image[i + (w[k + 1] - w[k]) * step] = c
+            combo: dict[int, Fraction] = {}
+            for i, c in image.items():
+                j = free_pos.get(i)
+                if j is None:
+                    continue
+                for r, v in sparse[j].items():
+                    combo[r] = combo.get(r, 0) + c * v
+            if {r: v for r, v in combo.items() if v} != image:
+                raise RuntimeError(
+                    f"traceless space is not stable under the slot transposition s_{k}"
+                )
+
+
+def _slot_trace(space: TracelessSpace, one_line) -> Fraction:
+    """Trace of the slot permutation (the content of slot i moves to slot
+    one_line[i]) on the space: sum_i b_i[index(w_i o one_line)], where w_i is
+    the word of the i-th free column."""
+    N, n = space.form.N, space.n
+    total = Fraction(0)
+    for b, f in zip(space.basis, space.free_cols):
+        w = space.words[f]
+        idx = 0
+        for t in range(n):
+            idx = idx * N + (w[one_line[t]] - 1)
+        total += b[idx]
+    return total
+
+
+def isotypic_multiplicities(space: TracelessSpace) -> dict[Partition, int]:
+    """Multiplicity of each Specht module S^nu (nu a partition of n) in the
+    space, from one class trace per cycle type:
+    m_nu = sum_mu chi_nu(mu) tr(g_mu | V) / z_mu.
+
+    The space is first certified slot-stable; every multiplicity must be a
+    non-negative integer and sum_nu f_nu m_nu must equal the dimension.
+    Computed once per space."""
+    if space._mults is not None:
+        return space._mults
+    _check_slot_stable(space)
+    n = space.n
+    classes = partitions(n)
+    traces = {
+        mu: _slot_trace(space, class_representative(mu)) / centralizer_size(mu)
+        for mu in classes
+    }
+    mults = {}
+    for nu in classes:
+        m = sum((sn_character(nu, mu) * t for mu, t in traces.items()), Fraction(0))
+        if m.denominator != 1 or m < 0:
+            raise RuntimeError(
+                f"isotypic multiplicity of {nu!s} is {m}, not a non-negative integer"
+            )
+        mults[nu] = int(m)
+    if sum(specht_dim(nu) * m for nu, m in mults.items()) != space.dim:
+        raise RuntimeError("isotypic multiplicities do not add up to the dimension")
+    space._mults = mults
+    return mults
+
+
 def _isotypic_dim(space: TracelessSpace, lam: Partition) -> int:
-    """Dimension of the lam-isotypic piece of a traceless space; the rank of
-    the exact idempotent equals its trace."""
-    n = lam.size
-    if space.dim == 0:
-        return 0
-    if n <= 1:
-        return space.dim
-    proj = isotypic_projector(
-        n, lam, space.generators(), perm_action=space.perm_matrix
-    )
-    tr = proj.trace()
-    if tr.denominator != 1 or tr < 0:
-        raise RuntimeError("isotypic projector trace is not a non-negative integer")
-    # idempotence check: full product on small spaces, probe vectors otherwise
-    if space.dim <= 48:
-        if proj @ proj != proj:
-            raise RuntimeError("isotypic projector failed the idempotence check")
-    else:
-        rng = random.Random(517 + space.dim)
-        for _ in range(6):
-            v = tuple(Fraction(rng.randint(-3, 3)) for _ in range(space.dim))
-            pv = proj.matvec(v)
-            if proj.matvec(pv) != pv:
-                raise RuntimeError("isotypic projector failed the idempotence check")
-    return int(tr)
+    """Dimension of the lam-isotypic piece of a traceless space."""
+    return specht_dim(lam) * isotypic_multiplicities(space)[lam]
 
 
 def simple_realization_dim(sigma, form: FormPoint, lam: Partition) -> int:
@@ -367,7 +391,8 @@ def multiplicity(sigma, lam, mu) -> int:
         return 0
     piece = sym_algebra_degree(sigma, lam.size - mu.size)
     val = inner_product(SchurExpr.schur(lam), lr_product(SchurExpr.schur(mu), piece))
-    assert val.denominator == 1 and val >= 0
+    if val.denominator != 1 or val < 0:
+        raise RuntimeError(f"multiplicity {val} is not a non-negative integer")
     return int(val)
 
 
@@ -382,7 +407,8 @@ def ext_dim(sigma, i: int, lam, mu) -> int:
     val = inner_product(
         lr_product(wedge, SchurExpr.schur(lam)), SchurExpr.schur(mu)
     )
-    assert val.denominator == 1 and val >= 0
+    if val.denominator != 1 or val < 0:
+        raise RuntimeError(f"Ext dimension {val} is not a non-negative integer")
     return int(val)
 
 
@@ -406,8 +432,6 @@ def injective_presentation(sigma, lam) -> InjectivePresentation:
     sigma = PartitionTuple(sigma)
     lam = Partition(lam)
     n = lam.size
-    from .combinat import partitions
-
     lower = {}
     for m in range(n):
         basis = [Morphism.from_diagram(sigma, d) for d in hom_basis(sigma, n, m)]

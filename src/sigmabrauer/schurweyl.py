@@ -166,7 +166,8 @@ class TensorRep:
         self.source_words: list[tuple[int, ...]] = []
         self._class_of_basis: list[tuple[int, ...]] = []
         self._build_basis()
-        assert len(self.basis) == schur_dim(self.shape, self.N)
+        if len(self.basis) != schur_dim(self.shape, self.N):
+            raise RuntimeError("realization basis size differs from the hook content formula")
         self._class_members: dict[tuple[int, ...], list[int]] = {}
         for j, cls in enumerate(self._class_of_basis):
             self._class_members.setdefault(cls, []).append(j)
@@ -327,7 +328,8 @@ def specht_word_expansions(shape: Partition) -> tuple:
         j for j, cls in enumerate(rep._class_of_basis) if cls == tuple(range(1, d + 1))
     ]
     f = specht_dim(shape)
-    assert len(weight_idx) == f
+    if len(weight_idx) != f:
+        raise RuntimeError("weight space size differs from the Specht dimension")
     module = get_specht_module(shape, tuple(range(1, d + 1)))
     gens_specht = module.generator_matrices()
 

@@ -15,8 +15,10 @@ constants are integers.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
 from .combinat import Partition, specht_dim
 from .exactla import RatMat
@@ -203,7 +205,8 @@ class SpechtModule:
         self.tableaux = standard_tableaux(self.shape, self.labels)
         self.index = {t: k for k, t in enumerate(self.tableaux)}
         self.dim = len(self.tableaux)
-        assert self.dim == specht_dim(self.shape)
+        if self.dim != specht_dim(self.shape):
+            raise RuntimeError("standard tableau count differs from the hook length formula")
         self._straighten_cache: dict[tuple, dict[int, int]] = {}
         self._perm_cache: dict[tuple, RatMat] = {}
 
@@ -383,6 +386,26 @@ def sn_character(lam: Partition, cls: Partition) -> int:
     return total
 
 
+def class_representative(cls: Partition) -> tuple[int, ...]:
+    """A permutation of cycle type cls in 0-indexed one-line notation: the
+    cycles run over consecutive positions, longest first."""
+    out = []
+    start = 0
+    for part in Partition(cls):
+        out.extend(start + (t + 1) % part for t in range(part))
+        start += part
+    return tuple(out)
+
+
+def centralizer_size(cls: Partition) -> int:
+    """z_cls = prod_k k^(m_k) m_k!, where m_k counts the parts equal to k;
+    the conjugacy class of cycle type cls has |cls|!/z_cls elements."""
+    z = 1
+    for part, k in Counter(Partition(cls)).items():
+        z *= part**k * factorial(k)
+    return z
+
+
 # ---------------------------------------------------------------------------
 # isotypic projection
 
@@ -465,8 +488,6 @@ def isotypic_projector(
     d = gens[0].rows
     total = None
     current = RatMat.identity(d)
-    from math import factorial
-
     for perm, swap in plain_changes(n):
         chi = sn_character(lam, cycle_type(perm))
         if perm_action is None:

@@ -478,6 +478,7 @@ def shift_decompose(lam: Partition, n: int) -> dict[Partition, int]:
         if mult == 0:
             continue
         for nu, c in skew_schur_expand(lam, mu).terms.items():
-            assert c.denominator == 1
+            if c.denominator != 1:
+                raise RuntimeError("skew Schur expansion has a non-integer coefficient")
             out[nu] = out.get(nu, 0) + mult * int(c)
     return {nu: m for nu, m in out.items() if m != 0}

@@ -181,3 +181,67 @@ def traceless_isotypic_brute(form, lam: Partition) -> int:
     ident = RatMat.identity(len(words))
     mats.append(ident - proj)
     return len(kernel_basis(vstack(mats)))
+
+
+# ---------------------------------------------------------------------------
+# slot action on a traceless space, built from its basis (independent of the
+# engine's trace and stability routines)
+
+
+def slot_permutation_matrix(space, one_line) -> RatMat:
+    """Matrix of a slot permutation (the content of slot i moves to slot
+    one_line[i]) on a traceless space, in the coordinates read off its free
+    columns.  Each basis vector is expanded over explicit words, permuted,
+    and read back at the free columns."""
+    N, n = space.form.N, space.n
+    words = list(product(range(1, N + 1), repeat=n))
+    widx = {w: i for i, w in enumerate(words)}
+    cols = []
+    for b in space.basis:
+        image = [Fraction(0)] * len(words)
+        for w, c in zip(words, b):
+            if c:
+                moved = [0] * n
+                for i in range(n):
+                    moved[one_line[i]] = w[i]
+                image[widx[tuple(moved)]] = c
+        cols.append([image[f] for f in space.free_cols])
+    return RatMat(space.dim, space.dim, [list(r) for r in zip(*cols)])
+
+
+def slot_generator_matrices(space) -> list[RatMat]:
+    """The adjacent slot transpositions s_0 .. s_{n-2} on a traceless space."""
+    gens = []
+    for k in range(space.n - 1):
+        ol = list(range(space.n))
+        ol[k], ol[k + 1] = ol[k + 1], ol[k]
+        gens.append(slot_permutation_matrix(space, ol))
+    return gens
+
+
+# ---------------------------------------------------------------------------
+# character-side prediction of the finite-rank simple realizations
+
+
+def predicted_realization_dim(sigma, N: int, lam: Partition) -> int:
+    """f_lam * sum_mu (M^-1)_{lam,mu} dim S_mu(k^N), with M_{lam,mu} the
+    composition multiplicity of the simple mu in the injective lam.  M is
+    unitriangular by size, so the inverse is a recursion over the labels
+    of smaller size.  Valid in the stable range; below it the value can be
+    negative."""
+    from sigmabrauer.combinat import partitions, schur_dim, specht_dim
+    from sigmabrauer.modcat import multiplicity
+
+    simple: dict[Partition, int] = {}
+
+    def simple_dim(nu: Partition) -> int:
+        if nu not in simple:
+            simple[nu] = schur_dim(nu, N) - sum(
+                multiplicity(sigma, nu, mu) * simple_dim(mu)
+                for m in range(nu.size)
+                for mu in partitions(m)
+            )
+        return simple[nu]
+
+    lam = Partition(lam)
+    return specht_dim(lam) * simple_dim(lam)

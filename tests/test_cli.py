@@ -121,3 +121,42 @@ def test_out_file(tmp_path):
     target = tmp_path / "result.json"
     run_cli("homdim", "--sigma", "2", "--n", "2", "--m", "0", "--out", str(target))
     assert json.loads(target.read_text()) == {"dim": 1}
+
+
+def test_compose_rejects_malformed_documents(tmp_path):
+    block = {"support": [1, 2], "type": 0, "coords": ["1"]}
+    f = {"source_size": 2, "target_size": 0, "terms": [{"coef": "1", "matching": [], "blocks": [block]}]}
+    g = {"source_size": 0, "target_size": 0, "terms": [{"coef": "1", "matching": [], "blocks": []}]}
+    bad_type = dict(f, terms=[{"coef": "1", "matching": [], "blocks": [dict(block, type=1)]}])
+    bad_support = dict(f, terms=[{"coef": "1", "matching": [], "blocks": [dict(block, support=[1, 3])]}])
+    docs = [
+        {"f": f, "g": g},  # no sigma
+        {"sigma": "2", "f": bad_type, "g": g},  # type outside sigma
+        {"sigma": "2", "f": bad_support, "g": g},  # support outside 1..n
+        {"sigma": "2", "f": dict(f, source_size="2"), "g": g},
+        {"sigma": "2", "f": dict(f, source_size=99), "g": g},  # beyond the degree bound
+        {"sigma": "2", "f": dict(f, terms=[{"coef": "1/0"}]), "g": g},
+        {"sigma": "2", "f": [], "g": g},
+        ["sigma", "f", "g"],
+    ]
+    for k, doc in enumerate(docs):
+        infile = tmp_path / f"bad{k}.json"
+        infile.write_text(json.dumps(doc))
+        proc = run_cli("compose", "--in", str(infile), check=False)
+        assert proc.returncode == 1, (doc, proc.stderr)
+        assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1, proc.stderr
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"sigma": "2", "f": ' + "[" * 100000 + "]" * 100000 + ', "g": {}}')
+    proc = run_cli("compose", "--in", str(deep), check=False)
+    assert proc.returncode == 1 and proc.stderr.startswith("error: "), proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"sigma": "2", "f": f, "g": g}))
+    assert json.loads(run_cli("compose", "--in", str(good)).stdout)["source_size"] == 2
+
+
+def test_homdim_rejects_negative_sizes():
+    for n, m in (("-3", "0"), ("2", "-1")):
+        proc = run_cli("homdim", "--sigma", "2", "--n", n, "--m", m, check=False)
+        assert proc.returncode == 1
+        assert "must be non-negative" in proc.stderr and len(proc.stderr.splitlines()) == 1

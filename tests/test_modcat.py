@@ -1,16 +1,32 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from helpers import traceless_isotypic_brute
+from helpers import (
+    predicted_realization_dim,
+    slot_generator_matrices,
+    slot_permutation_matrix,
+    traceless_isotypic_brute,
+)
 from sigmabrauer.brauer import Morphism, make_diagram, random_morphism
-from sigmabrauer.combinat import Partition, PartitionTuple, partitions_upto
+from sigmabrauer.combinat import (
+    Partition,
+    PartitionTuple,
+    parse_tuple,
+    partitions,
+    partitions_upto,
+    specht_dim,
+)
 from sigmabrauer.exactla import RatMat
+from sigmabrauer.specht import isotypic_projector
 from sigmabrauer.modcat import (
     FormPoint,
+    TracelessSpace,
     dot_product_form,
     ext_dim,
     injective_presentation,
+    isotypic_multiplicities,
     multiplicity,
     random_form,
     simple_realization_dim,
@@ -172,3 +188,66 @@ def test_translate_is_an_action():
     a = RatMat(3, 3, [[1, 1, 0], [0, 1, 0], [0, 0, 1]])
     b = RatMat(3, 3, [[1, 0, 0], [0, 1, 2], [0, 0, 1]])
     assert translate(translate(form, a), b) == translate(form, a @ b)
+
+
+def test_class_traces_match_projector():
+    # reference: the character-averaged projector on the slot action
+    for sigma in [SIG2, PartitionTuple(((1, 1),)), PartitionTuple(((2,), (1,)))]:
+        for N in (2, 3, 4):
+            form = random_form(sigma, N, seed=1)
+            for n in range(4):
+                space = traceless_space(sigma, form, n)
+                mults = isotypic_multiplicities(space)
+                assert set(mults) == set(partitions(n))
+                assert sum(specht_dim(nu) * m for nu, m in mults.items()) == space.dim
+                if space.dim == 0:
+                    continue
+                gens = slot_generator_matrices(space)
+                for lam in partitions(n):
+                    proj = isotypic_projector(
+                        n,
+                        lam,
+                        gens,
+                        dim=space.dim,
+                        perm_action=lambda ol: slot_permutation_matrix(space, ol),
+                    )
+                    assert simple_realization_dim(sigma, form, lam) == proj.trace(), (sigma, N, lam)
+
+
+def test_unstable_space_is_rejected():
+    # span of e_(1,2), e_(1,3) in (k^3)^{(x)2}: the slot swap leaves the span,
+    # yet its class traces (2 and 0) give integral multiplicities adding up
+    # to the dimension, so only the stability certificate can catch it
+    form = random_form(SIG2, 3, seed=1)
+    e = [tuple(Fraction(int(i == j)) for i in range(9)) for j in range(9)]
+    space = TracelessSpace(SIG2, form, 2, [e[1], e[2]], [1, 2])
+    with pytest.raises(RuntimeError, match="not stable"):
+        isotypic_multiplicities(space)
+
+
+# Below the stable range the character-side prediction goes negative while
+# the traceless space has no such piece.
+UNSTABLE = {
+    ("1,1", 2, (1, 1, 1)): (-2, 0),
+    ("1,1", 3, (1, 1, 1)): (-2, 0),
+    ("2|1", 2, (2, 1)): (-2, 0),
+}
+
+
+def test_character_side_oracle_sweep():
+    cases = 0
+    off = {}
+    for text in ["2", "1,1", "3", "2|1", "2,1"]:
+        sigma = parse_tuple(text)
+        for N in range(2, 6):
+            form = random_form(sigma, N, seed=1)
+            for lam in partitions_upto(3):
+                if N ** lam.size > 200:
+                    continue
+                cases += 1
+                pred = predicted_realization_dim(sigma, N, lam)
+                eng = simple_realization_dim(sigma, form, lam)
+                if pred != eng:
+                    off[(text, N, tuple(lam))] = (pred, eng)
+    assert cases == 140
+    assert off == UNSTABLE

@@ -10,6 +10,8 @@ from sigmabrauer.exactla import RatMat, rank
 from sigmabrauer.specht import (
     SpechtModule,
     SpechtVector,
+    centralizer_size,
+    class_representative,
     cycle_type,
     get_specht_module,
     isotypic_projector,
@@ -150,6 +152,16 @@ def test_perm_sign_and_cycle_type():
     assert perm_sign((1, 0, 2)) == -1
     assert cycle_type((1, 2, 0)) == Partition((3,))
     assert cycle_type((0, 1, 2)) == Partition((1, 1, 1))
+
+
+def test_class_representatives_and_centralizers():
+    for n in range(7):
+        for mu in partitions(n):
+            rep = class_representative(mu)
+            assert sorted(rep) == list(range(n))
+            assert cycle_type(rep) == mu
+            assert math.factorial(n) // centralizer_size(mu) == conjugacy_class_size(mu)
+            assert math.factorial(n) % centralizer_size(mu) == 0
 
 
 def test_projector_on_regular_representation():
