@@ -1,22 +1,28 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
 Everything in this package reduces to rank/kernel computations over Q.
-The elimination workhorse is fraction-free (Bareiss-style) on integer
-rows, which keeps intermediate entries as minors of the original matrix
-instead of letting denominators compound.  A plain rational row
-reduction (`rref`) is kept alongside it; kernels are read off the
-reduced form so that coordinates of a kernel vector can be recovered by
-looking at its entries in the free columns.
+`RatMat` stores a matrix as rows of Fractions.  Every elimination goes
+through one fraction-free core, `_eliminate`, on sparse integer rows: a
+row is a dict from column to nonzero integer, with its denominators
+cleared and the gcd of its entries divided out, so no Fraction is built
+inside the loop and entries stay small.  `rank` counts the pivots of the
+echelon form; `kernel_basis_with_free`, `solve` ([A | b]) and `inverse`
+([A | I]) read the reduced row echelon form, so the coordinates of a
+kernel vector are its entries in the free columns.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def _to_fraction_rows(rows) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+    # Fractions are immutable and already normalised: share them, since
+    # every matrix operation builds a new RatMat from existing entries
+    return tuple(
+        tuple(x if type(x) is Fraction else Fraction(x) for x in row) for row in rows
+    )
 
 
 class RatMat:
@@ -144,75 +150,91 @@ def vstack(ms: list[RatMat]) -> RatMat:
     return RatMat(len(data), cols, data)
 
 
-def _integer_rows(m: RatMat) -> list[list[int]]:
-    """Clear denominators row by row (rank and kernel are unaffected)."""
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    """Divide a nonzero integer row by the gcd of its entries."""
+    g = gcd(*row.values())
+    if g != 1:
+        row = {c: x // g for c, x in row.items()}
+    return row
+
+
+def _integer_row(entries: dict) -> dict[int, int]:
+    """The primitive integer row proportional to the given nonzero
+    rational entries (column -> value): denominators cleared, content
+    divided out.  Scaling a row changes no rank, kernel or RREF."""
+    scale = lcm(*(x.denominator for x in entries.values()))
+    return _primitive(
+        {c: x.numerator * (scale // x.denominator) for c, x in entries.items()}
+    )
+
+
+def _integer_rows(m: RatMat) -> list[dict[int, int]]:
+    """The nonzero rows of m as sparse primitive integer rows."""
     out = []
     for row in m.data:
-        lcm = 1
-        for x in row:
-            d = x.denominator
-            lcm = lcm * d // gcd(lcm, d)
-        out.append([int(x * lcm) for x in row])
+        entries = {c: x for c, x in enumerate(row) if x}
+        if entries:
+            out.append(_integer_row(entries))
     return out
 
 
+def _clear(row: dict[int, int], prow: dict[int, int], c: int) -> dict[int, int]:
+    """a*row - b*prow with the smallest a, b that clear column c, made
+    primitive (empty when the result is zero)."""
+    a, b = prow[c], row[c]
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    new = {k: a * x for k, x in row.items()}
+    for k, y in prow.items():
+        v = new.get(k, 0) - b * y
+        if v:
+            new[k] = v
+        else:
+            del new[k]
+    return _primitive(new) if new else new
+
+
+def _eliminate(rows: list[dict[int, int]], reduced: bool) -> list[tuple[int, dict[int, int]]]:
+    """Fraction-free Gaussian elimination on sparse primitive integer rows.
+
+    Returns the pivot rows as (pivot column, row) by increasing pivot
+    column.  Pivot columns are taken strictly left to right: the rows
+    whose leading column is the current one are all cleared there by the
+    sparsest of them, which becomes the pivot row.  With `reduced` every
+    pivot column is then also cleared from the rows above it, so that
+    row / row[pivot] is the canonical reduced row echelon form whatever
+    rows were chosen as pivots.
+    """
+    pending: dict[int, list[dict[int, int]]] = {}
+    for row in rows:
+        pending.setdefault(min(row), []).append(row)
+    echelon = []
+    while pending:
+        c = min(pending)
+        group = pending.pop(c)
+        prow = min(group, key=len)
+        for row in group:
+            if row is not prow:
+                new = _clear(row, prow, c)
+                if new:
+                    pending.setdefault(min(new), []).append(new)
+        echelon.append((c, prow))
+    if reduced:
+        done: dict[int, dict[int, int]] = {}
+        for i in reversed(range(len(echelon))):
+            c, row = echelon[i]
+            # the rows below are reduced and hold no pivot column but their
+            # own, so clearing one pivot column brings in no other
+            for k in [k for k in row if k in done]:
+                row = _clear(row, done[k], k)
+            done[c] = row
+            echelon[i] = (c, row)
+    return echelon
+
+
 def rank(m: RatMat) -> int:
-    """Rank over Q via fraction-free Bareiss elimination."""
-    a = _integer_rows(m)
-    nr, nc = m.rows, m.cols
-    r = 0
-    prev = 1
-    for c in range(nc):
-        if r == nr:
-            break
-        piv = None
-        for i in range(r, nr):
-            if a[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            a[piv], a[r] = a[r], a[piv]
-        arc = a[r][c]
-        arow = a[r]
-        for i in range(r + 1, nr):
-            aic = a[i][c]
-            ai = a[i]
-            for k in range(c + 1, nc):
-                ai[k] = (arc * ai[k] - aic * arow[k]) // prev
-            ai[c] = 0
-        prev = arc
-        r += 1
-    return r
-
-
-def rref(m: RatMat) -> tuple[list[list[Fraction]], list[int]]:
-    """Naive rational reduced row echelon form; returns (rows, pivot columns)."""
-    a = [list(row) for row in m.data]
-    nr, nc = m.rows, m.cols
-    pivots: list[int] = []
-    r = 0
-    for c in range(nc):
-        if r == nr:
-            break
-        piv = None
-        for i in range(r, nr):
-            if a[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[piv], a[r] = a[r], a[piv]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(nr):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-    return a[:r], pivots
+    """Rank over Q: the number of pivot rows of the echelon form."""
+    return len(_eliminate(_integer_rows(m), reduced=False))
 
 
 def kernel_basis_with_free(m: RatMat) -> tuple[list[tuple[Fraction, ...]], list[int]]:
@@ -223,17 +245,19 @@ def kernel_basis_with_free(m: RatMat) -> tuple[list[tuple[Fraction, ...]], list[
     coordinates of any vector in the kernel with respect to this basis
     are literally its entries at the free columns.
     """
-    rows, pivots = rref(m)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * m.cols
+    reduced = _eliminate(_integer_rows(m), reduced=True)
+    pivots = {c for c, _ in reduced}
+    free = [c for c in range(m.cols) if c not in pivots]
+    zero = Fraction(0)
+    vecs = {f: [zero] * m.cols for f in free}
+    for f, v in vecs.items():
         v[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            v[p] = -rows[r][f]
-        basis.append(tuple(v))
-    return basis, free
+    for c, row in reduced:
+        p = row[c]
+        for k, x in row.items():
+            if k != c:
+                vecs[k][c] = Fraction(-x, p)
+    return [tuple(vecs[f]) for f in free], free
 
 
 def kernel_basis(m: RatMat) -> list[tuple[Fraction, ...]]:
@@ -248,7 +272,7 @@ def intersect_kernels(ms: list[RatMat], cols: int | None = None) -> list[tuple[F
     if not ms:
         if cols is None:
             raise ValueError("empty matrix list requires an explicit column count")
-        return kernel_basis(RatMat.zeros(1, cols))
+        return kernel_basis(RatMat(0, cols, []))
     if cols is not None and ms[0].cols != cols:
         raise ValueError("declared column count disagrees with the matrices")
     if any(m.cols != ms[0].cols for m in ms):
@@ -257,31 +281,47 @@ def intersect_kernels(ms: list[RatMat], cols: int | None = None) -> list[tuple[F
 
 
 def solve(m: RatMat, rhs) -> tuple[Fraction, ...] | None:
-    """One exact solution of m x = rhs, or None when inconsistent."""
+    """One exact solution of m x = rhs, or None when inconsistent.
+
+    Reduces [m | rhs]; the free unknowns are set to 0."""
     if len(rhs) != m.rows:
         raise ValueError("right-hand side length does not match row count")
-    aug = RatMat(
-        m.rows,
-        m.cols + 1,
-        [list(row) + [Fraction(v)] for row, v in zip(m.data, rhs)],
-    )
-    rows, pivots = rref(aug)
-    if m.cols in pivots:
-        return None
-    x = [Fraction(0)] * m.cols
-    for r, p in enumerate(pivots):
-        x[p] = rows[r][m.cols]
+    n = m.cols
+    rows = []
+    for row, v in zip(m.data, rhs):
+        entries = {c: x for c, x in enumerate(row) if x}
+        v = Fraction(v)
+        if v:
+            entries[n] = v
+        if entries:
+            rows.append(_integer_row(entries))
+    x = [Fraction(0)] * n
+    for c, row in _eliminate(rows, reduced=True):
+        if c == n:
+            return None
+        x[c] = Fraction(row.get(n, 0), row[c])
     return tuple(x)
 
 
 def inverse(m: RatMat) -> RatMat:
+    """The inverse of a square matrix: [m | I] reduced to [I | m^-1]."""
     if m.rows != m.cols:
         raise ValueError("only square matrices can be inverted")
     n = m.rows
-    aug = RatMat(
-        n, 2 * n, [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m.data)]
-    )
-    rows, pivots = rref(aug)
-    if pivots != list(range(n)):
+    rows = []
+    for i, row in enumerate(m.data):
+        entries = {c: x for c, x in enumerate(row) if x}
+        entries[n + i] = 1
+        rows.append(_integer_row(entries))
+    reduced = _eliminate(rows, reduced=True)
+    if [c for c, _ in reduced] != list(range(n)):
         raise ValueError("matrix is singular")
-    return RatMat(n, n, [row[n:] for row in rows])
+    zero = Fraction(0)
+    out = []
+    for c, row in reduced:
+        line = [zero] * n
+        for k, x in row.items():
+            if k >= n:
+                line[k - n] = Fraction(x, row[c])
+        out.append(line)
+    return RatMat(n, n, out)

@@ -29,6 +29,13 @@ from .symfun import (
 from .specht import centralizer_size, class_representative, sn_character
 
 
+def _check_rank(N) -> int:
+    N = int(N)
+    if N < 0:
+        raise ValueError(f"the rank must be non-negative, got {N}")
+    return N
+
+
 class FormPoint:
     """A form on k^N for the tuple sigma: for each entry one linear
     functional on the corresponding Schur functor realization, stored as
@@ -40,7 +47,7 @@ class FormPoint:
         self.sigma = PartitionTuple(sigma)
         if not self.sigma.pure:
             raise ValueError("a form needs a pure tuple")
-        self.N = int(N)
+        self.N = _check_rank(N)
         comps = tuple(tuple(Fraction(c) for c in row) for row in comps)
         if len(comps) != len(self.sigma):
             raise ValueError("need exactly one component per entry of sigma")
@@ -70,6 +77,7 @@ def random_form(sigma, N: int, seed: int) -> FormPoint:
     """Seeded random integer form; entries uniform in [-5, 5]."""
     rng = random.Random(seed)
     sigma = PartitionTuple(sigma)
+    N = _check_rank(N)
     comps = [
         [rng.randint(-5, 5) for _ in range(schur_dim(p, N))] for p in sigma
     ]
@@ -235,6 +243,14 @@ _traceless_cache: dict = {}
 _hom_kernel_cache: dict = {}
 
 
+def _joint_kernel(sigma, form: FormPoint, n: int, mats: list[RatMat]) -> TracelessSpace:
+    """The joint kernel of matrices on the n-th tensor power of k^N; with
+    no matrices, the whole tensor power."""
+    stacked = vstack(mats) if mats else RatMat(0, form.N**n, [])
+    basis, free = kernel_basis_with_free(stacked)
+    return TracelessSpace(sigma, form, n, basis, free)
+
+
 def traceless_space(sigma, form: FormPoint, n: int) -> TracelessSpace:
     """Intersection of the kernels of every block contraction on n slots."""
     sigma = PartitionTuple(sigma)
@@ -246,12 +262,7 @@ def traceless_space(sigma, form: FormPoint, n: int) -> TracelessSpace:
     cached = _traceless_cache.get(key)
     if cached is not None:
         return cached
-    mats = _constraint_matrices(sigma, form, n)
-    if mats:
-        basis, free = kernel_basis_with_free(vstack(mats))
-    else:
-        basis, free = kernel_basis_with_free(RatMat.zeros(1, form.N**n))
-    space = TracelessSpace(sigma, form, n, basis, free)
+    space = _joint_kernel(sigma, form, n, _constraint_matrices(sigma, form, n))
     _traceless_cache[key] = space
     return space
 
@@ -368,11 +379,7 @@ def socle_check(sigma, form: FormPoint, lam: Partition) -> bool:
         for m in range(n):
             for d in hom_basis(sigma, n, m):
                 mats.append(theta_apply(form, Morphism.from_diagram(sigma, d)))
-        if mats:
-            basis, free = kernel_basis_with_free(vstack(mats))
-        else:
-            basis, free = kernel_basis_with_free(RatMat.zeros(1, form.N**n))
-        hom_space = TracelessSpace(sigma, form, n, basis, free)
+        hom_space = _joint_kernel(sigma, form, n, mats)
         _hom_kernel_cache[key] = hom_space
     return _isotypic_dim(gen_space, lam) == _isotypic_dim(hom_space, lam)
 

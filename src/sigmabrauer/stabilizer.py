@@ -180,6 +180,8 @@ def germinal_axiom_suite(
     symmetries of special forms), which are used at every level they
     actually belong to.  Returns one report per axiom.
     """
+    if samples < 0:
+        raise ValueError(f"the number of samples must be non-negative, got {samples}")
     rng = random.Random(seed)
     levels = sorted(set(int(x) for x in levels))
     if not levels:

@@ -13,6 +13,83 @@ from sigmabrauer.symfun import SchurExpr, monomials_to_schur
 
 
 # ---------------------------------------------------------------------------
+# reference elimination: dense rational Gauss-Jordan, independent of the
+# engine's sparse integer core in `exactla`
+
+
+def rref(m: RatMat) -> tuple[list[list[Fraction]], list[int]]:
+    """Dense rational reduced row echelon form; returns (rows, pivot columns).
+
+    Within a pivot column the row with the fewest nonzeros becomes the
+    pivot, and only the nonzeros of the pivot row are subtracted; the
+    RREF is unique, so neither choice changes the result, only the time."""
+    a = [list(row) for row in m.data]
+    nr, nc = m.rows, m.cols
+    pivots: list[int] = []
+    r = 0
+    for c in range(nc):
+        if r == nr:
+            break
+        cands = [i for i in range(r, nr) if a[i][c] != 0]
+        if not cands:
+            continue
+        piv = min(cands, key=lambda i: sum(1 for x in a[i] if x))
+        a[piv], a[r] = a[r], a[piv]
+        inv = 1 / a[r][c]
+        a[r] = [x * inv for x in a[r]]
+        support = [(j, y) for j, y in enumerate(a[r]) if y]
+        for i in range(nr):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                row = a[i]
+                for j, y in support:
+                    row[j] -= f * y
+        pivots.append(c)
+        r += 1
+    return a[:r], pivots
+
+
+def rank_reference(m: RatMat) -> int:
+    return len(rref(m)[1])
+
+
+def kernel_reference(m: RatMat) -> tuple[list[tuple[Fraction, ...]], list[int]]:
+    """(RREF kernel basis, free columns), read off `rref`."""
+    rows, pivots = rref(m)
+    free = [c for c in range(m.cols) if c not in pivots]
+    basis = []
+    for f in free:
+        v = [Fraction(0)] * m.cols
+        v[f] = Fraction(1)
+        for r, p in enumerate(pivots):
+            v[p] = -rows[r][f]
+        basis.append(tuple(v))
+    return basis, free
+
+
+def solve_reference(m: RatMat, rhs) -> tuple[Fraction, ...] | None:
+    """The solution of m x = rhs with the free unknowns 0, or None."""
+    aug = RatMat(m.rows, m.cols + 1, [list(row) + [Fraction(v)] for row, v in zip(m.data, rhs)])
+    rows, pivots = rref(aug)
+    if m.cols in pivots:
+        return None
+    x = [Fraction(0)] * m.cols
+    for r, p in enumerate(pivots):
+        x[p] = rows[r][m.cols]
+    return tuple(x)
+
+
+def inverse_reference(m: RatMat) -> RatMat | None:
+    """The inverse of a square matrix, or None when it is singular."""
+    n = m.rows
+    aug = RatMat(n, 2 * n, [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m.data)])
+    rows, pivots = rref(aug)
+    if pivots != list(range(n)):
+        return None
+    return RatMat(n, n, [row[n:] for row in rows])
+
+
+# ---------------------------------------------------------------------------
 # plethysm by explicit monomial substitution
 
 
@@ -127,11 +204,10 @@ def traceless_isotypic_brute(form, lam: Partition) -> int:
     scratch: the Gram matrix comes straight from the realization
     coordinates and the form table, the contraction matrices and the
     ambient projector are assembled directly, and the answer is the
-    nullity of one stacked matrix."""
+    nullity of one stacked matrix, found by the reference elimination."""
     from sigmabrauer.schurweyl import get_tensor_rep
     from sigmabrauer.specht import cycle_type, sn_character
     from sigmabrauer.combinat import specht_dim
-    from sigmabrauer.exactla import kernel_basis, vstack
     from itertools import permutations as iperm
 
     lam = Partition(lam)
@@ -180,7 +256,8 @@ def traceless_isotypic_brute(form, lam: Partition) -> int:
     proj = RatMat(len(words), len(words), [[scale * x for x in row] for row in total])
     ident = RatMat.identity(len(words))
     mats.append(ident - proj)
-    return len(kernel_basis(vstack(mats)))
+    stacked = [row for m in mats for row in m.data]
+    return len(words) - rank_reference(RatMat(len(stacked), len(words), stacked))
 
 
 # ---------------------------------------------------------------------------

@@ -160,3 +160,19 @@ def test_homdim_rejects_negative_sizes():
         proc = run_cli("homdim", "--sigma", "2", "--n", n, "--m", m, check=False)
         assert proc.returncode == 1
         assert "must be non-negative" in proc.stderr and len(proc.stderr.splitlines()) == 1
+
+
+def test_traceless_rejects_negative_rank():
+    proc = run_cli("traceless", "--sigma", "2", "--rank", "-1", "--n", "2", check=False)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: the rank must be non-negative")
+
+
+def test_stab_check_rejects_negative_samples():
+    proc = run_cli(
+        "stab", "check", "--sigma", "2", "--rank", "3", "--samples", "-1", check=False
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: the number of samples must be non-negative")

@@ -12,9 +12,17 @@ from sigmabrauer.exactla import (
     kernel_basis,
     kernel_basis_with_free,
     rank,
-    rref,
     solve,
     vstack,
+)
+from sigmabrauer.combinat import parse_tuple
+from sigmabrauer.modcat import _constraint_matrices, random_form
+
+from helpers import (
+    inverse_reference,
+    kernel_reference,
+    rank_reference,
+    solve_reference,
 )
 
 
@@ -58,13 +66,77 @@ def test_intersect_kernels():
         intersect_kernels([])
 
 
-def test_bareiss_agrees_with_rational_elimination():
+def test_rank_agrees_with_rational_elimination():
     rng = random.Random(991)
     for _ in range(100):
         nr = rng.randint(1, 12)
         nc = rng.randint(1, 12)
         m = RatMat(nr, nc, [[rng.randint(-9, 9) for _ in range(nc)] for _ in range(nr)])
-        assert rank(m) == len(rref(m)[1])
+        assert rank(m) == rank_reference(m)
+
+
+_entries = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-6, max_value=6, max_denominator=5),
+)
+
+
+@st.composite
+def _systems(draw):
+    """A rational matrix with some zero rows and scaled copies of rows
+    mixed in (0 rows and 0 columns allowed), plus a right-hand side that
+    is consistent or not."""
+    nc = draw(st.integers(0, 6))
+    rows = draw(st.lists(st.lists(_entries, min_size=nc, max_size=nc), max_size=6))
+    for _ in range(draw(st.integers(0, 3))):
+        k = draw(st.integers(0, len(rows)))
+        if k == len(rows):
+            rows.append([Fraction(0)] * nc)
+        else:
+            c = draw(st.integers(-3, 3))
+            rows.append([c * x for x in rows[k]])
+    order = draw(st.permutations(range(len(rows))))
+    m = RatMat(len(rows), nc, [rows[i] for i in order])
+    if draw(st.booleans()):
+        x = draw(st.lists(_entries, min_size=nc, max_size=nc))
+        rhs = m.matvec(x)
+    else:
+        rhs = draw(st.lists(_entries, min_size=m.rows, max_size=m.rows))
+    return m, rhs
+
+
+@given(_systems())
+@settings(max_examples=300, deadline=None)
+def test_core_agrees_with_reference_elimination(system):
+    m, rhs = system
+    assert kernel_basis_with_free(m) == kernel_reference(m)
+    assert rank(m) == rank_reference(m)
+    x = solve(m, rhs)
+    assert x == solve_reference(m, rhs)
+    if x is not None:
+        assert list(m.matvec(x)) == list(rhs)
+    k = min(m.rows, m.cols)
+    square = RatMat(k, k, [row[:k] for row in m.data[:k]])
+    expected = inverse_reference(square)
+    if expected is None:
+        with pytest.raises(ValueError):
+            inverse(square)
+    else:
+        assert inverse(square) == expected
+
+
+def test_constraint_kernels_agree_with_reference_elimination():
+    for text in ("2", "1,1", "2|1"):
+        sigma = parse_tuple(text)
+        for N in range(2, 5):
+            form = random_form(sigma, N, 1)
+            for n in range(5):
+                mats = _constraint_matrices(sigma, form, n)
+                if not mats:
+                    continue
+                m = vstack(mats)
+                assert kernel_basis_with_free(m) == kernel_reference(m), (text, N, n)
+                assert rank(m) == rank_reference(m)
 
 
 @given(

@@ -83,6 +83,9 @@ def test_ext_fixtures():
 def test_form_point_validation():
     with pytest.raises(ValueError):
         FormPoint(SIG2, 3, [[1, 2]])  # wrong length
+    for make in (lambda: FormPoint(SIG2, -1, [[]]), lambda: random_form(SIG2, -1, seed=0)):
+        with pytest.raises(ValueError, match="rank"):
+            make()
     f = random_form(SIG2, 3, seed=5)
     assert f == random_form(SIG2, 3, seed=5)  # seed determinism
     assert f != random_form(SIG2, 3, seed=6)
