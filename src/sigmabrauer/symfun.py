@@ -3,9 +3,13 @@
 Products are computed by Littlewood-Richardson skew tableau enumeration,
 plethysms h_a[f] and e_i[f] by monomial substitution in a finite
 alphabet followed by conversion back to the Schur basis by repeated
-subtraction of the lexicographically leading term.  The alphabet always
-has at least as many letters as the degree of the result, which makes
-the finite-variable computation faithful.
+subtraction of the lexicographically leading term.  The alphabet has
+a * l letters, l the largest length (number of rows) of a term of f,
+which makes the finite-variable computation faithful: every Schur
+constituent of h_a[f] or e_a[f] also occurs in f^a, so by
+Littlewood-Richardson its length is at most a * l, and the Schur
+polynomials of length at most the number of letters are linearly
+independent.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .combinat import Partition, PartitionTuple
+from .combinat import Partition, PartitionTuple, partitions
 
 
 class SchurExpr:
@@ -254,8 +258,6 @@ def kostka(lam: Partition, mu: tuple[int, ...]) -> int:
             return
         lo = shape[r + 1] if r + 1 < len(shape) else 0
         hi = shape[r]
-        if r > 0:
-            lo = max(lo, 0)
         for new_len in range(hi, lo - 1, -1):
             removed = shape[r] - new_len
             if removed > remaining:
@@ -295,8 +297,6 @@ def schur_monomials(lam: Partition, nvars: int) -> tuple[tuple[tuple[int, ...], 
     """Monomial expansion of a Schur function in nvars variables."""
     lam = Partition(lam)
     out: dict[tuple[int, ...], int] = {}
-    from .combinat import partitions
-
     for mu in partitions(lam.size):
         if len(mu) > nvars:
             continue
@@ -308,26 +308,25 @@ def schur_monomials(lam: Partition, nvars: int) -> tuple[tuple[tuple[int, ...], 
     return tuple(sorted(out.items()))
 
 
-def monomials_to_schur(mono: dict[tuple[int, ...], Fraction], nvars: int) -> SchurExpr:
+def monomials_to_schur(mono: dict[tuple[int, ...], int | Fraction], nvars: int) -> SchurExpr:
     """Convert a symmetric polynomial, given by its monomials, to the Schur basis.
 
-    Works degree by degree, repeatedly subtracting the Schur function of
-    the lexicographically leading monomial partition.
+    Coefficients may be ints or Fractions.  Works degree by degree,
+    repeatedly subtracting the Schur function of the lexicographically
+    leading monomial partition.
     """
-    by_degree: dict[int, dict[Partition, Fraction]] = {}
+    # all arrangements of one m-function carry the same coefficient; keep
+    # it once per orbit, keyed by the sorted exponent tuple
+    orbits: dict[tuple[int, ...], int | Fraction] = {}
     for exp, c in mono.items():
         if c == 0:
             continue
-        key = Partition(sorted((x for x in exp if x), reverse=True))
-        d = key.size
-        bucket = by_degree.setdefault(d, {})
-        # all arrangements of one m-function carry the same coefficient;
-        # keep the dominant representative once
-        if key in bucket:
-            if bucket[key] != c:
-                raise ValueError("input monomials are not symmetric")
-        else:
-            bucket[key] = Fraction(c)
+        if orbits.setdefault(tuple(sorted(exp, reverse=True)), c) != c:
+            raise ValueError("input monomials are not symmetric")
+    by_degree: dict[int, dict[Partition, Fraction]] = {}
+    for key, c in orbits.items():
+        kappa = Partition(x for x in key if x)
+        by_degree.setdefault(kappa.size, {})[kappa] = Fraction(c)
     out: dict[Partition, Fraction] = {}
     for d, bucket in by_degree.items():
         work = dict(bucket)
@@ -337,8 +336,6 @@ def monomials_to_schur(mono: dict[tuple[int, ...], Fraction], nvars: int) -> Sch
             if c == 0:
                 continue
             out[kappa] = out.get(kappa, Fraction(0)) + c
-            from .combinat import partitions
-
             for mu in partitions(d):
                 if mu == kappa or len(mu) > nvars:
                     continue
@@ -372,7 +369,10 @@ def _plethysm(outer: int, inner: SchurExpr, mode: str) -> SchurExpr:
         return SchurExpr.one()
     if not inner:
         return SchurExpr.zero()
-    nvars = max(1, outer * inner.max_degree())
+    # every constituent of the result has length at most outer times the
+    # largest length of an inner term (see the module docstring), so this
+    # many letters keep the Schur polynomials of the result independent
+    nvars = max(1, outer * max(len(p) for p in inner.terms))
     mono = _inner_monomial_multiset(inner, nvars)
     zero_exp = (0,) * nvars
 
@@ -406,7 +406,7 @@ def _plethysm(outer: int, inner: SchurExpr, mode: str) -> SchurExpr:
                         nexp = tuple(x + y for x, y in zip(exp, vj))
                         tgt[nexp] = tgt.get(nexp, 0) + cc * cj
         poly = new
-    return monomials_to_schur({e: Fraction(c) for e, c in poly[outer].items()}, nvars)
+    return monomials_to_schur(poly[outer], nvars)
 
 
 def plethysm_h(a: int, inner: SchurExpr) -> SchurExpr:

@@ -9,7 +9,7 @@ from itertools import combinations, combinations_with_replacement, product
 
 from sigmabrauer.combinat import Partition
 from sigmabrauer.exactla import RatMat
-from sigmabrauer.symfun import SchurExpr, monomials_to_schur
+from sigmabrauer.symfun import SchurExpr
 
 
 # ---------------------------------------------------------------------------
@@ -93,45 +93,78 @@ def inverse_reference(m: RatMat) -> RatMat | None:
 # plethysm by explicit monomial substitution
 
 
-def ssyt_monomials(shape: Partition, nvars: int):
+def ssyt_monomials(shape: Partition, nvars: int, dominant: bool = False):
     """Exponent vectors of the monomials of a Schur function, one per
-    semistandard tableau, enumerated directly by backtracking."""
+    semistandard tableau, enumerated directly letter by letter: the cells
+    holding letter v form a horizontal strip added to the cells holding
+    smaller letters.  With `dominant`, only the tableaux whose content is
+    a partition (no letter used more often than the one before)."""
     shape = Partition(shape)
-    if shape.size == 0:
-        yield (0,) * nvars
-        return
-    if len(shape) > nvars:
-        return
-    rows = len(shape)
-    tab = [[0] * shape[i] for i in range(rows)]
+    exp: list[int] = []
 
-    def rec(i: int, j: int):
-        if i == rows:
-            exp = [0] * nvars
-            for row in tab:
-                for v in row:
-                    exp[v - 1] += 1
-            yield tuple(exp)
+    def rec(cur: tuple[int, ...], room: int):
+        if cur == shape:
+            yield tuple(exp) + (0,) * (nvars - len(exp))
             return
-        ni, nj = (i, j + 1) if j + 1 < shape[i] else (i + 1, 0)
-        lo = 1
-        if j > 0:
-            lo = max(lo, tab[i][j - 1])
-        if i > 0:
-            lo = max(lo, tab[i - 1][j] + 1)
-        for v in range(lo, nvars + 1):
-            tab[i][j] = v
-            yield from rec(ni, nj)
-        tab[i][j] = 0
+        if len(exp) == nvars:
+            return
+        # row i of a horizontal strip ends within row i of the shape and
+        # below the old end of row i - 1
+        ranges = [
+            range(c, min(shape[i], cur[i - 1] if i else shape[0]) + 1)
+            for i, c in enumerate(cur)
+        ]
+        for new in product(*ranges):
+            k = sum(new) - sum(cur)
+            if k > room or (dominant and k == 0):
+                continue
+            exp.append(k)
+            yield from rec(new, k if dominant else room)
+            exp.pop()
 
-    yield from rec(0, 0)
+    yield from rec((0,) * len(shape), shape.size)
+
+
+def _is_dominant(exp: tuple[int, ...]) -> bool:
+    return all(exp[k] >= exp[k + 1] for k in range(len(exp) - 1))
+
+
+def kostka_row(shape: Partition) -> dict[Partition, int]:
+    """K_{shape,mu} for every partition mu: the number of semistandard
+    tableaux of that shape and content mu, counted among `ssyt_monomials`
+    in |shape| letters (enough for every content of that size)."""
+    counts = Counter(ssyt_monomials(shape, shape.size, dominant=True))
+    return {Partition(x for x in exp if x): k for exp, k in counts.items()}
+
+
+def schur_from_dominant_monomials(dominant: dict[Partition, int]) -> SchurExpr:
+    """Schur expansion of a symmetric polynomial in at least as many
+    letters as its degree, given the coefficient of x^mu for every
+    partition mu (the dominant monomials).  That coefficient is
+    sum_lam c_lam K_{lam,mu}, and K is unitriangular in lexicographic
+    order, so the lexicographically largest mu left is the next lam."""
+    work = {mu: Fraction(c) for mu, c in dominant.items() if c}
+    out: dict[Partition, Fraction] = {}
+    while work:
+        lam = max(work)
+        c = work.pop(lam)
+        out[lam] = c
+        for mu, k in kostka_row(lam).items():
+            if mu != lam:
+                left = work.get(mu, 0) - c * k
+                if left:
+                    work[mu] = left
+                else:
+                    work.pop(mu, None)
+    return SchurExpr(out)
 
 
 def plethysm_brute(outer: int, inner: SchurExpr, mode: str) -> SchurExpr:
     """Brute-force plethysm: expand the inner function into an explicit list
     of monomials in max(8, result degree) variables, substitute them into
     the outer complete/exterior function by enumerating index multisets or
-    subsets, then convert back to the Schur basis."""
+    subsets, then convert the dominant monomials back to the Schur basis
+    with Kostka numbers counted from `ssyt_monomials`."""
     assert mode in ("h", "e")
     if outer == 0:
         return SchurExpr.one()
@@ -149,15 +182,14 @@ def plethysm_brute(outer: int, inner: SchurExpr, mode: str) -> SchurExpr:
                 word |= e << (shift * k)
             packed.extend([word] * int(c))
     chooser = combinations_with_replacement if mode == "h" else combinations
-    acc: dict[int, int] = {}
-    for combo in chooser(packed, outer):
-        acc[sum(combo)] = acc.get(sum(combo), 0) + 1
+    acc = Counter(map(sum, chooser(packed, outer)))
     mask = (1 << shift) - 1
-    mono: dict[tuple[int, ...], Fraction] = {}
+    dominant: dict[Partition, int] = {}
     for word, c in acc.items():
         exp = tuple((word >> (shift * k)) & mask for k in range(nvars))
-        mono[exp] = mono.get(exp, Fraction(0)) + c
-    return monomials_to_schur(mono, nvars)
+        if _is_dominant(exp):
+            dominant[Partition(x for x in exp if x)] = c
+    return schur_from_dominant_monomials(dominant)
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,17 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
-from helpers import plethysm_brute
+from helpers import kostka_row, plethysm_brute
 from sigmabrauer.combinat import Partition, PartitionTuple, partitions, schur_dim
 from sigmabrauer.symfun import (
     SchurExpr,
     inner_product,
     kostka,
     lr_product,
+    monomials_to_schur,
     plethysm_e,
     plethysm_h,
     shift_decompose,
@@ -107,10 +109,52 @@ def test_plethysm_against_brute_oracle_small():
         for a in range(4):
             assert plethysm_h(a, s(shape)) == plethysm_brute(a, s(shape), "h")
             assert plethysm_e(a, s(shape)) == plethysm_brute(a, s(shape), "e")
-    mixed = s((2,)) + s((1,))
-    for a in range(3):
-        assert plethysm_h(a, mixed) == plethysm_brute(a, mixed, "h")
-        assert plethysm_e(a, mixed) == plethysm_brute(a, mixed, "e")
+    # mixed inners whose terms differ in length, degree and coefficient:
+    # the alphabet must follow the greatest length over all terms (the last
+    # one lists the shorter term first)
+    mixed = [
+        s((2,)) + s((1,)),
+        s((1, 1)) + s((1,)),
+        s((2, 1)) + s((2,)),
+        s((2,)) + s((1,)).scale(2),
+        s((2,)) + s((1, 1)),
+    ]
+    for f in mixed:
+        for a in range(4):
+            assert plethysm_h(a, f) == plethysm_brute(a, f, "h"), (a, f)
+            assert plethysm_e(a, f) == plethysm_brute(a, f, "e"), (a, f)
+
+
+def test_plethysm_dimensions_at_every_rank():
+    # at rank N, e_i[f] has dimension C(D, i) and h_a[f] has C(D+a-1, a),
+    # with D the dimension of f; a constituent lost to a too-small alphabet
+    # has positive dimension from rank len(nu) <= outer*deg on, so the
+    # ranks up to outer*deg+1 show it; in the last case the term with the
+    # most rows has the lower degree
+    cases = [
+        (plethysm_e, 5, s((2,)) + s((1,))),
+        (plethysm_h, 5, s((2,))),
+        (plethysm_e, 4, s((1, 1)) + s((1,))),
+        (plethysm_h, 3, s((2, 1)) + s((2,))),
+        (plethysm_e, 3, s((3,)) + s((1, 1))),
+    ]
+    for pleth, a, f in cases:
+        result = pleth(a, f)
+        for N in range(1, a * f.max_degree() + 2):
+            D = sum(int(c) * schur_dim(lam, N) for lam, c in f.terms.items())
+            want = comb(D, a) if pleth is plethysm_e else comb(D + a - 1, a)
+            got = sum(c * schur_dim(nu, N) for nu, c in result.terms.items())
+            assert got == want, (pleth.__name__, a, f, N, got, want)
+
+
+def test_monomials_to_schur():
+    # integer and Fraction coefficients alike; every present arrangement
+    # of one monomial orbit must carry the same coefficient
+    assert monomials_to_schur({(1, 0): 1, (0, 1): 1}, 2) == s((1,))
+    two = {(2, 0): 1, (1, 1): Fraction(2), (0, 2): 1}
+    assert monomials_to_schur(two, 2) == s((2,)) + s((1, 1))
+    with pytest.raises(ValueError):
+        monomials_to_schur({(1, 0): 1, (0, 1): 2}, 2)
 
 
 def test_kostka_basics():
@@ -118,6 +162,12 @@ def test_kostka_basics():
     assert kostka(Partition((2, 1)), (2, 1)) == 1
     assert kostka(Partition((2, 1)), (3,)) == 0
     assert kostka(Partition((3,)), (1, 1, 1)) == 1
+    # against the tableau counts of the brute-force plethysm oracle
+    for n in range(7):
+        for lam in partitions(n):
+            row = kostka_row(lam)
+            for mu in partitions(n):
+                assert kostka(lam, tuple(mu)) == row.get(mu, 0), (lam, mu)
 
 
 def test_sym_algebra_degree():
