@@ -186,7 +186,12 @@ def _run(args) -> dict:
         if args.levels is None:
             levels = list(range(1, args.rank + 1))
         else:
-            levels = [int(x) for x in args.levels.split(",")]
+            try:
+                levels = [int(x) for x in args.levels.split(",")]
+            except ValueError:
+                raise PreconditionError(
+                    f"--levels must be comma-separated integers, got {args.levels!r}"
+                ) from None
         reports = germinal_axiom_suite(
             random_form(sigma, args.rank, args.seed), levels, args.samples, args.seed
         )
@@ -198,6 +203,8 @@ def _run(args) -> dict:
     if args.command == "oracle":
         sigma = _pure_sigma(args.sigma)
         _check_bound(bound, max=args.max_n)
+        if args.max_n < 0:
+            raise PreconditionError("--max must be non-negative")
         checks = []
         all_equal = True
         for n in range(args.max_n + 1):

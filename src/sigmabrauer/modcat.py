@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations, product
+from math import lcm
 
 from .combinat import Partition, PartitionTuple, partitions, schur_dim, specht_dim
 from .exactla import RatMat, kernel_basis_with_free, solve, vstack
@@ -41,7 +42,7 @@ class FormPoint:
     functional on the corresponding Schur functor realization, stored as
     the row of its values on the realization basis."""
 
-    __slots__ = ("sigma", "N", "comps")
+    __slots__ = ("sigma", "N", "comps", "_tilde")
 
     def __init__(self, sigma, N: int, comps):
         self.sigma = PartitionTuple(sigma)
@@ -57,6 +58,7 @@ class FormPoint:
                     f"component {p} must have length {schur_dim(self.sigma[p], self.N)}"
                 )
         self.comps = comps
+        self._tilde = [None] * len(comps)
 
     def __eq__(self, other):
         return (
@@ -88,11 +90,16 @@ def random_form(sigma, N: int, seed: int) -> FormPoint:
 # block functionals
 
 
-def _omega_tilde(form: FormPoint, p: int) -> dict[tuple[int, ...], Fraction]:
-    """The form component as a row over the pivot words of the realization."""
+def _omega_tilde(form: FormPoint, p: int) -> tuple[int, dict[tuple[int, ...], int]]:
+    """The form component as an integer row over the pivot words of the
+    realization and its denominator: omega_p(v) = sum_w row[w] v[w] / den
+    for every v in the realization.  Computed once per form."""
+    cached = form._tilde[p]
+    if cached is not None:
+        return cached
     rep = get_tensor_rep(form.sigma[p], form.N)
     table = form.comps[p]
-    out: dict[tuple[int, ...], Fraction] = {}
+    vals: dict[tuple[int, ...], Fraction] = {}
     for cls, members in rep._class_members.items():
         inv = rep._solver(cls)
         k = len(members)
@@ -101,8 +108,10 @@ def _omega_tilde(form: FormPoint, p: int) -> dict[tuple[int, ...], Fraction]:
                 (table[members[c]] * inv.data[c][r] for c in range(k)), Fraction(0)
             )
             if val:
-                out[rep.pivot_words[members[r]]] = val
-    return out
+                vals[rep.pivot_words[members[r]]] = val
+    den = lcm(*(v.denominator for v in vals.values()))
+    form._tilde[p] = den, {w: v.numerator * (den // v.denominator) for w, v in vals.items()}
+    return form._tilde[p]
 
 
 _functional_cache: dict = {}
@@ -128,7 +137,7 @@ def block_functional(form: FormPoint, p: int, t: int) -> dict[tuple[int, ...], F
         _functional_cache[key] = out
         return out
     gamma = specht_word_expansions(shape)[t]
-    omega = _omega_tilde(form, p)
+    den, omega = _omega_tilde(form, p)
     for u in product(range(1, N + 1), repeat=d):
         val = Fraction(0)
         for w, c in gamma.items():
@@ -137,7 +146,7 @@ def block_functional(form: FormPoint, p: int, t: int) -> dict[tuple[int, ...], F
             if v is not None:
                 val += c * v
         if val:
-            out[u] = val
+            out[u] = val / den
     _functional_cache[key] = out
     return out
 
@@ -461,24 +470,52 @@ def _embed(g: RatMat, N: int) -> RatMat:
     return RatMat(N, N, data)
 
 
+def moved_values(form: FormPoint, p: int, g: RatMat, indices):
+    """Yield omega_p(g b_j) for each basis index j in `indices`, where b_j
+    is the j-th realization basis vector of entry p and g is N x N.
+
+    The realization is stable under g, so omega_p(g b_j) is the pivot-word
+    row omega~ applied to g b_j: for each word u of b_j, g e_u1 (x) ... (x)
+    g e_ud is expanded and read only at the words omega~ supports.  The
+    sums run over integers: g = G / gden and b_j = B_j / bden with G and
+    B_j integral, and each value is divided once by den * gden^d * bden.
+    Values are produced one index at a time, so a caller that stops early
+    pays only for the indices it read."""
+    rep = get_tensor_rep(form.sigma[p], form.N)
+    den, tilde = _omega_tilde(form, p)
+    gden = lcm(*(x.denominator for row in g.data for x in row))
+    # g e_k = sum_i G[i][k] e_i / gden; cols[k - 1] maps each letter i with G[i][k] != 0 to it
+    cols = [
+        {i + 1: x.numerator * (gden // x.denominator) for i, x in enumerate(col) if x}
+        for col in zip(*g.data)
+    ]
+    scale = den * gden**rep.d
+    for j in indices:
+        b = rep.basis[j]
+        bden = lcm(*(c.denominator for c in b.values()))
+        total = 0
+        for u, c in b.items():
+            val = 0
+            ucols = [cols[x - 1] for x in u]
+            for w in product(*ucols):
+                t = tilde.get(w)
+                if t is not None:
+                    for i, col in zip(w, ucols):
+                        t *= col[i]
+                    val += t
+            total += c.numerator * (bden // c.denominator) * val
+        yield Fraction(total, scale * bden)
+
+
 def translate(form: FormPoint, g: RatMat) -> FormPoint:
     """The form v -> omega(g v): the inverse translate of omega by g."""
     if g == RatMat.identity(g.rows):
         return form
-    comps = []
-    for p, shape in enumerate(form.sigma):
-        rep = get_tensor_rep(shape, form.N)
-        if rep.dim == 0:
-            comps.append(())
-            continue
-        act = rep.act_matrix(_embed(g, form.N))
-        row = form.comps[p]
-        comps.append(
-            tuple(
-                sum((row[i] * act.data[i][j] for i in range(rep.dim)), Fraction(0))
-                for j in range(rep.dim)
-            )
-        )
+    g = _embed(g, form.N)
+    comps = [
+        tuple(moved_values(form, p, g, range(len(row))))
+        for p, row in enumerate(form.comps)
+    ]
     return FormPoint(form.sigma, form.N, comps)
 
 

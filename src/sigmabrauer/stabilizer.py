@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from .combinat import Partition, PartitionTuple
 from .exactla import RatMat, rank
-from .modcat import FormPoint, translate
+from .modcat import FormPoint, moved_values, translate
 from .schurweyl import get_tensor_rep
 
 
@@ -101,11 +101,11 @@ def in_gamma(q: GammaQuery) -> bool:
     """Membership in the level-n generalized stabilizer of the form."""
     form, n, g = q.form, q.level, q.g
     _require_level(form, n, g)
-    moved = translate(form, g.embed(form.N))
+    big = g.embed(form.N)
     for p, shape in enumerate(form.sigma):
-        rep = get_tensor_rep(shape, form.N)
-        for j in rep.restriction_indices(n):
-            if moved.comps[p][j] != form.comps[p][j]:
+        idx = get_tensor_rep(shape, form.N).restriction_indices(n)
+        for j, val in zip(idx, moved_values(form, p, big, idx)):
+            if val != form.comps[p][j]:
                 return False
     return True
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import comb
 
 from .combinat import Partition, PartitionTuple, partitions
@@ -308,6 +309,13 @@ def schur_monomials(lam: Partition, nvars: int) -> tuple[tuple[tuple[int, ...], 
     return tuple(sorted(out.items()))
 
 
+def _dominates(lam: Partition, mu: Partition) -> bool:
+    """Dominance order on partitions of one size: every partial sum of lam
+    is at least the corresponding partial sum of mu.  Past the end of the
+    shorter one the comparison cannot fail unless it already has."""
+    return all(a >= b for a, b in zip(accumulate(lam), accumulate(mu)))
+
+
 def monomials_to_schur(mono: dict[tuple[int, ...], int | Fraction], nvars: int) -> SchurExpr:
     """Convert a symmetric polynomial, given by its monomials, to the Schur basis.
 
@@ -337,7 +345,8 @@ def monomials_to_schur(mono: dict[tuple[int, ...], int | Fraction], nvars: int) 
                 continue
             out[kappa] = out.get(kappa, Fraction(0)) + c
             for mu in partitions(d):
-                if mu == kappa or len(mu) > nvars:
+                # K_{kappa mu} = 0 unless kappa dominates mu
+                if mu == kappa or len(mu) > nvars or not _dominates(kappa, mu):
                     continue
                 k = kostka(kappa, tuple(mu))
                 if k:

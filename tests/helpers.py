@@ -293,6 +293,35 @@ def traceless_isotypic_brute(form, lam: Partition) -> int:
 
 
 # ---------------------------------------------------------------------------
+# translation of a form by the full action matrix (independent of the
+# engine's pivot-word route in `modcat.moved_values`)
+
+
+def translate_reference(form, g: RatMat) -> tuple[tuple[Fraction, ...], ...]:
+    """The components of v -> omega(g v), from `schurweyl` alone: g padded
+    by the identity to the form's rank, the action matrix of g on each
+    realization, and the dense row x matrix product with the form table."""
+    from sigmabrauer.schurweyl import get_tensor_rep
+
+    N = form.N
+    big = [[Fraction(int(i == j)) for j in range(N)] for i in range(N)]
+    for i in range(g.rows):
+        for j in range(g.cols):
+            big[i][j] = Fraction(g.data[i][j])
+    comps = []
+    for shape, row in zip(form.sigma, form.comps):
+        rep = get_tensor_rep(shape, N)
+        act = rep.act_matrix(RatMat(N, N, big))
+        comps.append(
+            tuple(
+                sum((row[i] * act.data[i][j] for i in range(rep.dim)), Fraction(0))
+                for j in range(rep.dim)
+            )
+        )
+    return tuple(comps)
+
+
+# ---------------------------------------------------------------------------
 # slot action on a traceless space, built from its basis (independent of the
 # engine's trace and stability routines)
 

@@ -176,3 +176,22 @@ def test_stab_check_rejects_negative_samples():
     assert proc.returncode == 1 and proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith("error: the number of samples must be non-negative")
+
+
+def test_oracle_step1_rejects_negative_max():
+    proc = run_cli("oracle", "step1", "--sigma", "2", "--max", "-1", check=False)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: --max must be non-negative")
+
+
+def test_stab_check_rejects_malformed_levels():
+    for levels in ("1,,2", "1,x", "2,"):
+        proc = run_cli(
+            "stab", "check", "--sigma", "2", "--rank", "3", "--levels", levels, check=False
+        )
+        assert proc.returncode == 1 and proc.stdout == "", levels
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert proc.stderr.startswith(
+            "error: --levels must be comma-separated integers"
+        ), proc.stderr

@@ -8,6 +8,7 @@ from helpers import (
     slot_generator_matrices,
     slot_permutation_matrix,
     traceless_isotypic_brute,
+    translate_reference,
 )
 from sigmabrauer.brauer import Morphism, make_diagram, random_morphism
 from sigmabrauer.combinat import (
@@ -191,6 +192,32 @@ def test_translate_is_an_action():
     a = RatMat(3, 3, [[1, 1, 0], [0, 1, 0], [0, 0, 1]])
     b = RatMat(3, 3, [[1, 0, 0], [0, 1, 2], [0, 0, 1]])
     assert translate(translate(form, a), b) == translate(form, a @ b)
+
+
+def _random_rational_matrix(rng, size, den):
+    entries = [
+        [Fraction(rng.randint(-3, 3), rng.randint(1, den)) for _ in range(size)]
+        for _ in range(size)
+    ]
+    return RatMat(size, size, entries)
+
+
+def test_translate_matches_action_matrix_reference():
+    rng = random.Random(21)
+    for text in ("3", "2", "1,1", "2|1", "2,1"):
+        sigma = parse_tuple(text)
+        for N in (2, 3, 4):
+            form = random_form(sigma, N, seed=N)
+            rows = _random_rational_matrix(rng, N, 3).data
+            singular = RatMat(N, N, list(rows[:-1]) + [[2 * x for x in rows[0]]])
+            gs = [
+                _random_rational_matrix(rng, N, 1),  # integral
+                _random_rational_matrix(rng, N, 4),  # non-integral
+                singular,
+                _random_rational_matrix(rng, N - 1, 3),  # padded by the identity
+            ]
+            for g in gs:
+                assert translate(form, g).comps == translate_reference(form, g), (text, N, g)
 
 
 def test_class_traces_match_projector():

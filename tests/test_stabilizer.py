@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from sigmabrauer.combinat import Partition, PartitionTuple
-from sigmabrauer.modcat import monomial_cubic_form, random_form
+from helpers import translate_reference
+from sigmabrauer.combinat import Partition, PartitionTuple, parse_tuple
+from sigmabrauer.modcat import FormPoint, dot_product_form, monomial_cubic_form, random_form
 from sigmabrauer.schurweyl import get_tensor_rep
 from sigmabrauer.stabilizer import (
     GLElement,
@@ -85,6 +86,70 @@ def test_monomial_form_symmetries():
     assert not in_gamma(GammaQuery(mono, 3, bad_torus))
     shear = GLElement([[1, 1], [0, 1]])
     assert not in_gamma(GammaQuery(mono, 3, shear))
+
+
+def _in_gamma_reference(form, n, g):
+    moved = translate_reference(form, g.embed(form.N))
+    return all(
+        moved[p][j] == form.comps[p][j]
+        for p, shape in enumerate(form.sigma)
+        for j in get_tensor_rep(shape, form.N).restriction_indices(n)
+    )
+
+
+def _agrees(form, n, g):
+    got = in_gamma(GammaQuery(form, n, g))
+    assert got == _in_gamma_reference(form, n, g), (form, n, g)
+    return got
+
+
+def test_in_gamma_matches_reference_on_members():
+    rng = random.Random(31)
+    for text in ("3", "2|1", "2,1"):
+        form = random_form(parse_tuple(text), 4, seed=8)
+        for n in range(5):
+            for _ in range(3):
+                g = random_block_fixing(n, 4, rng)
+                assert _agrees(form, n, g)
+                h = random_block_fixing(gamma_product_level(g, n), 4, rng)
+                assert _agrees(form, n, h * g)
+    mono = monomial_cubic_form(4)
+    cyc = permutation_element({1: 2, 2: 3, 3: 1})
+    swap = permutation_element({1: 2, 2: 1})
+    torus = GLElement([[2, 0, 0], [0, 3, 0], [0, 0, Fraction(1, 6)]])
+    for lvl in range(5):
+        assert _agrees(mono, lvl, cyc) and _agrees(mono, lvl, swap) and _agrees(mono, lvl, torus)
+
+
+def test_in_gamma_matches_reference_on_non_members():
+    generic = random_form(SIG3, 4, seed=123)
+    mono = monomial_cubic_form(4)
+    swap = permutation_element({1: 2, 2: 1})
+    shear = GLElement([[1, 1], [0, 1]])
+    scale = GLElement([[2]])
+    for lvl in (2, 3, 4):
+        assert not _agrees(generic, lvl, swap)
+        assert not _agrees(generic, lvl, shear)
+        assert not _agrees(generic, lvl, scale)
+        # x1 x2 x3 vanishes on k^2, where every element is a member
+        assert _agrees(mono, lvl, shear) is (lvl == 2)
+    assert not _agrees(mono, 3, GLElement([[2, 0, 0], [0, 1, 0], [0, 0, 1]]))
+    rng = random.Random(5)
+    verdicts = [
+        _agrees(random_form(parse_tuple(text), 4, seed=2), rng.randint(1, 4), random_unimodular(4, rng))
+        for text in ("3", "2", "2|1", "2,1")
+        for _ in range(4)
+    ]
+    assert not all(verdicts)
+    # sigma = 2|1: the sum of squares is fixed by the swap of e_1 and e_2, a
+    # generic linear form is not, so the only mismatch is in component 1
+    sig = parse_tuple("2|1")
+    form = FormPoint(sig, 4, [dot_product_form(4).comps[0], [3, -1, 2, 5]])
+    moved = translate_reference(form, swap.embed(4))
+    assert moved[0] == form.comps[0] and moved[1] != form.comps[1]
+    assert not _agrees(form, 2, swap)
+    assert not _agrees(form, 2, GLElement([[-1]]))
+    assert _agrees(FormPoint(sig, 4, [dot_product_form(4).comps[0], [0, 0, 2, 5]]), 2, swap)
 
 
 def test_gamma_product_level_fixture():
