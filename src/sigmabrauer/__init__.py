@@ -21,7 +21,7 @@ from .combinat import (
     schur_dim,
     specht_dim,
 )
-from .exactla import RatMat, intersect_kernels, kernel_basis, rank
+from .exactla import RatMat, kernel_basis, rank
 from .symfun import (
     SchurExpr,
     inner_product,
@@ -57,17 +57,13 @@ from .schurweyl import (
     TensorRep,
     WeightBasisElement,
     diagram_weight_iso,
-    evaluate_rep,
     get_tensor_rep,
     weight_space_basis,
 )
 from .modcat import (
     FormPoint,
-    InjectivePresentation,
     dot_product_form,
     ext_dim,
-    injective_presentation,
-    isotypic_multiplicities,
     monomial_cubic_form,
     multiplicity,
     random_form,

@@ -112,17 +112,18 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _pure_sigma(text: str):
+def _pure_sigma(text: str, bound: int):
     sigma = parse_tuple(text)
     if not sigma.pure:
         raise PreconditionError("sigma must be a pure tuple (no empty entries)")
+    _check_bound(bound, sigma_entry=max((p.size for p in sigma), default=0))
     return sigma
 
 
 def _run(args) -> dict:
     bound = args.degree_bound
     if args.command == "homdim":
-        sigma = _pure_sigma(args.sigma)
+        sigma = _pure_sigma(args.sigma, bound)
         _check_bound(bound, n=args.n, m=args.m)
         for name, v in (("n", args.n), ("m", args.m)):
             if v < 0:
@@ -139,20 +140,20 @@ def _run(args) -> dict:
             raise PreconditionError('the document must be an object with "sigma", "f" and "g"')
         if not isinstance(doc["sigma"], str):
             raise PreconditionError('"sigma" must be a string in the tuple grammar')
-        sigma = _pure_sigma(doc["sigma"])
+        sigma = _pure_sigma(doc["sigma"], bound)
         f = morphism_from_json(doc["f"], sigma, max_size=bound)
         g = morphism_from_json(doc["g"], sigma, max_size=bound)
         return morphism_to_json(g.compose(f))
 
     if args.command == "mult":
-        sigma = _pure_sigma(args.sigma)
+        sigma = _pure_sigma(args.sigma, bound)
         lam = parse_partition(args.lam)
         mu = parse_partition(args.mu)
         _check_bound(bound, lam=lam.size, mu=mu.size)
         return {"mult": multiplicity(sigma, lam, mu)}
 
     if args.command == "ext":
-        sigma = _pure_sigma(args.sigma)
+        sigma = _pure_sigma(args.sigma, bound)
         lam = parse_partition(args.lam)
         mu = parse_partition(args.mu)
         _check_bound(bound, i=args.i, lam=lam.size, mu=mu.size)
@@ -165,7 +166,7 @@ def _run(args) -> dict:
         return {format_partition(nu): mult for nu, mult in dec.items()}
 
     if args.command == "traceless":
-        sigma = _pure_sigma(args.sigma)
+        sigma = _pure_sigma(args.sigma, bound)
         _check_bound(bound, n=args.n)
         if args.rank**args.n > AMBIENT_SAFETY_LIMIT:
             raise PreconditionError(
@@ -181,7 +182,7 @@ def _run(args) -> dict:
         return {"dim": simple_realization_dim(sigma, form, lam)}
 
     if args.command == "stab":
-        sigma = _pure_sigma(args.sigma)
+        sigma = _pure_sigma(args.sigma, bound)
         _check_bound(bound, rank=args.rank)
         if args.levels is None:
             levels = list(range(1, args.rank + 1))
@@ -201,7 +202,7 @@ def _run(args) -> dict:
         }
 
     if args.command == "oracle":
-        sigma = _pure_sigma(args.sigma)
+        sigma = _pure_sigma(args.sigma, bound)
         _check_bound(bound, max=args.max_n)
         if args.max_n < 0:
             raise PreconditionError("--max must be non-negative")

@@ -39,13 +39,6 @@ class RatMat:
         self.data = data
 
     @classmethod
-    def from_rows(cls, rows) -> "RatMat":
-        rows = _to_fraction_rows(rows)
-        n = len(rows)
-        m = len(rows[0]) if rows else 0
-        return cls(n, m, rows)
-
-    @classmethod
     def identity(cls, n: int) -> "RatMat":
         return cls(n, n, [[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
 
@@ -74,9 +67,6 @@ class RatMat:
 
     def row(self, i: int) -> tuple[Fraction, ...]:
         return self.data[i]
-
-    def col(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(row[j] for row in self.data)
 
     def transpose(self) -> "RatMat":
         return RatMat(self.cols, self.rows, list(zip(*self.data)) if self.data else [])
@@ -262,22 +252,6 @@ def kernel_basis_with_free(m: RatMat) -> tuple[list[tuple[Fraction, ...]], list[
 
 def kernel_basis(m: RatMat) -> list[tuple[Fraction, ...]]:
     return kernel_basis_with_free(m)[0]
-
-
-def intersect_kernels(ms: list[RatMat], cols: int | None = None) -> list[tuple[Fraction, ...]]:
-    """Basis of the intersection of the kernels of the given matrices.
-
-    For an empty list `cols` is required and the whole space comes back.
-    """
-    if not ms:
-        if cols is None:
-            raise ValueError("empty matrix list requires an explicit column count")
-        return kernel_basis(RatMat(0, cols, []))
-    if cols is not None and ms[0].cols != cols:
-        raise ValueError("declared column count disagrees with the matrices")
-    if any(m.cols != ms[0].cols for m in ms):
-        raise ValueError("matrices must share their column count")
-    return kernel_basis(vstack(ms))
 
 
 def solve(m: RatMat, rhs) -> tuple[Fraction, ...] | None:

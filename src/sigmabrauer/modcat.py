@@ -16,8 +16,16 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import lcm
 
-from .combinat import Partition, PartitionTuple, partitions, schur_dim, specht_dim
-from .exactla import RatMat, kernel_basis_with_free, solve, vstack
+from .combinat import Partition, PartitionTuple, schur_dim, specht_dim
+from .exactla import (
+    RatMat,
+    _eliminate,
+    _integer_rows,
+    _primitive,
+    kernel_basis_with_free,
+    solve,
+    vstack,
+)
 from .brauer import Morphism, hom_basis
 from .schurweyl import get_tensor_rep, specht_word_expansions
 from .symfun import (
@@ -27,7 +35,7 @@ from .symfun import (
     lr_product,
     sym_algebra_degree,
 )
-from .specht import centralizer_size, class_representative, sn_character
+from .specht import get_specht_module
 
 
 def _check_rank(N) -> int:
@@ -199,14 +207,13 @@ def theta_apply(form: FormPoint, f: Morphism) -> RatMat:
 
 
 class TracelessSpace:
-    """The joint kernel of all block contractions inside a tensor power,
-    carrying the restricted symmetric group action.
+    """The joint kernel of all block contractions inside a tensor power.
 
     `basis` is an RREF kernel basis: the i-th vector is 1 at
     free_cols[i] and 0 at every other free column, so the coordinates of
     a vector of the space are its entries at the free columns."""
 
-    __slots__ = ("sigma", "form", "n", "ambient_dim", "basis", "free_cols", "words", "_mults")
+    __slots__ = ("sigma", "form", "n", "ambient_dim", "basis", "free_cols")
 
     def __init__(self, sigma, form: FormPoint, n: int, basis, free_cols):
         self.sigma = sigma
@@ -215,8 +222,6 @@ class TracelessSpace:
         self.ambient_dim = form.N**n
         self.basis = basis
         self.free_cols = free_cols
-        self.words = list(product(range(1, form.N + 1), repeat=n))
-        self._mults = None
 
     @property
     def dim(self) -> int:
@@ -248,149 +253,137 @@ def _constraint_matrices(sigma: PartitionTuple, form: FormPoint, n: int) -> list
     return out
 
 
+def _hom_matrices(sigma: PartitionTuple, form: FormPoint, n: int) -> list[RatMat]:
+    """The specializations of every basis morphism from n slots to a
+    strictly smaller object."""
+    return [
+        theta_apply(form, Morphism.from_diagram(sigma, d))
+        for m in range(n)
+        for d in hom_basis(sigma, n, m)
+    ]
+
+
+def _check_form(sigma, form: FormPoint) -> PartitionTuple:
+    sigma = PartitionTuple(sigma)
+    if sigma != form.sigma:
+        raise ValueError("form does not match sigma")
+    return sigma
+
+
 _traceless_cache: dict = {}
-_hom_kernel_cache: dict = {}
-
-
-def _joint_kernel(sigma, form: FormPoint, n: int, mats: list[RatMat]) -> TracelessSpace:
-    """The joint kernel of matrices on the n-th tensor power of k^N; with
-    no matrices, the whole tensor power."""
-    stacked = vstack(mats) if mats else RatMat(0, form.N**n, [])
-    basis, free = kernel_basis_with_free(stacked)
-    return TracelessSpace(sigma, form, n, basis, free)
 
 
 def traceless_space(sigma, form: FormPoint, n: int) -> TracelessSpace:
     """Intersection of the kernels of every block contraction on n slots."""
-    sigma = PartitionTuple(sigma)
-    if sigma != form.sigma:
-        raise ValueError("form does not match sigma")
+    sigma = _check_form(sigma, form)
     if n < 0:
         raise ValueError("n must be non-negative")
     key = (sigma, form, n)
     cached = _traceless_cache.get(key)
     if cached is not None:
         return cached
-    space = _joint_kernel(sigma, form, n, _constraint_matrices(sigma, form, n))
+    mats = _constraint_matrices(sigma, form, n)
+    stacked = vstack(mats) if mats else RatMat(0, form.N**n, [])
+    space = TracelessSpace(sigma, form, n, *kernel_basis_with_free(stacked))
     _traceless_cache[key] = space
     return space
 
 
-def _check_slot_stable(space: TracelessSpace):
-    """Exact certificate that the space is a symmetric group representation:
-    each adjacent slot transposition s_k maps each basis vector b into the
-    span, i.e. s_k b equals the combination of the basis with coefficients
-    read off the free columns of s_k b."""
-    N, n = space.form.N, space.n
-    sparse = [{i: c for i, c in enumerate(b) if c} for b in space.basis]
-    free_pos = {c: j for j, c in enumerate(space.free_cols)}
-    for k in range(n - 1):
-        # swapping the digits a, b of slots k, k+1 moves the word index by
-        # (b - a) * (N^(n-1-k) - N^(n-2-k))
-        step = N ** (n - 1 - k) - N ** (n - 2 - k)
-        for b in sparse:
-            image = {}
-            for i, c in b.items():
-                w = space.words[i]
-                image[i + (w[k + 1] - w[k]) * step] = c
-            combo: dict[int, Fraction] = {}
-            for i, c in image.items():
-                j = free_pos.get(i)
-                if j is None:
-                    continue
-                for r, v in sparse[j].items():
-                    combo[r] = combo.get(r, 0) + c * v
-            if {r: v for r, v in combo.items() if v} != image:
-                raise RuntimeError(
-                    f"traceless space is not stable under the slot transposition s_{k}"
-                )
+def _check_block_spans(form: FormPoint, n: int):
+    """Exact certificate that, for every entry of size d <= n, the block
+    functionals span a representation of S_d: for each adjacent
+    transposition s_k and polytabloid t, fn_t o s_k = sum_t' M[t'][t] fn_t',
+    where M is the Specht matrix of s_k.  The constraints run over all
+    slot subsets, so a slot permutation then maps each one into the span
+    of the others, and every joint kernel of block contractions is a
+    representation of S_n."""
+    for p, shape in enumerate(form.sigma):
+        d = shape.size
+        if d > n:
+            continue
+        fns = [block_functional(form, p, t) for t in range(specht_dim(shape))]
+        gens = get_specht_module(shape, tuple(range(1, d + 1))).generator_matrices()
+        for k, M in enumerate(gens):
+            for t, fn in enumerate(fns):
+                moved = {w[:k] + (w[k + 1], w[k]) + w[k + 2:]: c for w, c in fn.items()}
+                combo: dict[tuple[int, ...], Fraction] = {}
+                for s, other in enumerate(fns):
+                    x = M.data[s][t]
+                    if x:
+                        for w, c in other.items():
+                            combo[w] = combo.get(w, 0) + x * c
+                if {w: c for w, c in combo.items() if c} != moved:
+                    raise RuntimeError(
+                        f"the block functionals of entry {p} do not span a "
+                        f"representation of S_{d}"
+                    )
 
 
-def _slot_trace(space: TracelessSpace, one_line) -> Fraction:
-    """Trace of the slot permutation (the content of slot i moves to slot
-    one_line[i]) on the space: sum_i b_i[index(w_i o one_line)], where w_i is
-    the word of the i-th free column."""
-    N, n = space.form.N, space.n
-    total = Fraction(0)
-    for b, f in zip(space.basis, space.free_cols):
-        w = space.words[f]
-        idx = 0
-        for t in range(n):
-            idx = idx * N + (w[one_line[t]] - 1)
-        total += b[idx]
-    return total
-
-
-def isotypic_multiplicities(space: TracelessSpace) -> dict[Partition, int]:
-    """Multiplicity of each Specht module S^nu (nu a partition of n) in the
-    space, from one class trace per cycle type:
-    m_nu = sum_mu chi_nu(mu) tr(g_mu | V) / z_mu.
-
-    The space is first certified slot-stable; every multiplicity must be a
-    non-negative integer and sum_nu f_nu m_nu must equal the dimension.
-    Computed once per space."""
-    if space._mults is not None:
-        return space._mults
-    _check_slot_stable(space)
-    n = space.n
-    classes = partitions(n)
-    traces = {
-        mu: _slot_trace(space, class_representative(mu)) / centralizer_size(mu)
-        for mu in classes
-    }
-    mults = {}
-    for nu in classes:
-        m = sum((sn_character(nu, mu) * t for mu, t in traces.items()), Fraction(0))
-        if m.denominator != 1 or m < 0:
-            raise RuntimeError(
-                f"isotypic multiplicity of {nu!s} is {m}, not a non-negative integer"
-            )
-        mults[nu] = int(m)
-    if sum(specht_dim(nu) * m for nu, m in mults.items()) != space.dim:
-        raise RuntimeError("isotypic multiplicities do not add up to the dimension")
-    space._mults = mults
-    return mults
-
-
-def _isotypic_dim(space: TracelessSpace, lam: Partition) -> int:
-    """Dimension of the lam-isotypic piece of a traceless space."""
-    return specht_dim(lam) * isotypic_multiplicities(space)[lam]
+def _restricted_nullity(mats: list[RatMat], lam: Partition, N: int) -> int:
+    """The dimension of the intersection of V, the joint kernel of the
+    matrices on the |lam|-th tensor power of k^N, with the Young
+    symmetrizer image S_lam(k^N) that `get_tensor_rep` realizes: the
+    number of its basis vectors b_j less the rank of their images.  The
+    stacked matrices are indexed by column once, and each image is the
+    sum of the integer columns at the words of b_j."""
+    rep = get_tensor_rep(lam, N)
+    columns: dict[int, dict[int, int]] = {}
+    r = 0
+    for m in mats:
+        for row in _integer_rows(m):
+            for c, x in row.items():
+                columns.setdefault(c, {})[r] = x
+            r += 1
+    images = []
+    for b in rep.basis:
+        bden = lcm(*(c.denominator for c in b.values()))
+        image: dict[int, int] = {}
+        for w, c in b.items():
+            col = columns.get(_word_index(w, N))
+            if col:
+                k = c.numerator * (bden // c.denominator)
+                for i, x in col.items():
+                    image[i] = image.get(i, 0) + k * x
+        image = {i: x for i, x in image.items() if x}
+        if image:
+            images.append(_primitive(image))
+    return rep.dim - len(_eliminate(images, reduced=False))
 
 
 def simple_realization_dim(sigma, form: FormPoint, lam: Partition) -> int:
-    """Dimension of the lam-isotypic piece of the traceless space on |lam|
-    slots: the rank-N realization of the corresponding simple object."""
+    """Dimension of the lam-isotypic piece of the traceless space V on
+    |lam| slots: the rank-N realization of the corresponding simple
+    object.  V is a representation of S_n (certified by
+    `_check_block_spans`), so by Weyl's construction its lam-multiplicity
+    is the dimension of its intersection with S_lam(k^N), and the piece
+    has f_lam times that dimension."""
+    sigma = _check_form(sigma, form)
     lam = Partition(lam)
-    space = traceless_space(sigma, form, lam.size)
-    dim = _isotypic_dim(space, lam)
-    f = specht_dim(lam)
-    if dim % f != 0:
-        raise RuntimeError(
-            "isotypic dimension is not divisible by the Specht dimension; "
-            "this indicates an internal inconsistency"
-        )
-    return dim
+    _check_block_spans(form, lam.size)
+    mats = _constraint_matrices(sigma, form, lam.size)
+    return specht_dim(lam) * _restricted_nullity(mats, lam, form.N)
 
 
 def socle_check(sigma, form: FormPoint, lam: Partition) -> bool:
     """Compare two descriptions of the traceless subspace on |lam| slots:
     the kernels of the generating block contractions against the kernels
     of every basis morphism to a strictly smaller object, specialized at
-    the form.  Returns whether the lam-isotypic dimensions agree."""
-    sigma = PartitionTuple(sigma)
+    the form.  Returns whether the lam-multiplicities, each read off the
+    intersection of the kernel with S_lam(k^N), agree.
+
+    Both kernels are representations of S_n.  For the generating family
+    `_check_block_spans` certifies it.  For the morphism family, a basis
+    diagram precomposed with a slot permutation is again a morphism to
+    the same smaller object, so it lies in the span of `hom_basis`; theta
+    is a functor (criteria 3 and 4), so each specialized constraint
+    precomposed with the permutation matrix is a combination of the
+    specialized basis constraints, and the joint kernel is stable."""
+    sigma = _check_form(sigma, form)
     lam = Partition(lam)
     n = lam.size
-    gen_space = traceless_space(sigma, form, n)
-    key = (sigma, form, n)
-    hom_space = _hom_kernel_cache.get(key)
-    if hom_space is None:
-        mats = []
-        for m in range(n):
-            for d in hom_basis(sigma, n, m):
-                mats.append(theta_apply(form, Morphism.from_diagram(sigma, d)))
-        hom_space = _joint_kernel(sigma, form, n, mats)
-        _hom_kernel_cache[key] = hom_space
-    return _isotypic_dim(gen_space, lam) == _isotypic_dim(hom_space, lam)
+    _check_block_spans(form, n)
+    gen = _restricted_nullity(_constraint_matrices(sigma, form, n), lam, form.N)
+    return gen == _restricted_nullity(_hom_matrices(sigma, form, n), lam, form.N)
 
 
 # ---------------------------------------------------------------------------
@@ -426,34 +419,6 @@ def ext_dim(sigma, i: int, lam, mu) -> int:
     if val.denominator != 1 or val < 0:
         raise RuntimeError(f"Ext dimension {val} is not a non-negative integer")
     return int(val)
-
-
-class InjectivePresentation:
-    """The label lam together with, for each strictly smaller mu, the basis
-    morphisms into the mu-sized object (their specializations, cut down by
-    isotypic projectors, present the injective for lam)."""
-
-    __slots__ = ("sigma", "lam", "lower_maps")
-
-    def __init__(self, sigma, lam, lower_maps):
-        self.sigma = PartitionTuple(sigma)
-        self.lam = Partition(lam)
-        for mu in lower_maps:
-            if Partition(mu).size >= self.lam.size:
-                raise ValueError("lower maps must target strictly smaller labels")
-        self.lower_maps = {Partition(mu): tuple(ms) for mu, ms in lower_maps.items()}
-
-
-def injective_presentation(sigma, lam) -> InjectivePresentation:
-    sigma = PartitionTuple(sigma)
-    lam = Partition(lam)
-    n = lam.size
-    lower = {}
-    for m in range(n):
-        basis = [Morphism.from_diagram(sigma, d) for d in hom_basis(sigma, n, m)]
-        for mu in partitions(m):
-            lower[mu] = basis
-    return InjectivePresentation(sigma, lam, lower)
 
 
 # ---------------------------------------------------------------------------

@@ -292,16 +292,6 @@ def get_tensor_rep(shape: Partition, N: int) -> TensorRep:
     return TensorRep(Partition(shape), N)
 
 
-def evaluate_rep(thing, N: int):
-    """Realize a Schur functor (partition) or a direct sum (tuple) on k^N."""
-    if isinstance(thing, PartitionTuple) or (
-        isinstance(thing, (list, tuple)) and thing and isinstance(thing[0], (list, tuple, Partition))
-        and not isinstance(thing, Partition)
-    ):
-        return [get_tensor_rep(Partition(p), N) for p in PartitionTuple(thing)]
-    return get_tensor_rep(Partition(thing), N)
-
-
 # ---------------------------------------------------------------------------
 # the bridge between abstract Specht modules and the realization
 

@@ -358,6 +358,87 @@ def slot_generator_matrices(space) -> list[RatMat]:
 
 
 # ---------------------------------------------------------------------------
+# isotypic multiplicities of a traceless space from class traces
+# (independent of the engine's restricted nullity in `modcat`)
+
+
+def check_slot_stable(space):
+    """Exact certificate that the space is a symmetric group representation:
+    each adjacent slot transposition s_k maps each basis vector b into the
+    span, i.e. s_k b equals the combination of the basis with coefficients
+    read off the free columns of s_k b."""
+    N, n = space.form.N, space.n
+    words = list(product(range(1, N + 1), repeat=n))
+    sparse = [{i: c for i, c in enumerate(b) if c} for b in space.basis]
+    free_pos = {c: j for j, c in enumerate(space.free_cols)}
+    for k in range(n - 1):
+        # swapping the digits a, b of slots k, k+1 moves the word index by
+        # (b - a) * (N^(n-1-k) - N^(n-2-k))
+        step = N ** (n - 1 - k) - N ** (n - 2 - k)
+        for b in sparse:
+            image = {}
+            for i, c in b.items():
+                w = words[i]
+                image[i + (w[k + 1] - w[k]) * step] = c
+            combo: dict[int, Fraction] = {}
+            for i, c in image.items():
+                j = free_pos.get(i)
+                if j is None:
+                    continue
+                for r, v in sparse[j].items():
+                    combo[r] = combo.get(r, 0) + c * v
+            if {r: v for r, v in combo.items() if v} != image:
+                raise RuntimeError(
+                    f"traceless space is not stable under the slot transposition s_{k}"
+                )
+
+
+def slot_trace(space, one_line) -> Fraction:
+    """Trace of the slot permutation (the content of slot i moves to slot
+    one_line[i]) on the space: sum_i b_i[index(w_i o one_line)], where w_i is
+    the word of the i-th free column."""
+    N, n = space.form.N, space.n
+    words = list(product(range(1, N + 1), repeat=n))
+    total = Fraction(0)
+    for b, f in zip(space.basis, space.free_cols):
+        w = words[f]
+        idx = 0
+        for t in range(n):
+            idx = idx * N + (w[one_line[t]] - 1)
+        total += b[idx]
+    return total
+
+
+def isotypic_multiplicities(space) -> dict[Partition, int]:
+    """Multiplicity of each Specht module S^nu (nu a partition of n) in the
+    space, from one class trace per cycle type:
+    m_nu = sum_mu chi_nu(mu) tr(g_mu | V) / z_mu.
+
+    The space is first certified slot-stable; every multiplicity must be a
+    non-negative integer and sum_nu f_nu m_nu must equal the dimension."""
+    from sigmabrauer.combinat import partitions, specht_dim
+    from sigmabrauer.specht import centralizer_size, class_representative, sn_character
+
+    check_slot_stable(space)
+    classes = partitions(space.n)
+    traces = {
+        mu: slot_trace(space, class_representative(mu)) / centralizer_size(mu)
+        for mu in classes
+    }
+    mults = {}
+    for nu in classes:
+        m = sum((sn_character(nu, mu) * t for mu, t in traces.items()), Fraction(0))
+        if m.denominator != 1 or m < 0:
+            raise RuntimeError(
+                f"isotypic multiplicity of {nu!s} is {m}, not a non-negative integer"
+            )
+        mults[nu] = int(m)
+    if sum(specht_dim(nu) * m for nu, m in mults.items()) != space.dim:
+        raise RuntimeError("isotypic multiplicities do not add up to the dimension")
+    return mults
+
+
+# ---------------------------------------------------------------------------
 # character-side prediction of the finite-rank simple realizations
 
 

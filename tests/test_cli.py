@@ -195,3 +195,14 @@ def test_stab_check_rejects_malformed_levels():
         assert proc.stderr.startswith(
             "error: --levels must be comma-separated integers"
         ), proc.stderr
+
+
+def test_sigma_entry_is_held_to_the_degree_bound():
+    for args in (
+        ("stab", "check", "--sigma", "7", "--rank", "3", "--samples", "1"),
+        ("--degree-bound", "7", "traceless", "--sigma", "2|8", "--rank", "2", "--n", "1"),
+    ):
+        proc = run_cli(*args, check=False)
+        assert proc.returncode == 1 and proc.stdout == "", args
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert proc.stderr.startswith("error: sigma_entry="), proc.stderr

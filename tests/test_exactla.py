@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from sigmabrauer.exactla import (
     RatMat,
-    intersect_kernels,
     inverse,
     kernel_basis,
     kernel_basis_with_free,
@@ -49,21 +48,6 @@ def test_kernel_free_column_coordinates():
     v = tuple(2 * a - 3 * b for a, b in zip(basis[0], basis[1]))
     coords = [v[c] for c in free]
     assert coords == [2, -3]
-
-
-def test_intersect_kernels():
-    assert intersect_kernels([RatMat.identity(3)]) == []
-    whole = intersect_kernels([], cols=4)
-    assert len(whole) == 4
-    a = RatMat(1, 3, [[1, 0, 0]])
-    b = RatMat(1, 3, [[0, 1, 0]])
-    ker = intersect_kernels([a, b])
-    assert len(ker) == 1
-    assert ker[0] == (0, 0, 1)
-    with pytest.raises(ValueError):
-        intersect_kernels([a, RatMat(1, 2, [[1, 0]])])
-    with pytest.raises(ValueError):
-        intersect_kernels([])
 
 
 def test_rank_agrees_with_rational_elimination():

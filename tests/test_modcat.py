@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    isotypic_multiplicities,
     predicted_realization_dim,
     slot_generator_matrices,
     slot_permutation_matrix,
@@ -19,15 +20,17 @@ from sigmabrauer.combinat import (
     partitions_upto,
     specht_dim,
 )
-from sigmabrauer.exactla import RatMat
+from sigmabrauer import modcat
+from sigmabrauer.exactla import RatMat, kernel_basis_with_free, vstack
 from sigmabrauer.specht import isotypic_projector
 from sigmabrauer.modcat import (
     FormPoint,
     TracelessSpace,
+    _hom_matrices,
+    _restricted_nullity,
+    block_functional,
     dot_product_form,
     ext_dim,
-    injective_presentation,
-    isotypic_multiplicities,
     multiplicity,
     random_form,
     simple_realization_dim,
@@ -175,17 +178,6 @@ def test_socle_fixtures():
     assert traceless_space(SIG1, form41, 1).dim == 3
 
 
-def test_injective_presentation_shape():
-    pres = injective_presentation(SIG2, Partition((2,)))
-    assert set(pres.lower_maps) == {Partition(()), Partition((1,))}
-    assert len(pres.lower_maps[Partition(())]) == 1  # the single pair contraction
-    assert pres.lower_maps[Partition((1,))] == ()  # no odd-degree maps for [(2)]
-    with pytest.raises(ValueError):
-        from sigmabrauer.modcat import InjectivePresentation
-
-        InjectivePresentation(SIG2, Partition((1,)), {Partition((2,)): ()})
-
-
 def test_translate_is_an_action():
     rng = random.Random(15)
     form = random_form(SIG2, 3, seed=3)
@@ -247,7 +239,7 @@ def test_class_traces_match_projector():
 def test_unstable_space_is_rejected():
     # span of e_(1,2), e_(1,3) in (k^3)^{(x)2}: the slot swap leaves the span,
     # yet its class traces (2 and 0) give integral multiplicities adding up
-    # to the dimension, so only the stability certificate can catch it
+    # to the dimension, so only the oracle's stability certificate can catch it
     form = random_form(SIG2, 3, seed=1)
     e = [tuple(Fraction(int(i == j)) for i in range(9)) for j in range(9)]
     space = TracelessSpace(SIG2, form, 2, [e[1], e[2]], [1, 2])
@@ -281,3 +273,52 @@ def test_character_side_oracle_sweep():
                     off[(text, N, tuple(lam))] = (pred, eng)
     assert cases == 140
     assert off == UNSTABLE
+
+
+def test_restricted_nullity_matches_class_traces():
+    # Weyl's construction on the engine path against the class-trace oracle
+    # on the full traceless space
+    cases = 0
+    for text in ["2", "1,1", "3", "2|1", "2,1"]:
+        sigma = parse_tuple(text)
+        for N in range(2, 6):
+            form = random_form(sigma, N, seed=1)
+            for n in range(5):
+                if N**n > 256:
+                    continue
+                mults = isotypic_multiplicities(traceless_space(sigma, form, n))
+                for lam in partitions(n):
+                    cases += 1
+                    eng = simple_realization_dim(sigma, form, lam)
+                    assert eng == specht_dim(lam) * mults[lam], (text, N, lam)
+    assert cases == 215
+
+
+def test_hom_family_restricted_nullity_matches_class_traces():
+    cases = 0
+    for text in ["2", "1,1", "2|1"]:
+        sigma = parse_tuple(text)
+        for N in range(2, 5):
+            form = random_form(sigma, N, seed=2)
+            for n in range(4):
+                mats = _hom_matrices(sigma, form, n)
+                stacked = vstack(mats) if mats else RatMat(0, N**n, [])
+                space = TracelessSpace(sigma, form, n, *kernel_basis_with_free(stacked))
+                mults = isotypic_multiplicities(space)
+                for lam in partitions(n):
+                    cases += 1
+                    assert _restricted_nullity(mats, lam, N) == mults[lam], (text, N, lam)
+    assert cases == 63
+
+
+def test_unstable_block_span_is_rejected(monkeypatch):
+    # one non-symmetric word of a (2,1) block functional perturbed by hand:
+    # the functionals no longer span a representation of S_3
+    sigma = parse_tuple("2,1")
+    form = random_form(sigma, 3, seed=1)
+    fn = dict(block_functional(form, 0, 0))
+    fn[(1, 1, 2)] = fn.get((1, 1, 2), 0) + 1
+    monkeypatch.setitem(modcat._functional_cache, (form, 0, 0), fn)
+    for lam in [(3,), (2, 1), (3, 1)]:
+        with pytest.raises(RuntimeError, match="do not span"):
+            simple_realization_dim(sigma, form, Partition(lam))

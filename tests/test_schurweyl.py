@@ -9,7 +9,6 @@ from sigmabrauer.combinat import Partition, PartitionTuple, schur_dim
 from sigmabrauer.exactla import RatMat
 from sigmabrauer.schurweyl import (
     diagram_weight_iso,
-    evaluate_rep,
     get_tensor_rep,
     specht_word_expansions,
     weight_space_basis,
@@ -66,15 +65,6 @@ def test_permutation_words_map_to_permutation_diagrams():
         assert dict(d.matching) == {s: j + 1 for j, s in enumerate(el.word)}
 
 
-def test_evaluate_rep_dims():
-    assert evaluate_rep(Partition((1,)), 4).dim == 4
-    assert evaluate_rep(Partition((1, 1)), 3).dim == 3
-    assert evaluate_rep(Partition((2, 1)), 3).dim == 8
-    parts = evaluate_rep(PartitionTuple(((2,), (1,))), 3)
-    assert [r.dim for r in parts] == [6, 3]
-    assert evaluate_rep(Partition((2, 1, 1)), 2).dim == 0
-
-
 def test_standard_representation_action():
     rep = get_tensor_rep(Partition((1,)), 3)
     g = RatMat(3, 3, [[0, 1, 0], [0, 0, 1], [1, 0, 0]])
@@ -112,6 +102,16 @@ def test_act_matrix_is_multiplicative():
 
 
 def test_restriction_indices_nest():
+    dims = {
+        ((1,), 4): 4,
+        ((1, 1), 3): 3,
+        ((2, 1), 3): 8,
+        ((2,), 3): 6,
+        ((1,), 3): 3,
+        ((2, 1, 1), 2): 0,
+    }
+    for (shape, N), dim in dims.items():
+        assert get_tensor_rep(Partition(shape), N).dim == dim
     rep = get_tensor_rep(Partition((2,)), 5)
     for n in range(6):
         assert len(rep.restriction_indices(n)) == schur_dim(Partition((2,)), n)
