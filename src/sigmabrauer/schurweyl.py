@@ -172,6 +172,7 @@ class TensorRep:
         for j, cls in enumerate(self._class_of_basis):
             self._class_members.setdefault(cls, []).append(j)
         self._class_solver: dict[tuple[int, ...], RatMat] = {}
+        self._restriction: dict[int, tuple[int, ...]] = {}
 
     @property
     def dim(self) -> int:
@@ -276,12 +277,15 @@ class TensorRep:
             cols.append(self.coords(img))
         return RatMat(self.dim, self.dim, list(zip(*cols)) if cols else [])
 
-    def restriction_indices(self, n: int) -> list[int]:
+    def restriction_indices(self, n: int) -> tuple[int, ...]:
         """Basis indices whose defining words use only letters 1..n; these
         form the realization at rank n."""
-        return [
-            j for j, w in enumerate(self.source_words) if all(x <= n for x in w)
-        ]
+        idx = self._restriction.get(n)
+        if idx is None:
+            idx = self._restriction[n] = tuple(
+                j for j, w in enumerate(self.source_words) if all(x <= n for x in w)
+            )
+        return idx
 
     def __repr__(self):
         return f"TensorRep({self.shape!s}, N={self.N}, dim={self.dim})"

@@ -10,13 +10,20 @@ constituent of h_a[f] or e_a[f] also occurs in f^a, so by
 Littlewood-Richardson its length is at most a * l, and the Schur
 polynomials of length at most the number of letters are linearly
 independent.
+
+A monomial is one packed integer word, each letter's exponent in its
+own field of bits wide enough for the largest degree, so a product of
+monomials is one integer addition.  Before the conversion the result
+is certified symmetric on the packed words (a transposition and the
+full cycle generate the symmetric group), and the conversion then
+reads it only at its dominant words, the partitions of each degree.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, combinations_with_replacement
 from math import comb
 
 from .combinat import Partition, PartitionTuple, partitions
@@ -240,22 +247,24 @@ def inner_product(a: SchurExpr, b: SchurExpr) -> Fraction:
 
 @lru_cache(maxsize=None)
 def kostka(lam: Partition, mu: tuple[int, ...]) -> int:
-    """Number of semistandard tableaux of shape lam and content mu."""
-    lam = Partition(lam)
-    mu = tuple(mu)
-    if sum(mu) != lam.size:
+    """Number of semistandard tableaux of shape lam and content mu.
+
+    The recursion removes the horizontal strip of mu's last letter and
+    calls back with the rest of the shape as a plain tuple, which hashes
+    and compares like the Partition it stands for."""
+    shape = tuple(lam)
+    if sum(mu) != sum(shape):
         return 0
     if not mu:
         return 1
-    last = mu[-1]
+    rest = mu[:-1]
     total = 0
-    shape = tuple(lam)
-    # remove a horizontal strip of size `last` leaving a partition
+
     def rec(r: int, remaining: int, built: tuple[int, ...]):
         nonlocal total
         if r == len(shape):
             if remaining == 0:
-                total += kostka(Partition(tuple(x for x in built if x)), mu[:-1])
+                total += kostka(tuple(x for x in built if x), rest)
             return
         lo = shape[r + 1] if r + 1 < len(shape) else 0
         hi = shape[r]
@@ -267,7 +276,7 @@ def kostka(lam: Partition, mu: tuple[int, ...]) -> int:
                 continue
             rec(r + 1, remaining - removed, built + (new_len,))
 
-    rec(0, last, ())
+    rec(0, mu[-1], ())
     return total
 
 
@@ -316,58 +325,76 @@ def _dominates(lam: Partition, mu: Partition) -> bool:
     return all(a >= b for a, b in zip(accumulate(lam), accumulate(mu)))
 
 
+def _pack(exp, shift: int) -> int:
+    """The word of an exponent vector: letter k's exponent in bits
+    shift*k .. shift*(k+1)-1."""
+    return sum(e << (shift * k) for k, e in enumerate(exp))
+
+
+def _packed_to_schur(words: dict[int, int | Fraction], nvars: int, shift: int, degrees) -> SchurExpr:
+    """Schur expansion of a polynomial in nvars letters given by its packed
+    monomials (nonzero coefficients only), with `shift` bits enough for
+    every degree in `degrees`, the degrees it has.
+
+    Symmetry is certified first: the transposition of the first two
+    letters and the cycle of all of them generate the symmetric group, so
+    the polynomial is symmetric iff each of them maps every word to one
+    with the same coefficient.  A symmetric polynomial is then fixed by
+    its dominant words, the partitions kappa of each degree with at most
+    nvars parts; in descending lexicographic order the coefficient of
+    s_kappa is that of kappa less what the earlier Schur terms put there
+    (K_{lam kappa} = 0 unless lam dominates kappa)."""
+    mask = (1 << shift) - 1
+    top = shift * (nvars - 1)
+    for w, c in words.items():
+        # the cycle moves letter 0's field to the top; exchanging letters 0
+        # and 1 (exponents a, b) adds (a - b) * (2^shift - 1)
+        first = w & mask
+        if words.get((w >> shift) | (first << top), 0) != c or (
+            nvars > 1 and words.get(w + (first - ((w >> shift) & mask)) * mask, 0) != c
+        ):
+            raise ValueError("input monomials are not symmetric")
+    out: dict[Partition, int | Fraction] = {}
+    for d in sorted(degrees):
+        shapes = [kappa for kappa in partitions(d) if len(kappa) <= nvars]
+        found: dict[Partition, int | Fraction] = {}
+        for i, kappa in enumerate(shapes):
+            c = words.get(_pack(kappa, shift), 0) - found.get(kappa, 0)
+            if not c:
+                continue
+            out[kappa] = c
+            for mu in shapes[i + 1 :]:
+                if _dominates(kappa, mu):
+                    found[mu] = found.get(mu, 0) + c * kostka(kappa, mu)
+    return SchurExpr(out)
+
+
 def monomials_to_schur(mono: dict[tuple[int, ...], int | Fraction], nvars: int) -> SchurExpr:
     """Convert a symmetric polynomial, given by its monomials, to the Schur basis.
 
-    Coefficients may be ints or Fractions.  Works degree by degree,
-    repeatedly subtracting the Schur function of the lexicographically
-    leading monomial partition.
-    """
-    # all arrangements of one m-function carry the same coefficient; keep
-    # it once per orbit, keyed by the sorted exponent tuple
-    orbits: dict[tuple[int, ...], int | Fraction] = {}
-    for exp, c in mono.items():
-        if c == 0:
-            continue
-        if orbits.setdefault(tuple(sorted(exp, reverse=True)), c) != c:
-            raise ValueError("input monomials are not symmetric")
-    by_degree: dict[int, dict[Partition, Fraction]] = {}
-    for key, c in orbits.items():
-        kappa = Partition(x for x in key if x)
-        by_degree.setdefault(kappa.size, {})[kappa] = Fraction(c)
-    out: dict[Partition, Fraction] = {}
-    for d, bucket in by_degree.items():
-        work = dict(bucket)
-        while work:
-            kappa = max(work)
-            c = work.pop(kappa)
-            if c == 0:
-                continue
-            out[kappa] = out.get(kappa, Fraction(0)) + c
-            for mu in partitions(d):
-                # K_{kappa mu} = 0 unless kappa dominates mu
-                if mu == kappa or len(mu) > nvars or not _dominates(kappa, mu):
-                    continue
-                k = kostka(kappa, tuple(mu))
-                if k:
-                    work[mu] = work.get(mu, Fraction(0)) - c * k
-            work = {p: v for p, v in work.items() if v != 0}
-    return SchurExpr(out)
+    Coefficients may be ints or Fractions; a polynomial that is not
+    symmetric in nvars letters raises ValueError."""
+    mono = {exp: c for exp, c in mono.items() if c}
+    degrees = {sum(exp) for exp in mono}
+    shift = max(degrees, default=0).bit_length()
+    words = {_pack(exp, shift): c for exp, c in mono.items()}
+    return _packed_to_schur(words, nvars, shift, degrees)
 
 
 # ---------------------------------------------------------------------------
 # plethysm
 
 
-def _inner_monomial_multiset(inner: SchurExpr, nvars: int) -> dict[tuple[int, ...], int]:
-    mono: dict[tuple[int, ...], int] = {}
+def _inner_monomial_multiset(inner: SchurExpr, nvars: int, shift: int) -> dict[int, int]:
+    mono: dict[int, int] = {}
     for p, c in inner.terms.items():
         if c.denominator != 1 or c < 0:
             raise ValueError(
                 "plethysm requires non-negative integer coefficients in the inner argument"
             )
         for exp, k in schur_monomials(p, nvars):
-            mono[exp] = mono.get(exp, 0) + int(c) * k
+            w = _pack(exp, shift)
+            mono[w] = mono.get(w, 0) + int(c) * k
     return mono
 
 
@@ -382,40 +409,28 @@ def _plethysm(outer: int, inner: SchurExpr, mode: str) -> SchurExpr:
     # largest length of an inner term (see the module docstring), so this
     # many letters keep the Schur polynomials of the result independent
     nvars = max(1, outer * max(len(p) for p in inner.terms))
-    mono = _inner_monomial_multiset(inner, nvars)
-    zero_exp = (0,) * nvars
+    # no exponent and no degree of the result exceeds outer times the
+    # inner degree, so words of `shift` bits a letter add without carries
+    shift = (outer * inner.max_degree()).bit_length()
+    mono = _inner_monomial_multiset(inner, nvars, shift)
 
     # generating-function DP over distinct monomial values: the h-series of
     # a value v with multiplicity m is sum_j C(m+j-1, j) v^j t^j, the
-    # e-series is sum_j C(m, j) v^j t^j
-    poly: list[dict[tuple[int, ...], int]] = [dict() for _ in range(outer + 1)]
-    poly[0][zero_exp] = 1
-    for v, m in sorted(mono.items()):
+    # e-series is sum_j C(m, j) v^j t^j; poly[deg] is updated in place from
+    # the top down, so it reads the lower degrees before they change
+    poly: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(outer)]
+    for v, m in mono.items():
         jmax = outer if mode == "h" else min(outer, m)
-        powers = [zero_exp]
-        for _ in range(jmax):
-            powers.append(tuple(x + y for x, y in zip(powers[-1], v)))
-        coeffs = [
-            comb(m + j - 1, j) if mode == "h" else comb(m, j) for j in range(jmax + 1)
-        ]
-        new: list[dict[tuple[int, ...], int]] = [dict() for _ in range(outer + 1)]
-        for deg in range(outer + 1):
-            src = poly[deg]
-            if not src:
-                continue
-            for j in range(min(jmax, outer - deg) + 1):
-                cj = coeffs[j]
-                vj = powers[j]
-                tgt = new[deg + j]
-                if j == 0:
-                    for exp, cc in src.items():
-                        tgt[exp] = tgt.get(exp, 0) + cc
-                else:
-                    for exp, cc in src.items():
-                        nexp = tuple(x + y for x, y in zip(exp, vj))
-                        tgt[nexp] = tgt.get(nexp, 0) + cc * cj
-        poly = new
-    return monomials_to_schur(poly[outer], nvars)
+        coeffs = [comb(m + j - 1, j) if mode == "h" else comb(m, j) for j in range(jmax + 1)]
+        for deg in range(outer, 0, -1):
+            tgt = poly[deg]
+            for j in range(1, min(jmax, deg) + 1):
+                cj, vj = coeffs[j], j * v
+                for w, cc in poly[deg - j].items():
+                    w += vj
+                    tgt[w] = tgt.get(w, 0) + cc * cj
+    degrees = {sum(ds) for ds in combinations_with_replacement(inner.degrees(), outer)}
+    return _packed_to_schur(poly[outer], nvars, shift, degrees)
 
 
 def plethysm_h(a: int, inner: SchurExpr) -> SchurExpr:

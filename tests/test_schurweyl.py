@@ -118,6 +118,9 @@ def test_restriction_indices_nest():
     rep3 = get_tensor_rep(Partition((2, 1)), 4)
     for n in range(5):
         assert len(rep3.restriction_indices(n)) == schur_dim(Partition((2, 1)), n)
+    # read-only and kept per rank
+    assert rep3.restriction_indices(2) is rep3.restriction_indices(2)
+    assert isinstance(rep3.restriction_indices(2), tuple)
 
 
 def test_specht_word_expansions_are_equivariant():

@@ -5,6 +5,7 @@ from math import comb
 import pytest
 
 from helpers import kostka_row, plethysm_brute
+from sigmabrauer import symfun
 from sigmabrauer.combinat import Partition, PartitionTuple, partitions, schur_dim
 from sigmabrauer.symfun import (
     SchurExpr,
@@ -148,13 +149,53 @@ def test_plethysm_dimensions_at_every_rank():
 
 
 def test_monomials_to_schur():
-    # integer and Fraction coefficients alike; every present arrangement
-    # of one monomial orbit must carry the same coefficient
+    # integer and Fraction coefficients alike; every arrangement of one
+    # monomial orbit must be present with the same coefficient, and one
+    # missing from the input counts as coefficient 0
     assert monomials_to_schur({(1, 0): 1, (0, 1): 1}, 2) == s((1,))
     two = {(2, 0): 1, (1, 1): Fraction(2), (0, 2): 1}
     assert monomials_to_schur(two, 2) == s((2,)) + s((1, 1))
+    assert monomials_to_schur({(0, 0, 0): 3}, 3) == SchurExpr.one().scale(3)
     with pytest.raises(ValueError):
         monomials_to_schur({(1, 0): 1, (0, 1): 2}, 2)
+    with pytest.raises(ValueError):
+        monomials_to_schur({(1, 0): 1}, 2)
+    # symmetric under swapping the first two letters, not under the cycle,
+    # and the other way round
+    with pytest.raises(ValueError):
+        monomials_to_schur({(2, 0, 0): 1, (0, 2, 0): 1}, 3)
+    with pytest.raises(ValueError):
+        monomials_to_schur({(2, 1, 0): 1, (0, 2, 1): 1, (1, 0, 2): 1}, 3)
+
+
+def test_plethysm_packed_words_at_the_edges():
+    # one letter: h_1[s_3] runs in a single-letter alphabet
+    assert plethysm_h(1, s((3,))) == s((3,))
+    # a letter reaching the full result degree, which fills its bits
+    # exactly: 7 = 0b111 in h_7[s_1], 8 = 0b1000 in h_2[s_4]
+    assert plethysm_h(7, s((1,))) == s((7,))
+    assert plethysm_h(2, s((4,))) == SchurExpr({(8,): 1, (6, 2): 1, (4, 4): 1})
+    assert plethysm_e(2, s((4,))) == SchurExpr({(7, 1): 1, (5, 3): 1})
+    # an inhomogeneous inner: the result has every degree from 3 to 6
+    f = s((2,)) + s((1,))
+    for pleth, mode in [(plethysm_h, "h"), (plethysm_e, "e")]:
+        result = pleth(3, f)
+        assert result == plethysm_brute(3, f, mode)
+        assert result.degrees() == {3, 4, 5, 6}
+
+
+def test_plethysm_certifies_symmetry(monkeypatch):
+    # an inner monomial expansion with one arrangement dropped makes the
+    # substituted polynomial non-symmetric; in four letters the dropped
+    # word x3*x4 of s_(1,1) is fixed by the swap of the first two letters,
+    # so only the cycle shows it
+    full = symfun.schur_monomials
+    monkeypatch.setattr(symfun, "schur_monomials", lambda p, nvars: full(p, nvars)[1:])
+    assert full(Partition((1, 1)), 4)[0][0] == (0, 0, 1, 1)
+    with pytest.raises(ValueError, match="not symmetric"):
+        plethysm_e(2, s((1, 1)))
+    with pytest.raises(ValueError, match="not symmetric"):
+        plethysm_h(2, s((2,)))
 
 
 def test_kostka_basics():
