@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from .combinat import format_partition, parse_partition, parse_tuple
+from .combinat import format_partition, parse_partition, parse_tuple, schur_dim
 from .brauer import hom_basis, morphism_from_json, morphism_to_json
 from .modcat import ext_dim, multiplicity, random_form, simple_realization_dim, traceless_space
 from .schurweyl import weight_space_basis
@@ -172,6 +172,15 @@ def _run(args) -> dict:
             raise PreconditionError(
                 f"ambient dimension {args.rank}^{args.n} exceeds the safety limit"
             )
+        # the form has one entry per realization basis vector of each entry
+        # of sigma; a negative rank is rejected by random_form below
+        if args.rank >= 0:
+            entries = sum(schur_dim(p, args.rank) for p in sigma)
+            if entries > AMBIENT_SAFETY_LIMIT:
+                raise PreconditionError(
+                    f"a form at rank {args.rank} has {entries} entries, "
+                    "which exceeds the safety limit"
+                )
         form = random_form(sigma, args.rank, args.seed)
         if args.lam is None:
             return {"dim": traceless_space(sigma, form, args.n).dim}

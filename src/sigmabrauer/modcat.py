@@ -17,16 +17,8 @@ from itertools import combinations, product
 from math import lcm
 
 from .combinat import Partition, PartitionTuple, schur_dim, specht_dim
-from .exactla import (
-    RatMat,
-    _eliminate,
-    _integer_rows,
-    _primitive,
-    kernel_basis_with_free,
-    solve,
-    vstack,
-)
-from .brauer import Morphism, hom_basis
+from .exactla import RatMat, _eliminate, _integer_row, _primitive, solve
+from .brauer import Morphism, hom_basis, make_diagram
 from .schurweyl import get_tensor_rep, specht_word_expansions
 from .symfun import (
     SchurExpr,
@@ -166,8 +158,9 @@ def _word_index(word: tuple[int, ...], N: int) -> int:
     return idx
 
 
-def theta_apply(form: FormPoint, f: Morphism) -> RatMat:
-    """The matrix of the specialization of a morphism at the form.
+def _specialize(form: FormPoint, f: Morphism) -> dict[int, dict[int, Fraction]]:
+    """The specialization of a morphism at the form as sparse rows: target
+    word index -> {source word index: nonzero value}, nonzero rows only.
 
     Tensor slots of a disjoint union are ordered first factor then
     second; matchings act by the corresponding coordinate permutation.
@@ -176,91 +169,85 @@ def theta_apply(form: FormPoint, f: Morphism) -> RatMat:
         raise ValueError("morphism and form live over different tuples")
     N = form.N
     n, m = f.source, f.target
-    rows, cols = N**m, N**n
-    data = [[Fraction(0)] * cols for _ in range(rows)]
+    rows: dict[int, dict[int, Fraction]] = {}
     for d, coeff in f.terms.items():
         fns = [
             (tuple(b.support), block_functional(form, b.type_index, b.basis_index))
             for b in d.blocks
         ]
         matching = d.matching
-        for u in product(range(1, N + 1), repeat=n):
+        for col, u in enumerate(product(range(1, N + 1), repeat=n)):
             val = coeff
             for support, fn in fns:
-                sub = tuple(u[s - 1] for s in support)
-                c = fn.get(sub)
+                c = fn.get(tuple(u[s - 1] for s in support))
                 if c is None:
-                    val = Fraction(0)
                     break
                 val *= c
-            if val == 0:
-                continue
-            tgt = [0] * m
-            for s, t in matching:
-                tgt[t - 1] = u[s - 1]
-            data[_word_index(tuple(tgt), N)][_word_index(u, N)] += val
-    return RatMat(rows, cols, data)
+            else:
+                tgt = [0] * m
+                for s, t in matching:
+                    tgt[t - 1] = u[s - 1]
+                row = rows.setdefault(_word_index(tgt, N), {})
+                x = row.get(col, 0) + val
+                if x:
+                    row[col] = x
+                else:
+                    row.pop(col, None)
+    return {i: row for i, row in rows.items() if row}
+
+
+def theta_apply(form: FormPoint, f: Morphism) -> RatMat:
+    """The matrix of the specialization of a morphism at the form."""
+    cols = form.N**f.source
+    zero = Fraction(0)
+    data = [[zero] * cols for _ in range(form.N**f.target)]
+    for i, row in _specialize(form, f).items():
+        for c, x in row.items():
+            data[i][c] = x
+    return RatMat(len(data), cols, data)
+
+
+def _constraint_rows(form: FormPoint, morphisms) -> list[dict[int, int]]:
+    """The nonzero rows of the specialized morphisms, stacked, as sparse
+    primitive integer rows for the elimination core."""
+    return [
+        _integer_row(row) for f in morphisms for row in _specialize(form, f).values()
+    ]
 
 
 # ---------------------------------------------------------------------------
 # traceless tensors
 
 
-class TracelessSpace:
-    """The joint kernel of all block contractions inside a tensor power.
-
-    `basis` is an RREF kernel basis: the i-th vector is 1 at
-    free_cols[i] and 0 at every other free column, so the coordinates of
-    a vector of the space are its entries at the free columns."""
-
-    __slots__ = ("sigma", "form", "n", "ambient_dim", "basis", "free_cols")
-
-    def __init__(self, sigma, form: FormPoint, n: int, basis, free_cols):
-        self.sigma = sigma
-        self.form = form
-        self.n = n
-        self.ambient_dim = form.N**n
-        self.basis = basis
-        self.free_cols = free_cols
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-
-def _constraint_matrices(sigma: PartitionTuple, form: FormPoint, n: int) -> list[RatMat]:
-    N = form.N
+def _generating_contractions(sigma: PartitionTuple, n: int) -> list[Morphism]:
+    """The block contractions on n slots: one block (p, t) on the slots S,
+    the other slots kept in order.  Their joint kernel is the traceless
+    subspace."""
     out = []
     for p, shape in enumerate(sigma):
         d = shape.size
         if d > n:
             continue
         for t in range(specht_dim(shape)):
-            fn = block_functional(form, p, t)
             for S in combinations(range(1, n + 1), d):
-                rows = N ** (n - d)
-                cols = N**n
-                data = [[Fraction(0)] * cols for _ in range(rows)]
                 rest = [s for s in range(1, n + 1) if s not in S]
-                for u in product(range(1, N + 1), repeat=n):
-                    sub = tuple(u[s - 1] for s in S)
-                    c = fn.get(sub)
-                    if not c:
-                        continue
-                    tgt = tuple(u[s - 1] for s in rest)
-                    data[_word_index(tgt, N)][_word_index(u, N)] += c
-                out.append(RatMat(rows, cols, data))
+                matching = zip(rest, range(1, n - d + 1))
+                diagram = make_diagram(sigma, n, n - d, ((S, p, t),), matching)
+                out.append(Morphism.from_diagram(sigma, diagram))
     return out
 
 
-def _hom_matrices(sigma: PartitionTuple, form: FormPoint, n: int) -> list[RatMat]:
-    """The specializations of every basis morphism from n slots to a
-    strictly smaller object."""
-    return [
-        theta_apply(form, Morphism.from_diagram(sigma, d))
-        for m in range(n)
-        for d in hom_basis(sigma, n, m)
-    ]
+class TracelessSpace:
+    """The joint kernel of all block contractions inside a tensor power,
+    described by its dimension."""
+
+    __slots__ = ("sigma", "form", "n", "dim")
+
+    def __init__(self, sigma, form: FormPoint, n: int, dim: int):
+        self.sigma = sigma
+        self.form = form
+        self.n = n
+        self.dim = dim
 
 
 def _check_form(sigma, form: FormPoint) -> PartitionTuple:
@@ -270,23 +257,14 @@ def _check_form(sigma, form: FormPoint) -> PartitionTuple:
     return sigma
 
 
-_traceless_cache: dict = {}
-
-
 def traceless_space(sigma, form: FormPoint, n: int) -> TracelessSpace:
-    """Intersection of the kernels of every block contraction on n slots."""
+    """Intersection of the kernels of every block contraction on n slots:
+    N^n less the rank of the stacked constraint rows."""
     sigma = _check_form(sigma, form)
     if n < 0:
         raise ValueError("n must be non-negative")
-    key = (sigma, form, n)
-    cached = _traceless_cache.get(key)
-    if cached is not None:
-        return cached
-    mats = _constraint_matrices(sigma, form, n)
-    stacked = vstack(mats) if mats else RatMat(0, form.N**n, [])
-    space = TracelessSpace(sigma, form, n, *kernel_basis_with_free(stacked))
-    _traceless_cache[key] = space
-    return space
+    rows = _constraint_rows(form, _generating_contractions(sigma, n))
+    return TracelessSpace(sigma, form, n, form.N**n - len(_eliminate(rows, reduced=False)))
 
 
 def _check_block_spans(form: FormPoint, n: int):
@@ -319,21 +297,18 @@ def _check_block_spans(form: FormPoint, n: int):
                     )
 
 
-def _restricted_nullity(mats: list[RatMat], lam: Partition, N: int) -> int:
+def _restricted_nullity(rows: list[dict[int, int]], lam: Partition, N: int) -> int:
     """The dimension of the intersection of V, the joint kernel of the
-    matrices on the |lam|-th tensor power of k^N, with the Young
-    symmetrizer image S_lam(k^N) that `get_tensor_rep` realizes: the
-    number of its basis vectors b_j less the rank of their images.  The
-    stacked matrices are indexed by column once, and each image is the
-    sum of the integer columns at the words of b_j."""
+    integer constraint rows on the |lam|-th tensor power of k^N, with the
+    Young symmetrizer image S_lam(k^N) that `get_tensor_rep` realizes:
+    the number of its basis vectors b_j less the rank of their images.
+    The rows are indexed by column once, and each image is the sum of the
+    integer columns at the words of b_j."""
     rep = get_tensor_rep(lam, N)
     columns: dict[int, dict[int, int]] = {}
-    r = 0
-    for m in mats:
-        for row in _integer_rows(m):
-            for c, x in row.items():
-                columns.setdefault(c, {})[r] = x
-            r += 1
+    for r, row in enumerate(rows):
+        for c, x in row.items():
+            columns.setdefault(c, {})[r] = x
     images = []
     for b in rep.basis:
         bden = lcm(*(c.denominator for c in b.values()))
@@ -360,8 +335,8 @@ def simple_realization_dim(sigma, form: FormPoint, lam: Partition) -> int:
     sigma = _check_form(sigma, form)
     lam = Partition(lam)
     _check_block_spans(form, lam.size)
-    mats = _constraint_matrices(sigma, form, lam.size)
-    return specht_dim(lam) * _restricted_nullity(mats, lam, form.N)
+    rows = _constraint_rows(form, _generating_contractions(sigma, lam.size))
+    return specht_dim(lam) * _restricted_nullity(rows, lam, form.N)
 
 
 def socle_check(sigma, form: FormPoint, lam: Partition) -> bool:
@@ -382,8 +357,10 @@ def socle_check(sigma, form: FormPoint, lam: Partition) -> bool:
     lam = Partition(lam)
     n = lam.size
     _check_block_spans(form, n)
-    gen = _restricted_nullity(_constraint_matrices(sigma, form, n), lam, form.N)
-    return gen == _restricted_nullity(_hom_matrices(sigma, form, n), lam, form.N)
+    gen = _constraint_rows(form, _generating_contractions(sigma, n))
+    homs = [Morphism.from_diagram(sigma, d) for m in range(n) for d in hom_basis(sigma, n, m)]
+    hom = _constraint_rows(form, homs)
+    return _restricted_nullity(gen, lam, form.N) == _restricted_nullity(hom, lam, form.N)
 
 
 # ---------------------------------------------------------------------------
@@ -425,19 +402,10 @@ def ext_dim(sigma, i: int, lam, mu) -> int:
 # distinguished forms
 
 
-def _embed(g: RatMat, N: int) -> RatMat:
-    if g.rows > N or g.cols > N:
-        raise ValueError("matrix does not fit inside the requested rank")
-    data = [[Fraction(int(i == j)) for j in range(N)] for i in range(N)]
-    for i in range(g.rows):
-        for j in range(g.cols):
-            data[i][j] = g.data[i][j]
-    return RatMat(N, N, data)
-
-
 def moved_values(form: FormPoint, p: int, g: RatMat, indices):
     """Yield omega_p(g b_j) for each basis index j in `indices`, where b_j
-    is the j-th realization basis vector of entry p and g is N x N.
+    is the j-th realization basis vector of entry p and g is square of
+    size at most N, extended by the identity.
 
     The realization is stable under g, so omega_p(g b_j) is the pivot-word
     row omega~ applied to g b_j: for each word u of b_j, g e_u1 (x) ... (x)
@@ -446,6 +414,8 @@ def moved_values(form: FormPoint, p: int, g: RatMat, indices):
     B_j integral, and each value is divided once by den * gden^d * bden.
     Values are produced one index at a time, so a caller that stops early
     pays only for the indices it read."""
+    if g.rows != g.cols or g.rows > form.N:
+        raise ValueError("matrix does not fit inside the requested rank")
     rep = get_tensor_rep(form.sigma[p], form.N)
     den, tilde = _omega_tilde(form, p)
     gden = lcm(*(x.denominator for row in g.data for x in row))
@@ -454,6 +424,7 @@ def moved_values(form: FormPoint, p: int, g: RatMat, indices):
         {i + 1: x.numerator * (gden // x.denominator) for i, x in enumerate(col) if x}
         for col in zip(*g.data)
     ]
+    cols += [{k: gden} for k in range(g.rows + 1, form.N + 1)]
     scale = den * gden**rep.d
     for j in indices:
         b = rep.basis[j]
@@ -476,7 +447,6 @@ def translate(form: FormPoint, g: RatMat) -> FormPoint:
     """The form v -> omega(g v): the inverse translate of omega by g."""
     if g == RatMat.identity(g.rows):
         return form
-    g = _embed(g, form.N)
     comps = [
         tuple(moved_values(form, p, g, range(len(row))))
         for p, row in enumerate(form.comps)

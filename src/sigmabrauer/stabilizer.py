@@ -101,10 +101,9 @@ def in_gamma(q: GammaQuery) -> bool:
     """Membership in the level-n generalized stabilizer of the form."""
     form, n, g = q.form, q.level, q.g
     _require_level(form, n, g)
-    big = g.embed(form.N)
     for p, shape in enumerate(form.sigma):
         idx = get_tensor_rep(shape, form.N).restriction_indices(n)
-        for j, val in zip(idx, moved_values(form, p, big, idx)):
+        for j, val in zip(idx, moved_values(form, p, g.mat, idx)):
             if val != form.comps[p][j]:
                 return False
     return True
@@ -340,7 +339,7 @@ def gamma_linearity_check(
     if any(c != 0 and j not in allowed for j, c in enumerate(v)):
         raise PreconditionError("v must lie in the evaluation at k^n")
 
-    moved = translate(form, g.embed(form.N))
+    moved = translate(form, g.mat)
     if phi.target == "unit":
         diff = Fraction(0)
         for poly, w in phi.pairs:

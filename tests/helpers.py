@@ -6,6 +6,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
+from typing import NamedTuple
 
 from sigmabrauer.combinat import Partition
 from sigmabrauer.exactla import RatMat
@@ -319,6 +320,66 @@ def translate_reference(form, g: RatMat) -> tuple[tuple[Fraction, ...], ...]:
             )
         )
     return tuple(comps)
+
+
+# ---------------------------------------------------------------------------
+# traceless space as an RREF kernel basis of dense specialized matrices
+# (independent of the engine's sparse rank route in `modcat.traceless_space`)
+
+
+class ReferenceSpace(NamedTuple):
+    """A subspace of the n-th tensor power of k^N given by an RREF basis:
+    the i-th vector is 1 at free_cols[i] and 0 at every other free column,
+    so the coordinates of a vector of the space are its entries at the
+    free columns."""
+
+    form: object
+    n: int
+    basis: list
+    free_cols: list
+
+    @property
+    def dim(self) -> int:
+        return len(self.basis)
+
+
+def contraction_morphisms(sigma, n: int) -> list:
+    """Every block contraction on n slots, built from `make_diagram`: one
+    block (p, t) on the slots S, the other slots kept in order."""
+    from sigmabrauer.brauer import Morphism, make_diagram
+    from sigmabrauer.combinat import specht_dim
+
+    out = []
+    for p, shape in enumerate(sigma):
+        if shape.size > n:
+            continue
+        for t in range(specht_dim(shape)):
+            for S in combinations(range(1, n + 1), shape.size):
+                rest = [s for s in range(1, n + 1) if s not in S]
+                matching = [(s, i + 1) for i, s in enumerate(rest)]
+                d = make_diagram(sigma, n, n - shape.size, [(S, p, t)], matching)
+                out.append(Morphism.from_diagram(sigma, d))
+    return out
+
+
+def stacked_specializations(form, n: int, morphisms=None) -> RatMat:
+    """The dense `theta_apply` matrices of the morphisms (by default the
+    block contractions on n slots) stacked into one matrix on N^n columns."""
+    from sigmabrauer.modcat import theta_apply
+
+    if morphisms is None:
+        morphisms = contraction_morphisms(form.sigma, n)
+    rows = [row for f in morphisms for row in theta_apply(form, f).data]
+    return RatMat(len(rows), form.N**n, rows)
+
+
+def reference_space(form, n: int, morphisms=None) -> ReferenceSpace:
+    """The joint kernel of the specialized morphisms (by default the block
+    contractions: the traceless space) on n slots."""
+    from sigmabrauer.exactla import kernel_basis_with_free
+
+    basis, free = kernel_basis_with_free(stacked_specializations(form, n, morphisms))
+    return ReferenceSpace(form, n, basis, free)
 
 
 # ---------------------------------------------------------------------------

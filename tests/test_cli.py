@@ -169,6 +169,21 @@ def test_traceless_rejects_negative_rank():
     assert proc.stderr.startswith("error: the rank must be non-negative")
 
 
+def test_traceless_prices_the_form():
+    # N^n is small, but the form alone has sum_p dim S_sigma_p(k^N) entries
+    for args, entries in (
+        (("--sigma", "2", "--rank", "100000", "--n", "1"), 5000050000),
+        (("--sigma", "3", "--rank", "200", "--n", "0"), 1353400),
+    ):
+        proc = run_cli("traceless", *args, check=False)
+        assert proc.returncode == 1 and proc.stdout == "", args
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert proc.stderr.startswith(f"error: a form at rank {args[3]} has {entries} entries")
+    proc = run_cli("traceless", "--sigma", "2", "--rank", "20", "--n", "4", check=False)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: ambient dimension 20^4 exceeds the safety limit\n"
+
+
 def test_stab_check_rejects_negative_samples():
     proc = run_cli(
         "stab", "check", "--sigma", "2", "--rank", "3", "--samples", "-1", check=False

@@ -4,14 +4,16 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    ReferenceSpace,
     isotypic_multiplicities,
     predicted_realization_dim,
+    reference_space,
     slot_generator_matrices,
     slot_permutation_matrix,
     traceless_isotypic_brute,
     translate_reference,
 )
-from sigmabrauer.brauer import Morphism, make_diagram, random_morphism
+from sigmabrauer.brauer import Morphism, hom_basis, make_diagram, random_morphism
 from sigmabrauer.combinat import (
     Partition,
     PartitionTuple,
@@ -21,12 +23,11 @@ from sigmabrauer.combinat import (
     specht_dim,
 )
 from sigmabrauer import modcat
-from sigmabrauer.exactla import RatMat, kernel_basis_with_free, vstack
+from sigmabrauer.exactla import RatMat
 from sigmabrauer.specht import isotypic_projector
 from sigmabrauer.modcat import (
     FormPoint,
-    TracelessSpace,
-    _hom_matrices,
+    _constraint_rows,
     _restricted_nullity,
     block_functional,
     dot_product_form,
@@ -186,6 +187,17 @@ def test_translate_is_an_action():
     assert translate(translate(form, a), b) == translate(form, a @ b)
 
 
+def test_translate_rejects_a_matrix_that_does_not_fit():
+    # g is extended by the identity up to the rank: it must be square and
+    # no larger than the rank
+    form = random_form(SIG2, 3, seed=3)
+    too_large = RatMat(4, 4, [[int(i + j == 3) for j in range(4)] for i in range(4)])
+    not_square = RatMat(2, 3, [[0, 1, 0], [1, 0, 0]])
+    for g in (too_large, not_square):
+        with pytest.raises(ValueError, match="does not fit"):
+            translate(form, g)
+
+
 def _random_rational_matrix(rng, size, den):
     entries = [
         [Fraction(rng.randint(-3, 3), rng.randint(1, den)) for _ in range(size)]
@@ -218,7 +230,8 @@ def test_class_traces_match_projector():
         for N in (2, 3, 4):
             form = random_form(sigma, N, seed=1)
             for n in range(4):
-                space = traceless_space(sigma, form, n)
+                space = reference_space(form, n)
+                assert traceless_space(sigma, form, n).dim == space.dim, (sigma, N, n)
                 mults = isotypic_multiplicities(space)
                 assert set(mults) == set(partitions(n))
                 assert sum(specht_dim(nu) * m for nu, m in mults.items()) == space.dim
@@ -242,7 +255,7 @@ def test_unstable_space_is_rejected():
     # to the dimension, so only the oracle's stability certificate can catch it
     form = random_form(SIG2, 3, seed=1)
     e = [tuple(Fraction(int(i == j)) for i in range(9)) for j in range(9)]
-    space = TracelessSpace(SIG2, form, 2, [e[1], e[2]], [1, 2])
+    space = ReferenceSpace(form, 2, [e[1], e[2]], [1, 2])
     with pytest.raises(RuntimeError, match="not stable"):
         isotypic_multiplicities(space)
 
@@ -286,7 +299,9 @@ def test_restricted_nullity_matches_class_traces():
             for n in range(5):
                 if N**n > 256:
                     continue
-                mults = isotypic_multiplicities(traceless_space(sigma, form, n))
+                space = reference_space(form, n)
+                assert traceless_space(sigma, form, n).dim == space.dim, (text, N, n)
+                mults = isotypic_multiplicities(space)
                 for lam in partitions(n):
                     cases += 1
                     eng = simple_realization_dim(sigma, form, lam)
@@ -301,13 +316,20 @@ def test_hom_family_restricted_nullity_matches_class_traces():
         for N in range(2, 5):
             form = random_form(sigma, N, seed=2)
             for n in range(4):
-                mats = _hom_matrices(sigma, form, n)
-                stacked = vstack(mats) if mats else RatMat(0, N**n, [])
-                space = TracelessSpace(sigma, form, n, *kernel_basis_with_free(stacked))
+                homs = [
+                    Morphism.from_diagram(sigma, d)
+                    for m in range(n)
+                    for d in hom_basis(sigma, n, m)
+                ]
+                space = reference_space(form, n, homs)
+                # every basis diagram to a smaller object factors through a
+                # block contraction, which is one of them: the kernels agree
+                assert traceless_space(sigma, form, n).dim == space.dim, (text, N, n)
                 mults = isotypic_multiplicities(space)
+                rows = _constraint_rows(form, homs)
                 for lam in partitions(n):
                     cases += 1
-                    assert _restricted_nullity(mats, lam, N) == mults[lam], (text, N, lam)
+                    assert _restricted_nullity(rows, lam, N) == mults[lam], (text, N, lam)
     assert cases == 63
 
 
