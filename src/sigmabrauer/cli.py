@@ -232,15 +232,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        doc = _run(args)
+        text = json.dumps(_run(args), sort_keys=True)
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
     except (PreconditionError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    text = json.dumps(doc, sort_keys=True)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
+    if not args.out:
         print(text)
     return 0
 

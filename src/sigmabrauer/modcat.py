@@ -97,18 +97,7 @@ def _omega_tilde(form: FormPoint, p: int) -> tuple[int, dict[tuple[int, ...], in
     cached = form._tilde[p]
     if cached is not None:
         return cached
-    rep = get_tensor_rep(form.sigma[p], form.N)
-    table = form.comps[p]
-    vals: dict[tuple[int, ...], Fraction] = {}
-    for cls, members in rep._class_members.items():
-        inv = rep._solver(cls)
-        k = len(members)
-        for r in range(k):
-            val = sum(
-                (table[members[c]] * inv.data[c][r] for c in range(k)), Fraction(0)
-            )
-            if val:
-                vals[rep.pivot_words[members[r]]] = val
+    vals = get_tensor_rep(form.sigma[p], form.N).dual_row(form.comps[p])
     den = lcm(*(v.denominator for v in vals.values()))
     form._tilde[p] = den, {w: v.numerator * (den // v.denominator) for w, v in vals.items()}
     return form._tilde[p]
@@ -311,12 +300,10 @@ def _restricted_nullity(rows: list[dict[int, int]], lam: Partition, N: int) -> i
             columns.setdefault(c, {})[r] = x
     images = []
     for b in rep.basis:
-        bden = lcm(*(c.denominator for c in b.values()))
         image: dict[int, int] = {}
-        for w, c in b.items():
+        for w, k in _integer_row(b).items():
             col = columns.get(_word_index(w, N))
             if col:
-                k = c.numerator * (bden // c.denominator)
                 for i, x in col.items():
                     image[i] = image.get(i, 0) + k * x
         image = {i: x for i, x in image.items() if x}
@@ -461,30 +448,23 @@ def form_from_tensor_values(sigma, N: int, p: int, values: dict) -> FormPoint:
     sigma = PartitionTuple(sigma)
     shape = sigma[p]
     d = shape.size
-    r = schur_dim(shape, N)
     gamma = specht_word_expansions(shape)[0]
     rep = get_tensor_rep(shape, N)
     rows = []
     rhs = []
     for u, target in sorted(values.items()):
-        row = [Fraction(0)] * r
-        # F(e_u) = sum_w gamma_w * omega~(u o w); omega~ is linear in the table
+        if len(u) != d or not all(1 <= x <= N for x in u):
+            raise ValueError(f"{u} is not a word of length {d} in the letters 1..{N}")
+        # F(e_u) = omega(v_u) with v_u = sum_w gamma_w e_(u o w), the image of
+        # the realization vector gamma under e_i -> e_(u_i), so v_u lies in
+        # the realization and omega(v_u) = sum_j table[j] coords(v_u)[j]
+        v_u: dict[tuple[int, ...], Fraction] = {}
         for w, c in gamma.items():
             q = tuple(u[w[j] - 1] for j in range(d))
-            cls = tuple(sorted(q))
-            members = rep._class_members.get(cls)
-            if members is None:
-                continue
-            inv = rep._solver(cls)
-            pivots = [rep.pivot_words[j] for j in members]
-            if q not in pivots:
-                continue
-            ridx = pivots.index(q)
-            for cidx in range(len(members)):
-                row[members[cidx]] += c * inv.data[cidx][ridx]
-        rows.append(row)
+            v_u[q] = v_u.get(q, 0) + c
+        rows.append(rep.coords({q: c for q, c in v_u.items() if c}))
         rhs.append(Fraction(target))
-    sol = solve(RatMat(len(rows), r, rows), rhs)
+    sol = solve(RatMat(len(rows), rep.dim, rows), rhs)
     if sol is None:
         raise ValueError("no form takes the prescribed values")
     return FormPoint(sigma, N, [sol if q == p else [0] * schur_dim(sigma[q], N) for q in range(len(sigma))])

@@ -19,7 +19,7 @@ from itertools import combinations, permutations, product
 from typing import NamedTuple
 
 from .combinat import Partition, PartitionTuple, schur_dim, specht_dim
-from .exactla import RatMat, inverse, kernel_basis
+from .exactla import RatMat, _clear, _primitive, inverse, kernel_basis
 from .specht import get_specht_module, perm_sign
 
 
@@ -150,27 +150,21 @@ class TensorRep:
         self.shape = Partition(shape)
         self.N = int(N)
         self.d = self.shape.size
-        t0 = _row_filling(self.shape)
-        rows = [tuple(r) for r in t0]
-        ncols = len(t0[0]) if t0 else 0
-        cols = [
-            tuple(t0[i][j] for i in range(len(t0)) if len(t0[i]) > j)
-            for j in range(ncols)
-        ]
-        self._row_perms = list(_group_perms(rows, self.d))
-        self._col_perms = [
-            (q, perm_sign(q)) for q in _group_perms(cols, self.d)
+        rows = _row_filling(self.shape)
+        cols = [tuple(r[j] for r in rows if len(r) > j) for j in range(len(rows[0]) if rows else 0)]
+        col_perms = [(q, perm_sign(q)) for q in _group_perms(cols, self.d)]
+        # the terms of the Young symmetrizer: each composite slot permutation
+        # r o q (row group after column group) with the sign of q
+        self._terms = [
+            (tuple(r[i] for i in q), sg) for r in _group_perms(rows, self.d) for q, sg in col_perms
         ]
         self.basis: list[dict[tuple[int, ...], Fraction]] = []
         self.pivot_words: list[tuple[int, ...]] = []
         self.source_words: list[tuple[int, ...]] = []
-        self._class_of_basis: list[tuple[int, ...]] = []
+        self._class_members: dict[tuple[int, ...], list[int]] = {}
         self._build_basis()
         if len(self.basis) != schur_dim(self.shape, self.N):
             raise RuntimeError("realization basis size differs from the hook content formula")
-        self._class_members: dict[tuple[int, ...], list[int]] = {}
-        for j, cls in enumerate(self._class_of_basis):
-            self._class_members.setdefault(cls, []).append(j)
         self._class_solver: dict[tuple[int, ...], RatMat] = {}
         self._restriction: dict[int, tuple[int, ...]] = {}
 
@@ -178,44 +172,36 @@ class TensorRep:
     def dim(self) -> int:
         return len(self.basis)
 
-    def symmetrizer_image(self, word: tuple[int, ...]) -> dict[tuple[int, ...], Fraction]:
-        out: dict[tuple[int, ...], Fraction] = {}
-        for r in self._row_perms:
-            for q, sg in self._col_perms:
-                rq = tuple(r[q[i]] for i in range(self.d))
-                neww = tuple(word[rq[i]] for i in range(self.d))
-                out[neww] = out.get(neww, Fraction(0)) + sg
-        return {w: c for w, c in out.items() if c != 0}
+    def symmetrizer_image(self, word: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+        out: dict[tuple[int, ...], int] = {}
+        for rq, sg in self._terms:
+            neww = tuple(word[i] for i in rq)
+            out[neww] = out.get(neww, 0) + sg
+        return {w: c for w, c in out.items() if c}
 
     def _build_basis(self):
-        # greedy sparse row reduction, independently inside each content class
-        rref_rows: dict[tuple[int, ...], list[tuple[tuple[int, ...], dict]]] = {}
+        # greedy reduction inside each content class on primitive integer
+        # rows keyed by word; scaling a row keeps its support, so the pivot
+        # (first) words are those of the rational reduction
+        reduced: dict[tuple[int, ...], list] = {}
         for word in product(range(1, self.N + 1), repeat=self.d):
-            cls = tuple(sorted(word))
             vec = self.symmetrizer_image(word)
             if not vec:
                 continue
-            red = dict(vec)
-            for piv, rowvec in rref_rows.get(cls, []):
-                c = red.get(piv)
-                if c:
-                    for w, v in rowvec.items():
-                        nv = red.get(w, Fraction(0)) - c * v
-                        if nv:
-                            red[w] = nv
-                        else:
-                            red.pop(w, None)
+            cls = tuple(sorted(word))
+            red = _primitive(vec)
+            for piv, row in reduced.get(cls, ()):
+                if piv in red:
+                    red = _clear(red, row, piv)
             if not red:
                 continue
             piv = min(red)
-            norm = {w: v / red[piv] for w, v in red.items()}
-            rref_rows.setdefault(cls, []).append((piv, norm))
-            lead = min(vec)
-            scaled = {w: v / vec[lead] for w, v in vec.items()}
-            self.basis.append(scaled)
+            reduced.setdefault(cls, []).append((piv, red))
+            self._class_members.setdefault(cls, []).append(len(self.basis))
+            lead = vec[min(vec)]
+            self.basis.append({w: Fraction(v, lead) for w, v in vec.items()})
             self.pivot_words.append(piv)
             self.source_words.append(word)
-            self._class_of_basis.append(cls)
 
     def _solver(self, cls: tuple[int, ...]) -> RatMat:
         mat = self._class_solver.get(cls)
@@ -247,6 +233,21 @@ class TensorRep:
             for j, x in zip(members, sol):
                 out[j] = x
         return tuple(out)
+
+    def dual_row(self, table) -> dict[tuple[int, ...], Fraction]:
+        """The functional v -> sum_j table[j] coords(v)[j] on the
+        realization as a row over the pivot words: its value at every
+        realization vector v is sum_w row[w] v[w]."""
+        row: dict[tuple[int, ...], Fraction] = {}
+        for cls, members in self._class_members.items():
+            inv = self._solver(cls)
+            for r, j in enumerate(members):
+                val = sum(
+                    (table[m] * inv.data[c][r] for c, m in enumerate(members)), Fraction(0)
+                )
+                if val:
+                    row[self.pivot_words[j]] = val
+        return row
 
     def apply_matrix(self, g: RatMat, vec: dict) -> dict:
         """Apply g tensor ... tensor g to a vector in word coordinates."""
@@ -318,9 +319,7 @@ def specht_word_expansions(shape: Partition) -> tuple:
     if d == 0:
         return ({(): Fraction(1)},)
     rep = get_tensor_rep(shape, d)
-    weight_idx = [
-        j for j, cls in enumerate(rep._class_of_basis) if cls == tuple(range(1, d + 1))
-    ]
+    weight_idx = rep._class_members.get(tuple(range(1, d + 1)), [])
     f = specht_dim(shape)
     if len(weight_idx) != f:
         raise RuntimeError("weight space size differs from the Specht dimension")

@@ -16,7 +16,7 @@ import random
 from fractions import Fraction
 from typing import NamedTuple
 
-from .combinat import Partition, PartitionTuple
+from .combinat import Partition, PartitionTuple, schur_dim
 from .exactla import RatMat, rank
 from .modcat import FormPoint, moved_values, translate
 from .schurweyl import get_tensor_rep
@@ -150,9 +150,12 @@ def random_unimodular(size: int, rng: random.Random, moves: int = 6) -> GLElemen
 
 def permutation_element(images: dict[int, int]) -> GLElement:
     """The permutation matrix sending coordinate i to images[i] (1-indexed);
-    unspecified coordinates stay fixed."""
-    size = max(images, default=0)
-    size = max([size] + list(images.values()))
+    unspecified coordinates stay fixed.  The map i -> images.get(i, i)
+    must permute the labels 1..size."""
+    size = max([0, *images, *images.values()])
+    labels = set(range(1, size + 1))
+    if not labels >= images.keys() or {images.get(i, i) for i in labels} != labels:
+        raise ValueError(f"{images} does not permute the labels 1..{size}")
     data = [[Fraction(0)] * size for _ in range(size)]
     for i in range(1, size + 1):
         data[images.get(i, i) - 1][i - 1] = Fraction(1)
@@ -345,15 +348,13 @@ def gamma_linearity_check(
         for poly, w in phi.pairs:
             diff += (eval_poly(poly, moved) - eval_poly(poly, form)) * Fraction(w)
         return diff == 0
-    tgt_rep = get_tensor_rep(Partition(phi.target), form.N)
-    acc = [Fraction(0)] * tgt_rep.dim
+    acc = [Fraction(0)] * schur_dim(Partition(phi.target), form.N)
     for poly, w in phi.pairs:
         c = eval_poly(poly, moved) - eval_poly(poly, form)
         if c == 0:
             continue
         for j, x in enumerate(w):
             acc[j] += c * Fraction(x)
-    if all(x == 0 for x in acc):
-        return True
-    act = tgt_rep.act_matrix(g.embed(form.N))
-    return all(x == 0 for x in act.matvec(acc))
+    # g is invertible, so its action on the target realization is too, and
+    # g acc vanishes exactly when acc does
+    return all(x == 0 for x in acc)

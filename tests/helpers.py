@@ -525,3 +525,76 @@ def predicted_realization_dim(sigma, N: int, lam: Partition) -> int:
 
     lam = Partition(lam)
     return specht_dim(lam) * simple_dim(lam)
+
+
+# ---------------------------------------------------------------------------
+# Schur functor realization by greedy rational reduction (independent of
+# the engine's fraction-free build in `schurweyl.TensorRep`)
+
+
+def _slot_group(groups: list[tuple[int, ...]], d: int):
+    """The slot permutations (one-line, 0-indexed) that keep each group
+    inside itself."""
+    from itertools import permutations as iperm
+
+    for choice in product(*(iperm(g) for g in groups)):
+        perm = list(range(d))
+        for g, img in zip(groups, choice):
+            for a, b in zip(g, img):
+                perm[a] = b
+        yield tuple(perm)
+
+
+def _inversion_sign(perm: tuple[int, ...]) -> int:
+    return (-1) ** sum(1 for i, j in combinations(range(len(perm)), 2) if perm[i] > perm[j])
+
+
+def realization_reference(shape: Partition, N: int):
+    """(basis, pivot words, source words) of the Young symmetrizer image
+    of S_shape(k^N) for the initial row filling.  The image of a word sums
+    the word read through r o q with the sign of q, over the row group R
+    and the column group Q.  The images of the words of [N]^d, in
+    lexicographic order, are reduced in Fractions against the kept rows of
+    their content class; a nonzero remainder keeps the image, scaled so
+    its first word has coefficient 1, and the remainder, normalized at its
+    first word (the pivot), becomes a row."""
+    shape = Partition(shape)
+    d = shape.size
+    rows, k = [], 0
+    for r in shape:
+        rows.append(tuple(range(k, k + r)))
+        k += r
+    cols = [tuple(row[j] for row in rows if len(row) > j) for j in range(shape[0] if d else 0)]
+    row_group = list(_slot_group(rows, d))
+    col_group = [(q, _inversion_sign(q)) for q in _slot_group(cols, d)]
+    basis, pivot_words, source_words = [], [], []
+    kept: dict[tuple[int, ...], list] = {}
+    for word in product(range(1, N + 1), repeat=d):
+        vec: dict[tuple[int, ...], Fraction] = {}
+        for r in row_group:
+            for q, sg in col_group:
+                w = tuple(word[r[q[i]]] for i in range(d))
+                vec[w] = vec.get(w, Fraction(0)) + sg
+        vec = {w: c for w, c in vec.items() if c}
+        if not vec:
+            continue
+        cls = tuple(sorted(word))
+        red = dict(vec)
+        for piv, row in kept.get(cls, []):
+            c = red.get(piv)
+            if c:
+                for w, v in row.items():
+                    nv = red.get(w, Fraction(0)) - c * v
+                    if nv:
+                        red[w] = nv
+                    else:
+                        red.pop(w, None)
+        if not red:
+            continue
+        piv = min(red)
+        kept.setdefault(cls, []).append((piv, {w: v / red[piv] for w, v in red.items()}))
+        lead = vec[min(vec)]
+        basis.append({w: v / lead for w, v in vec.items()})
+        pivot_words.append(piv)
+        source_words.append(word)
+    return basis, pivot_words, source_words

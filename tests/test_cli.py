@@ -123,6 +123,14 @@ def test_out_file(tmp_path):
     assert json.loads(target.read_text()) == {"dim": 1}
 
 
+def test_out_file_that_cannot_be_written(tmp_path):
+    target = tmp_path / "missing" / "result.json"
+    proc = run_cli("--out", str(target), "homdim", "--sigma", "2", "--n", "1", "--m", "1", check=False)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert not target.exists()
+
+
 def test_compose_rejects_malformed_documents(tmp_path):
     block = {"support": [1, 2], "type": 0, "coords": ["1"]}
     f = {"source_size": 2, "target_size": 0, "terms": [{"coef": "1", "matching": [], "blocks": [block]}]}

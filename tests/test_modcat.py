@@ -110,6 +110,20 @@ def test_theta_dot_product_fixture():
     assert [mat.data[0][j] for j in range(4)] == [1, 0, 0, 1]
 
 
+def test_dot_product_form_is_the_identity_gram_matrix():
+    for N in range(1, 6):
+        fn = block_functional(dot_product_form(N), 0, 0)
+        for i in range(1, N + 1):
+            for j in range(1, N + 1):
+                assert fn.get((i, j), 0) == int(i == j), (N, i, j)
+
+
+def test_form_from_tensor_values_rejects_words_outside_the_rank():
+    for word in [(1, 3), (0, 1), (1, 1, 1)]:
+        with pytest.raises(ValueError, match="not a word of length 2"):
+            modcat.form_from_tensor_values(SIG2, 2, 0, {word: 0})
+
+
 def test_theta_functoriality_random():
     rng = random.Random(97)
     for sigma in [SIG2, PartitionTuple(((1, 1),)), PartitionTuple(((2, 1),))]:

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import realization_reference
 from sigmabrauer.brauer import hom_basis
 from sigmabrauer.combinat import Partition, PartitionTuple, schur_dim
 from sigmabrauer.exactla import RatMat
@@ -99,6 +100,27 @@ def test_act_matrix_is_multiplicative():
         a = RatMat(3, 3, [[rng.randint(-2, 2) for _ in range(3)] for _ in range(3)])
         b = RatMat(3, 3, [[rng.randint(-2, 2) for _ in range(3)] for _ in range(3)])
         assert rep.act_matrix(a @ b) == rep.act_matrix(a) @ rep.act_matrix(b)
+
+
+def test_realization_matches_reference_reduction():
+    from sigmabrauer.combinat import partitions
+
+    for d in range(6):
+        for shape in partitions(d):
+            for N in range(1, 4 if d == 5 else 6):
+                rep = get_tensor_rep(shape, N)
+                basis, pivot_words, source_words = realization_reference(shape, N)
+                assert rep.basis == basis, (shape, N)
+                assert rep.pivot_words == pivot_words, (shape, N)
+                assert rep.source_words == source_words, (shape, N)
+
+
+def test_symmetrizer_image_has_integer_coefficients():
+    rep = get_tensor_rep(Partition((2, 1)), 3)
+    for word in [(1, 1, 2), (1, 2, 3), (3, 2, 1), (2, 2, 2)]:
+        image = rep.symmetrizer_image(word)
+        assert all(type(c) is int and c for c in image.values())
+    assert rep.symmetrizer_image((1, 1, 2)) == {(1, 1, 2): 2, (2, 1, 1): -2}
 
 
 def test_restriction_indices_nest():

@@ -25,6 +25,14 @@ SIG3 = PartitionTuple(((3,),))
 SIG2 = PartitionTuple(((2,),))
 
 
+def test_permutation_element_rejects_non_permutations():
+    assert permutation_element({1: 2, 2: 3, 3: 1}) == GLElement([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+    assert permutation_element({2: 2}) == GLElement([])
+    for images in ({1: 0}, {2: 0}, {0: 1}, {1: -1}, {1: 2}, {3: 1}, {1: 3, 2: 3}):
+        with pytest.raises(ValueError, match="does not permute the labels"):
+            permutation_element(images)
+
+
 def test_gl_element_normalization():
     assert GLElement([[1, 0], [0, 1]]).m == 0
     assert GLElement([[2, 0], [0, 1]]) == GLElement([[2]])
