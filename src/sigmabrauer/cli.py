@@ -168,6 +168,8 @@ def _run(args) -> dict:
     if args.command == "traceless":
         sigma = _pure_sigma(args.sigma, bound)
         _check_bound(bound, n=args.n)
+        if args.n < 0:
+            raise PreconditionError("n must be non-negative")
         if args.rank**args.n > AMBIENT_SAFETY_LIMIT:
             raise PreconditionError(
                 f"ambient dimension {args.rank}^{args.n} exceeds the safety limit"

@@ -27,7 +27,7 @@ from .symfun import (
     lr_product,
     sym_algebra_degree,
 )
-from .specht import get_specht_module
+from .specht import check_specht_action, get_specht_module
 
 
 def _check_rank(N) -> int:
@@ -268,22 +268,12 @@ def _check_block_spans(form: FormPoint, n: int):
         d = shape.size
         if d > n:
             continue
-        fns = [block_functional(form, p, t) for t in range(specht_dim(shape))]
-        gens = get_specht_module(shape, tuple(range(1, d + 1))).generator_matrices()
-        for k, M in enumerate(gens):
-            for t, fn in enumerate(fns):
-                moved = {w[:k] + (w[k + 1], w[k]) + w[k + 2:]: c for w, c in fn.items()}
-                combo: dict[tuple[int, ...], Fraction] = {}
-                for s, other in enumerate(fns):
-                    x = M.data[s][t]
-                    if x:
-                        for w, c in other.items():
-                            combo[w] = combo.get(w, 0) + x * c
-                if {w: c for w, c in combo.items() if c} != moved:
-                    raise RuntimeError(
-                        f"the block functionals of entry {p} do not span a "
-                        f"representation of S_{d}"
-                    )
+        check_specht_action(
+            [block_functional(form, p, t) for t in range(specht_dim(shape))],
+            get_specht_module(shape, tuple(range(1, d + 1))).generator_matrices(),
+            lambda k, w: w[:k] + (w[k + 1], w[k]) + w[k + 2:],
+            f"the block functionals of entry {p}",
+        )
 
 
 def _restricted_nullity(rows: list[dict[int, int]], lam: Partition, N: int) -> int:

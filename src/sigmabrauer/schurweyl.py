@@ -6,9 +6,10 @@ torus weights equal to one has an explicit monomial basis, enumerated
 here directly, and a bijection onto the basis diagrams of the downwards
 category.  It also realizes Schur functors on k^N concretely as Young
 symmetrizer images inside the tensor power, with exact matrices for the
-action of arbitrary rational N x N matrices; the bridge between that
-realization and the abstract Specht modules (used for block
-functionals) is computed as an explicit intertwiner.
+action of arbitrary rational N x N matrices.  The bridge from the
+abstract Specht modules into that realization (used for block
+functionals) is read off the same symmetrizer: the image of each
+standard polytabloid, certified equivariant, with no realization built.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from itertools import combinations, permutations, product
 from typing import NamedTuple
 
 from .combinat import Partition, PartitionTuple, schur_dim, specht_dim
-from .exactla import RatMat, _clear, _primitive, inverse, kernel_basis
-from .specht import get_specht_module, perm_sign
+from .exactla import RatMat, _clear, _primitive, inverse
+from .specht import check_specht_action, get_specht_module, perm_sign
 
 
 class WeightBasisElement(NamedTuple):
@@ -137,6 +138,22 @@ def _group_perms(groups: list[tuple[int, ...]], d: int):
         yield tuple(perm)
 
 
+@lru_cache(maxsize=None)
+def _symmetrizer(shape: Partition) -> tuple[tuple, tuple]:
+    """The Young symmetrizer of the initial row filling of `shape` as
+    signed slot permutations: its column terms (q, sign of q) and its
+    terms (r o q, sign of q), row group after column group.  A term p
+    reads a word w as (w[p[0]], ..., w[p[d-1]])."""
+    d = shape.size
+    rows = _row_filling(shape)
+    cols = [tuple(r[j] for r in rows if len(r) > j) for j in range(len(rows[0]) if rows else 0)]
+    col_terms = tuple((q, perm_sign(q)) for q in _group_perms(cols, d))
+    terms = tuple(
+        (tuple(r[i] for i in q), sg) for r in _group_perms(rows, d) for q, sg in col_terms
+    )
+    return col_terms, terms
+
+
 class TensorRep:
     """The Schur functor for `shape` on k^N, realized as the image of the
     Young symmetrizer of the initial row filling inside the d-th tensor
@@ -150,14 +167,7 @@ class TensorRep:
         self.shape = Partition(shape)
         self.N = int(N)
         self.d = self.shape.size
-        rows = _row_filling(self.shape)
-        cols = [tuple(r[j] for r in rows if len(r) > j) for j in range(len(rows[0]) if rows else 0)]
-        col_perms = [(q, perm_sign(q)) for q in _group_perms(cols, self.d)]
-        # the terms of the Young symmetrizer: each composite slot permutation
-        # r o q (row group after column group) with the sign of q
-        self._terms = [
-            (tuple(r[i] for i in q), sg) for r in _group_perms(rows, self.d) for q, sg in col_perms
-        ]
+        self._terms = _symmetrizer(self.shape)[1]
         self.basis: list[dict[tuple[int, ...], Fraction]] = []
         self.pivot_words: list[tuple[int, ...]] = []
         self.source_words: list[tuple[int, ...]] = []
@@ -305,79 +315,45 @@ def get_tensor_rep(shape: Partition, N: int) -> TensorRep:
 def specht_word_expansions(shape: Partition) -> tuple:
     """Pure-word expansions of the standard polytabloids.
 
-    For every basis polytabloid of the Specht module on labels 1..d this
-    gives a dict from permutation words (w(1),...,w(d)) over the
-    alphabet {1..d} to rational coefficients: the image of the
-    polytabloid under the canonical (up to one overall scalar,
-    normalized deterministically) intertwiner into the weight space of
-    the realization where each letter appears once.  The intertwiner
-    conjugates the Specht action of adjacent label transpositions into
-    the action of the corresponding permutation matrices.
+    For every basis polytabloid of the Specht module on labels 1..d, a
+    dict from permutation words over {1..d} to rational coefficients: its
+    image under the intertwiner into the weight space of the realization
+    where each letter appears once, scaled so that the first expansion's
+    coefficient at its lexicographically first word is 1.
+
+    The Young symmetrizer c reads a word through the row group first, so
+    T -> c(w_T), where w_T fills the slots of the row filling with the
+    entries of T, depends only on the tabloid of T and maps M^shape onto
+    that weight space.  M^shape holds the Specht module once and
+    otherwise only S^mu for mu dominating shape (Young's rule), so the
+    polytabloid e_T maps to sum_q sgn(q) c(w_T o q) over the column group.
+    Equivariance on the adjacent transpositions and a nonzero first image
+    are checked exactly; by Schur's lemma they make the map injective.
     """
     shape = Partition(shape)
     d = shape.size
-    if d == 0:
-        return ({(): Fraction(1)},)
-    rep = get_tensor_rep(shape, d)
-    weight_idx = rep._class_members.get(tuple(range(1, d + 1)), [])
-    f = specht_dim(shape)
-    if len(weight_idx) != f:
-        raise RuntimeError("weight space size differs from the Specht dimension")
+    col_terms, terms = _symmetrizer(shape)
+    # sum_q sgn(q) q o c as signed slot permutations: w o q o r o q'
+    polytabloid: dict[tuple[int, ...], int] = {}
+    for q, sq in col_terms:
+        for rq, sg in terms:
+            p = tuple(q[i] for i in rq)
+            polytabloid[p] = polytabloid.get(p, 0) + sq * sg
     module = get_specht_module(shape, tuple(range(1, d + 1)))
-    gens_specht = module.generator_matrices()
-
-    if d == 1:
-        big = [RatMat.identity(1)]
-    else:
-        big = []
-        for k in range(d - 1):
-            pm = [[0] * d for _ in range(d)]
-            for i in range(d):
-                pm[i][i] = 1
-            pm[k][k] = pm[k + 1][k + 1] = 0
-            pm[k][k + 1] = pm[k + 1][k] = 1
-            full = rep.act_matrix(RatMat(d, d, pm))
-            sub = [[full.data[a][b] for b in weight_idx] for a in weight_idx]
-            big.append(RatMat(f, f, sub))
-
-    if f == 1:
-        iota = RatMat(1, 1, [[1]])
-    else:
-        # solve W_k X = X G_k for all k; the solution space is one dimensional
-        rows = []
-        for W, G in zip(big, gens_specht):
-            for a in range(f):
-                for b in range(f):
-                    row = [Fraction(0)] * (f * f)
-                    for c in range(f):
-                        row[c * f + b] += W.data[a][c]
-                        row[a * f + c] -= G.data[c][b]
-                    rows.append(row)
-        ker = kernel_basis(RatMat(len(rows), f * f, rows))
-        if len(ker) != 1:
-            raise RuntimeError("intertwiner space is not one dimensional")
-        flat = ker[0]
-        iota = RatMat(f, f, [[flat[a * f + b] for b in range(f)] for a in range(f)])
-
-    # expand into pure words and normalize the overall scalar
-    expansions = []
-    for t in range(f):
-        amb: dict[tuple[int, ...], Fraction] = {}
-        for a, j in enumerate(weight_idx):
-            c = iota.data[a][t]
-            if c == 0:
-                continue
-            for w, v in rep.basis[j].items():
-                nv = amb.get(w, Fraction(0)) + c * v
-                if nv:
-                    amb[w] = nv
-                else:
-                    amb.pop(w, None)
-        expansions.append(amb)
-    first = expansions[0]
-    lead = min(first)
-    scale = first[lead]
-    out = tuple(
-        {w: c / scale for w, c in amb.items()} for amb in expansions
+    # w_T has distinct letters, so distinct slot permutations give distinct words
+    images = [
+        {tuple(w[i] for i in p): c for p, c in polytabloid.items() if c}
+        for w in (tuple(x for row in tab for x in row) for tab in module.tableaux)
+    ]
+    if not images[0]:
+        raise RuntimeError(f"the polytabloid images of {shape} vanish")
+    # swaps[k] exchanges the letters k + 1 and k + 2
+    swaps = [tuple(range(k + 1)) + (k + 2, k + 1) + tuple(range(k + 3, d + 1)) for k in range(d - 1)]
+    check_specht_action(
+        images,
+        module.generator_matrices(),
+        lambda k, w: tuple(map(swaps[k].__getitem__, w)),
+        f"the polytabloid images of {shape}",
     )
-    return out
+    scale = images[0][min(images[0])]
+    return tuple({w: Fraction(c, scale) for w, c in image.items()} for image in images)

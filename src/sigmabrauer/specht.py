@@ -353,6 +353,29 @@ def relabel(v: SpechtVector, mapping: dict) -> SpechtVector:
     return SpechtVector(tgt, moved.coords)
 
 
+def check_specht_action(family, gens: list[RatMat], move, what: str):
+    """Exact check that the adjacent transpositions act on a family of
+    sparse vectors (dicts from keys to nonzero numbers) through the Specht
+    generator matrices `gens`: for every k and t, family[t] with each key
+    w replaced by move(k, w) equals sum_t' gens[k][t'][t] family[t'].
+    Raises RuntimeError naming `what` otherwise."""
+    for k, M in enumerate(gens):
+        for t, vec in enumerate(family):
+            moved = {move(k, w): c for w, c in vec.items()}
+            combo: dict = {}
+            for s, other in enumerate(family):
+                x = M.data[s][t]
+                if x:
+                    # Specht matrices are integral; int products are much cheaper
+                    x = x.numerator if x.denominator == 1 else x
+                    for w, c in other.items():
+                        combo[w] = combo.get(w, 0) + x * c
+            if {w: c for w, c in combo.items() if c} != moved:
+                raise RuntimeError(
+                    f"{what} do not span a representation of S_{len(gens) + 1}"
+                )
+
+
 # ---------------------------------------------------------------------------
 # characters (Murnaghan-Nakayama)
 

@@ -90,6 +90,8 @@ class GammaQuery(NamedTuple):
 
 
 def _require_level(form: FormPoint, level: int, g: GLElement):
+    if level < 0:
+        raise PreconditionError(f"the level must be non-negative, got {level}")
     needed = max(level, g.m)
     if form.N < needed:
         raise PreconditionError(

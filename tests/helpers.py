@@ -598,3 +598,60 @@ def realization_reference(shape: Partition, N: int):
         pivot_words.append(piv)
         source_words.append(word)
     return basis, pivot_words, source_words
+
+
+# ---------------------------------------------------------------------------
+# the Specht bridge as an intertwiner solve on the realization (independent
+# of the engine's polytabloid images in `schurweyl.specht_word_expansions`)
+
+
+def specht_word_expansions_reference(shape: Partition) -> tuple:
+    """The pure-word expansions of the standard polytabloids, solved for:
+    the matrices of the adjacent letter transpositions on the weight space
+    of S_shape(k^d) where each letter appears once (`act_matrix`), the
+    one-dimensional space of X with W_k X = X G_k against the Specht
+    generator matrices G_k (`kernel_reference`), each column of X
+    expanded in the realization basis, and the overall scalar fixed so
+    the first expansion has coefficient 1 at its first word."""
+    from sigmabrauer.combinat import specht_dim
+    from sigmabrauer.schurweyl import get_tensor_rep
+    from sigmabrauer.specht import get_specht_module
+
+    shape = Partition(shape)
+    d = shape.size
+    if d == 0:
+        return ({(): Fraction(1)},)
+    rep = get_tensor_rep(shape, d)
+    weight_idx = rep._class_members[tuple(range(1, d + 1))]
+    f = specht_dim(shape)
+    assert len(weight_idx) == f
+    gens = get_specht_module(shape, tuple(range(1, d + 1))).generator_matrices()
+    rows = []
+    for k, G in enumerate(gens):
+        swap = [[int(i == j) for j in range(d)] for i in range(d)]
+        swap[k][k] = swap[k + 1][k + 1] = 0
+        swap[k][k + 1] = swap[k + 1][k] = 1
+        full = rep.act_matrix(RatMat(d, d, swap))
+        W = [[full.data[a][b] for b in weight_idx] for a in weight_idx]
+        for a in range(f):
+            for b in range(f):
+                row = [Fraction(0)] * (f * f)
+                for c in range(f):
+                    row[c * f + b] += W[a][c]
+                    row[a * f + c] -= G.data[c][b]
+                rows.append(row)
+    if rows:
+        ker = kernel_reference(RatMat(len(rows), f * f, rows))[0]
+        assert len(ker) == 1
+        iota = [[ker[0][a * f + b] for b in range(f)] for a in range(f)]
+    else:
+        iota = [[Fraction(1)]]
+    expansions = []
+    for t in range(f):
+        amb: dict[tuple[int, ...], Fraction] = {}
+        for a, j in enumerate(weight_idx):
+            for w, v in rep.basis[j].items():
+                amb[w] = amb.get(w, Fraction(0)) + iota[a][t] * v
+        expansions.append({w: c for w, c in amb.items() if c})
+    scale = expansions[0][min(expansions[0])]
+    return tuple({w: c / scale for w, c in amb.items()} for amb in expansions)

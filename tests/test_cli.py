@@ -1,8 +1,14 @@
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sigmabrauer.brauer import Morphism, make_diagram, morphism_to_json
+from sigmabrauer.cli import main
 from sigmabrauer.combinat import PartitionTuple
 
 
@@ -192,6 +198,14 @@ def test_traceless_prices_the_form():
     assert proc.stderr == "error: ambient dimension 20^4 exceeds the safety limit\n"
 
 
+def test_traceless_rejects_negative_n():
+    # 0^-1 used to escape the admission check as a ZeroDivisionError
+    for extra in ((), ("--lambda", "0")):
+        proc = run_cli("traceless", "--sigma", "2", "--rank", "0", "--n", "-1", *extra, check=False)
+        assert proc.returncode == 1 and proc.stdout == "", extra
+        assert proc.stderr == "error: n must be non-negative\n", proc.stderr
+
+
 def test_stab_check_rejects_negative_samples():
     proc = run_cli(
         "stab", "check", "--sigma", "2", "--rank", "3", "--samples", "-1", check=False
@@ -229,3 +243,72 @@ def test_sigma_entry_is_held_to_the_degree_bound():
         assert proc.returncode == 1 and proc.stdout == "", args
         assert len(proc.stderr.splitlines()) == 1, proc.stderr
         assert proc.stderr.startswith("error: sigma_entry="), proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract under fuzzed argv: tiny jobs, small integers and
+# malformed partition and tuple strings
+
+_INTS = st.integers(-2, 3).map(str)
+_PARTITIONS = st.sampled_from(["0", "1", "2", "1,1", "2,1", "3", "", "1,2", "2,,1", "-1", "x"])
+_TUPLES = st.sampled_from(["2", "1,1", "2|1", "3", "0", "2|0", "", "|", "2||1", "1,2", "a"])
+_LEVELS = st.sampled_from(["1", "1,2", "0,3", "-1", "4", "1,,2", "x"])
+# subcommand -> flags, each with its values and whether it may be left out
+_FLAGS = {
+    "homdim": {"--sigma": (_TUPLES, False), "--n": (_INTS, False), "--m": (_INTS, False)},
+    "shift": {"--lambda": (_PARTITIONS, False), "--n": (_INTS, False)},
+    "ext": {
+        "--sigma": (_TUPLES, False),
+        "--i": (_INTS, False),
+        "--lambda": (_PARTITIONS, False),
+        "--mu": (_PARTITIONS, False),
+    },
+    "mult": {"--sigma": (_TUPLES, False), "--lambda": (_PARTITIONS, False), "--mu": (_PARTITIONS, False)},
+    "traceless": {
+        "--sigma": (_TUPLES, False),
+        "--rank": (_INTS, False),
+        "--n": (_INTS, False),
+        "--lambda": (_PARTITIONS, True),
+        "--seed": (_INTS, True),
+    },
+    "stab check": {
+        "--sigma": (_TUPLES, False),
+        "--rank": (_INTS, False),
+        "--samples": (_INTS, False),
+        "--seed": (_INTS, True),
+        "--levels": (_LEVELS, True),
+    },
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    argv = command.split()
+    for flag, (values, optional) in _FLAGS[command].items():
+        if not optional or draw(st.booleans()):
+            argv += [flag, draw(values)]
+    return argv
+
+
+@given(_argv())
+@example(["traceless", "--sigma", "2", "--rank", "0", "--n", "-1"])
+@example(["traceless", "--sigma", "2", "--rank", "0", "--n", "-1", "--lambda", "0"])
+@settings(max_examples=80, deadline=None)
+def test_cli_contract_on_fuzzed_argv(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+            assert code == 2, (argv, err.getvalue())
+            return
+    if code == 0:
+        json.loads(out.getvalue())
+        assert err.getvalue() == "", (argv, err.getvalue())
+    else:
+        assert code == 1, argv
+        assert out.getvalue() == "", argv
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)

@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import realization_reference
+from helpers import realization_reference, specht_word_expansions_reference
 from sigmabrauer.brauer import hom_basis
-from sigmabrauer.combinat import Partition, PartitionTuple, schur_dim
+from sigmabrauer.combinat import Partition, PartitionTuple, partitions, schur_dim
 from sigmabrauer.exactla import RatMat
 from sigmabrauer.schurweyl import (
     diagram_weight_iso,
@@ -14,7 +14,7 @@ from sigmabrauer.schurweyl import (
     specht_word_expansions,
     weight_space_basis,
 )
-from sigmabrauer.specht import get_specht_module
+from sigmabrauer.specht import check_specht_action, get_specht_module
 
 SIG2 = PartitionTuple(((2,),))
 FAMILY = [
@@ -146,8 +146,7 @@ def test_restriction_indices_nest():
 
 
 def test_specht_word_expansions_are_equivariant():
-    for shape in [(2,), (1, 1), (3,), (2, 1), (2, 2), (3, 1)]:
-        shape = Partition(shape)
+    for shape in (lam for d in range(7) for lam in partitions(d)):
         d = shape.size
         exps = specht_word_expansions(shape)
         module = get_specht_module(shape, tuple(range(1, d + 1)))
@@ -166,3 +165,31 @@ def test_specht_word_expansions_are_equivariant():
                 lhs = {w: c for w, c in lhs.items() if c != 0}
                 rhs = {tuple(swap[x] for x in w): v for w, v in exps[t].items()}
                 assert lhs == rhs
+
+
+def test_specht_word_expansions_match_the_intertwiner_solve():
+    for d in range(6):
+        for shape in partitions(d):
+            assert specht_word_expansions(shape) == specht_word_expansions_reference(shape), shape
+
+
+def test_specht_bridge_builds_no_realization():
+    get_tensor_rep.cache_clear()
+    specht_word_expansions.cache_clear()
+    specht_word_expansions(Partition((2, 2, 1)))
+    assert get_tensor_rep.cache_info().currsize == 0
+
+
+def test_specht_action_certificate_rejects_a_tampered_family():
+    shape = Partition((2, 2, 1))
+    exps = [dict(e) for e in specht_word_expansions(shape)]
+    gens = get_specht_module(shape, (1, 2, 3, 4, 5)).generator_matrices()
+
+    def swap(k, w):
+        return tuple({k + 1: k + 2, k + 2: k + 1}.get(x, x) for x in w)
+
+    check_specht_action(exps, gens, swap, "the expansions")
+    word = min(exps[1])
+    exps[1][word] += 1
+    with pytest.raises(RuntimeError, match="the expansions do not span"):
+        check_specht_action(exps, gens, swap, "the expansions")

@@ -80,6 +80,16 @@ def test_level_violation_names_required_rank():
     assert "rank" in str(exc.value)
 
 
+def test_negative_level_is_rejected():
+    form = random_form(SIG3, 3, seed=2)
+    swap = permutation_element({1: 2, 2: 1})
+    with pytest.raises(PreconditionError, match="non-negative"):
+        in_gamma(GammaQuery(form, -1, swap))
+    v = [Fraction(0)] * get_tensor_rep(Partition((3,)), 3).dim
+    with pytest.raises(PreconditionError, match="non-negative"):
+        gamma_linearity_check(SIG3, form, evaluation_presentation(form, 0, v), -1, swap, v)
+
+
 def test_monomial_form_symmetries():
     mono = monomial_cubic_form(4)
     cyc = permutation_element({1: 2, 2: 3, 3: 1})
