@@ -169,12 +169,16 @@ def _integer_rows(m: RatMat) -> list[dict[int, int]]:
 
 
 def _clear(row: dict[int, int], prow: dict[int, int], c: int) -> dict[int, int]:
-    """a*row - b*prow with the smallest a, b that clear column c, made
-    primitive (empty when the result is zero)."""
+    """a*row - b*prow with the smallest a > 0, b that clear column c, made
+    primitive (empty when the result is zero).  Neither argument is
+    changed.  Every reader takes a row only up to sign, so the sign of a
+    is free, and a == 1 (the common case) needs a copy, not a scaling."""
     a, b = prow[c], row[c]
     g = gcd(a, b)
+    if a < 0:
+        g = -g
     a, b = a // g, b // g
-    new = {k: a * x for k, x in row.items()}
+    new = row.copy() if a == 1 else {k: a * x for k, x in row.items()}
     for k, y in prow.items():
         v = new.get(k, 0) - b * y
         if v:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import lcm
 
-from .combinat import Partition, PartitionTuple, schur_dim, specht_dim
+from .combinat import Partition, PartitionTuple, partitions, schur_dim, specht_dim
 from .exactla import RatMat, _eliminate, _integer_row, _primitive, solve
 from .brauer import Morphism, hom_basis, make_diagram
 from .schurweyl import get_tensor_rep, specht_word_expansions
@@ -196,12 +196,16 @@ def theta_apply(form: FormPoint, f: Morphism) -> RatMat:
     return RatMat(len(data), cols, data)
 
 
-def _constraint_rows(form: FormPoint, morphisms) -> list[dict[int, int]]:
-    """The nonzero rows of the specialized morphisms, stacked, as sparse
-    primitive integer rows for the elimination core."""
-    return [
-        _integer_row(row) for f in morphisms for row in _specialize(form, f).values()
-    ]
+def _constraint_columns(form: FormPoint, morphisms) -> dict[int, dict[int, int]]:
+    """The nonzero rows of the specialized morphisms, stacked as sparse
+    primitive integer rows and indexed by column: source word index ->
+    {row number: nonzero entry}."""
+    columns: dict[int, dict[int, int]] = {}
+    rows = (row for f in morphisms for row in _specialize(form, f).values())
+    for r, row in enumerate(rows):
+        for c, x in _integer_row(row).items():
+            columns.setdefault(c, {})[r] = x
+    return columns
 
 
 # ---------------------------------------------------------------------------
@@ -246,16 +250,6 @@ def _check_form(sigma, form: FormPoint) -> PartitionTuple:
     return sigma
 
 
-def traceless_space(sigma, form: FormPoint, n: int) -> TracelessSpace:
-    """Intersection of the kernels of every block contraction on n slots:
-    N^n less the rank of the stacked constraint rows."""
-    sigma = _check_form(sigma, form)
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    rows = _constraint_rows(form, _generating_contractions(sigma, n))
-    return TracelessSpace(sigma, form, n, form.N**n - len(_eliminate(rows, reduced=False)))
-
-
 def _check_block_spans(form: FormPoint, n: int):
     """Exact certificate that, for every entry of size d <= n, the block
     functionals span a representation of S_d: for each adjacent
@@ -276,18 +270,22 @@ def _check_block_spans(form: FormPoint, n: int):
         )
 
 
-def _restricted_nullity(rows: list[dict[int, int]], lam: Partition, N: int) -> int:
+def _traceless_constraints(form: FormPoint, n: int) -> dict[int, dict[int, int]]:
+    """The block contractions on n slots as column-indexed integer rows,
+    after `_check_block_spans` has certified that their joint kernel is a
+    representation of S_n."""
+    _check_block_spans(form, n)
+    return _constraint_columns(form, _generating_contractions(form.sigma, n))
+
+
+def _restricted_nullity(columns: dict[int, dict[int, int]], lam: Partition, N: int) -> int:
     """The dimension of the intersection of V, the joint kernel of the
-    integer constraint rows on the |lam|-th tensor power of k^N, with the
-    Young symmetrizer image S_lam(k^N) that `get_tensor_rep` realizes:
-    the number of its basis vectors b_j less the rank of their images.
-    The rows are indexed by column once, and each image is the sum of the
-    integer columns at the words of b_j."""
+    column-indexed integer constraint rows on the |lam|-th tensor power
+    of k^N, with the Young symmetrizer image S_lam(k^N) that
+    `get_tensor_rep` realizes: the number of its basis vectors b_j less
+    the rank of their images.  Each image is the sum of the integer
+    columns at the words of b_j."""
     rep = get_tensor_rep(lam, N)
-    columns: dict[int, dict[int, int]] = {}
-    for r, row in enumerate(rows):
-        for c, x in row.items():
-            columns.setdefault(c, {})[r] = x
     images = []
     for b in rep.basis:
         image: dict[int, int] = {}
@@ -302,6 +300,25 @@ def _restricted_nullity(rows: list[dict[int, int]], lam: Partition, N: int) -> i
     return rep.dim - len(_eliminate(images, reduced=False))
 
 
+def traceless_space(sigma, form: FormPoint, n: int) -> TracelessSpace:
+    """Intersection V of the kernels of every block contraction on n slots.
+    V is a representation of S_n (certified by `_check_block_spans`), so
+    by Weyl's construction dim V is the sum, over the partitions lam of n
+    with at most N rows, of f_lam times the dimension of V meet S_lam(k^N).
+    Each term is a `_restricted_nullity`: only the realization bases are
+    eliminated, never the N^n-column constraint rows."""
+    sigma = _check_form(sigma, form)
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    columns = _traceless_constraints(form, n)
+    dim = sum(
+        specht_dim(lam) * _restricted_nullity(columns, lam, form.N)
+        for lam in partitions(n)
+        if len(lam) <= form.N
+    )
+    return TracelessSpace(sigma, form, n, dim)
+
+
 def simple_realization_dim(sigma, form: FormPoint, lam: Partition) -> int:
     """Dimension of the lam-isotypic piece of the traceless space V on
     |lam| slots: the rank-N realization of the corresponding simple
@@ -309,11 +326,10 @@ def simple_realization_dim(sigma, form: FormPoint, lam: Partition) -> int:
     `_check_block_spans`), so by Weyl's construction its lam-multiplicity
     is the dimension of its intersection with S_lam(k^N), and the piece
     has f_lam times that dimension."""
-    sigma = _check_form(sigma, form)
+    _check_form(sigma, form)
     lam = Partition(lam)
-    _check_block_spans(form, lam.size)
-    rows = _constraint_rows(form, _generating_contractions(sigma, lam.size))
-    return specht_dim(lam) * _restricted_nullity(rows, lam, form.N)
+    columns = _traceless_constraints(form, lam.size)
+    return specht_dim(lam) * _restricted_nullity(columns, lam, form.N)
 
 
 def socle_check(sigma, form: FormPoint, lam: Partition) -> bool:
@@ -333,10 +349,9 @@ def socle_check(sigma, form: FormPoint, lam: Partition) -> bool:
     sigma = _check_form(sigma, form)
     lam = Partition(lam)
     n = lam.size
-    _check_block_spans(form, n)
-    gen = _constraint_rows(form, _generating_contractions(sigma, n))
+    gen = _traceless_constraints(form, n)
     homs = [Morphism.from_diagram(sigma, d) for m in range(n) for d in hom_basis(sigma, n, m)]
-    hom = _constraint_rows(form, homs)
+    hom = _constraint_columns(form, homs)
     return _restricted_nullity(gen, lam, form.N) == _restricted_nullity(hom, lam, form.N)
 
 

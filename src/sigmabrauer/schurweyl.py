@@ -14,6 +14,7 @@ standard polytabloid, certified equivariant, with no realization built.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
@@ -22,6 +23,7 @@ from typing import NamedTuple
 from .combinat import Partition, PartitionTuple, schur_dim, specht_dim
 from .exactla import RatMat, _clear, _primitive, inverse
 from .specht import check_specht_action, get_specht_module, perm_sign
+from .symfun import kostka
 
 
 class WeightBasisElement(NamedTuple):
@@ -192,21 +194,31 @@ class TensorRep:
     def _build_basis(self):
         # greedy reduction inside each content class on primitive integer
         # rows keyed by word; scaling a row keeps its support, so the pivot
-        # (first) words are those of the rational reduction
+        # (first) words are those of the rational reduction.  The weight
+        # space of a class has dimension K_(shape, content), so the words
+        # of a class that holds that many vectors (none when it is 0) are
+        # not imaged; the hook-content check in __init__ certifies the total.
         reduced: dict[tuple[int, ...], list] = {}
+        weight_dim: dict[tuple[int, ...], int] = {}
         for word in product(range(1, self.N + 1), repeat=self.d):
+            cls = tuple(sorted(word))
+            if cls not in weight_dim:
+                content = sorted(Counter(cls).values(), reverse=True)
+                weight_dim[cls] = kostka(self.shape, tuple(content))
+            kept = reduced.setdefault(cls, [])
+            if len(kept) == weight_dim[cls]:
+                continue
             vec = self.symmetrizer_image(word)
             if not vec:
                 continue
-            cls = tuple(sorted(word))
             red = _primitive(vec)
-            for piv, row in reduced.get(cls, ()):
+            for piv, row in kept:
                 if piv in red:
                     red = _clear(red, row, piv)
             if not red:
                 continue
             piv = min(red)
-            reduced.setdefault(cls, []).append((piv, red))
+            kept.append((piv, red))
             self._class_members.setdefault(cls, []).append(len(self.basis))
             lead = vec[min(vec)]
             self.basis.append({w: Fraction(v, lead) for w, v in vec.items()})

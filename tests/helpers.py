@@ -324,7 +324,9 @@ def translate_reference(form, g: RatMat) -> tuple[tuple[Fraction, ...], ...]:
 
 # ---------------------------------------------------------------------------
 # traceless space as an RREF kernel basis of dense specialized matrices
-# (independent of the engine's sparse rank route in `modcat.traceless_space`)
+# (independent of the engine's route in `modcat.traceless_space`, which sums
+# restricted nullities over the Schur functor realizations and never
+# eliminates the N^n-column rows)
 
 
 class ReferenceSpace(NamedTuple):

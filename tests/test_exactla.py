@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from sigmabrauer.exactla import (
     RatMat,
+    _clear,
     inverse,
     kernel_basis,
     kernel_basis_with_free,
@@ -49,6 +51,30 @@ def test_kernel_free_column_coordinates():
     v = tuple(2 * a - 3 * b for a, b in zip(basis[0], basis[1]))
     coords = [v[c] for c in free]
     assert coords == [2, -3]
+
+
+def test_clear_is_a_positive_multiple_of_the_rational_step():
+    # _clear(row, prow, c) is row - (row[c] / prow[c]) prow made primitive,
+    # times a positive factor, and leaves both arguments as they were
+    rng = random.Random(17)
+    for _ in range(300):
+        c = 0
+        row, prow = ({c: rng.choice([-6, -3, -2, -1, 1, 2, 4])} for _ in range(2))
+        for r in (row, prow):
+            for k in rng.sample(range(1, 8), rng.randint(0, 5)):
+                r[k] = rng.choice([-5, -2, -1, 1, 3, 7])
+        before = (dict(row), dict(prow))
+        new = _clear(row, prow, c)
+        assert (row, prow) == before
+        ratio = Fraction(row[c], prow[c])
+        step = {k: row.get(k, 0) - ratio * prow.get(k, 0) for k in row.keys() | prow.keys()}
+        step = {k: x for k, x in step.items() if x}
+        assert new.keys() == step.keys()
+        if new:
+            k = min(new)
+            scale = new[k] / step[k]
+            assert scale > 0 and all(new[j] == scale * x for j, x in step.items())
+            assert math.gcd(*new.values()) == 1
 
 
 def test_rank_agrees_with_rational_elimination():

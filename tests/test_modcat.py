@@ -27,7 +27,7 @@ from sigmabrauer.exactla import RatMat
 from sigmabrauer.specht import isotypic_projector
 from sigmabrauer.modcat import (
     FormPoint,
-    _constraint_rows,
+    _constraint_columns,
     _restricted_nullity,
     block_functional,
     dot_product_form,
@@ -239,9 +239,11 @@ def test_translate_matches_action_matrix_reference():
 
 
 def test_class_traces_match_projector():
-    # reference: the character-averaged projector on the slot action
+    # reference: the character-averaged projector on the slot action; at
+    # N = 0 the tensor power has no words but the empty one, and at N = 1
+    # the (1,1) form is zero
     for sigma in [SIG2, PartitionTuple(((1, 1),)), PartitionTuple(((2,), (1,)))]:
-        for N in (2, 3, 4):
+        for N in (0, 1, 2, 3, 4):
             form = random_form(sigma, N, seed=1)
             for n in range(4):
                 space = reference_space(form, n)
@@ -340,10 +342,10 @@ def test_hom_family_restricted_nullity_matches_class_traces():
                 # block contraction, which is one of them: the kernels agree
                 assert traceless_space(sigma, form, n).dim == space.dim, (text, N, n)
                 mults = isotypic_multiplicities(space)
-                rows = _constraint_rows(form, homs)
+                columns = _constraint_columns(form, homs)
                 for lam in partitions(n):
                     cases += 1
-                    assert _restricted_nullity(rows, lam, N) == mults[lam], (text, N, lam)
+                    assert _restricted_nullity(columns, lam, N) == mults[lam], (text, N, lam)
     assert cases == 63
 
 
