@@ -42,7 +42,7 @@ class FormPoint:
     functional on the corresponding Schur functor realization, stored as
     the row of its values on the realization basis."""
 
-    __slots__ = ("sigma", "N", "comps", "_tilde")
+    __slots__ = ("sigma", "N", "comps", "_tilde", "_functionals")
 
     def __init__(self, sigma, N: int, comps):
         self.sigma = PartitionTuple(sigma)
@@ -59,6 +59,7 @@ class FormPoint:
                 )
         self.comps = comps
         self._tilde = [None] * len(comps)
+        self._functionals: dict[tuple[int, int], dict] = {}
 
     def __eq__(self, other):
         return (
@@ -103,40 +104,37 @@ def _omega_tilde(form: FormPoint, p: int) -> tuple[int, dict[tuple[int, ...], in
     return form._tilde[p]
 
 
-_functional_cache: dict = {}
-
-
 def block_functional(form: FormPoint, p: int, t: int) -> dict[tuple[int, ...], Fraction]:
     """Values of the contraction attached to a block of type p with basis
-    polytabloid t, as a dict over all words of length |sigma_p| in [N].
+    polytabloid t, as a dict from the words of length d = |sigma_p| in [N]
+    to their nonzero values, kept on the form.
 
-    The contraction factors through the Schur functor realization: first
-    the equivariant projection labeled by the polytabloid, then the form
-    component.
+    The value at u is omega_p(v_u) for v_u = sum_w gamma_t[w] e_(u o w),
+    the image of the polytabloid under e_i -> e_(u_i), and omega_p reads
+    v_u only at the pivot words q of its row omega~.  Each word w of
+    gamma_t is a permutation of 1..d, so a pair (w, q) fixes the one word
+    u with u[w[j]] = q[j]: the values are integer sums over those pairs,
+    divided once per word.
     """
-    key = (form, p, t)
-    cached = _functional_cache.get(key)
+    cached = form._functionals.get((p, t))
     if cached is not None:
         return cached
     shape = form.sigma[p]
-    d = shape.size
-    N = form.N
     out: dict[tuple[int, ...], Fraction] = {}
-    if schur_dim(shape, N) == 0:
-        _functional_cache[key] = out
-        return out
-    gamma = specht_word_expansions(shape)[t]
-    den, omega = _omega_tilde(form, p)
-    for u in product(range(1, N + 1), repeat=d):
-        val = Fraction(0)
+    if schur_dim(shape, form.N) > 0:
+        gamma = specht_word_expansions(shape)[t]
+        den, omega = _omega_tilde(form, p)
+        gden = lcm(*(c.denominator for c in gamma.values()))
+        acc: dict[tuple[int, ...], int] = {}
         for w, c in gamma.items():
-            q = tuple(u[w[j] - 1] for j in range(d))
-            v = omega.get(q)
-            if v is not None:
-                val += c * v
-        if val:
-            out[u] = val / den
-    _functional_cache[key] = out
+            k = c.numerator * (gden // c.denominator)
+            # u[i] = q[pos[i]], where pos[i] is the slot j with w[j] = i + 1
+            pos = sorted(range(len(w)), key=w.__getitem__)
+            for q, v in omega.items():
+                u = tuple(map(q.__getitem__, pos))
+                acc[u] = acc.get(u, 0) + k * v
+        out = {u: Fraction(acc[u], gden * den) for u in sorted(acc) if acc[u]}
+    form._functionals[p, t] = out
     return out
 
 

@@ -364,15 +364,69 @@ def contraction_morphisms(sigma, n: int) -> list:
     return out
 
 
-def stacked_specializations(form, n: int, morphisms=None) -> RatMat:
-    """The dense `theta_apply` matrices of the morphisms (by default the
-    block contractions on n slots) stacked into one matrix on N^n columns."""
-    from sigmabrauer.modcat import theta_apply
+def block_functional_reference(form, p: int, t: int) -> dict:
+    """The nonzero values of the block functional (p, t) at the words of
+    length d = |sigma_p| in [N], by the relation `form_from_tensor_values`
+    solves: for every word u, F(e_u) = omega_p(v_u) with
+    v_u = sum_w gamma_t[w] e_(u o w), read through the realization
+    coordinates of v_u and the form table.  Uses neither the pivot-word
+    row omega~ nor a sweep over its support."""
+    from sigmabrauer.schurweyl import get_tensor_rep, specht_word_expansions
 
+    shape = form.sigma[p]
+    rep = get_tensor_rep(shape, form.N)
+    gamma = specht_word_expansions(shape)[t]
+    table = form.comps[p]
+    # (w read 0-indexed, gden * gamma_t[w]): integer sums, one Fraction per word
+    gden = math.lcm(*(c.denominator for c in gamma.values()))
+    slots = [(tuple(x - 1 for x in w), int(c * gden)) for w, c in gamma.items()]
+    out = {}
+    for u in product(range(1, form.N + 1), repeat=shape.size):
+        v_u: dict[tuple[int, ...], int] = {}
+        for w, c in slots:
+            q = tuple(map(u.__getitem__, w))
+            v_u[q] = v_u.get(q, 0) + c
+        coords = rep.coords({q: Fraction(c, gden) for q, c in v_u.items() if c})
+        val = sum((x * y for x, y in zip(table, coords)), Fraction(0))
+        if val:
+            out[u] = val
+    return out
+
+
+def stacked_specializations(form, n: int, morphisms=None) -> RatMat:
+    """The dense specializations of the morphisms (by default the block
+    contractions on n slots), N^m rows each, stacked into one matrix on
+    N^n columns.  Every source word is scanned: a diagram term sends the
+    word u to the word its matching reads off u, scaled by the product of
+    `block_functional_reference` at the letters of u on each block (each
+    functional computed once per call)."""
+    N = form.N
     if morphisms is None:
         morphisms = contraction_morphisms(form.sigma, n)
-    rows = [row for f in morphisms for row in theta_apply(form, f).data]
-    return RatMat(len(rows), form.N**n, rows)
+    sources = list(product(range(1, N + 1), repeat=n))
+    functionals: dict[tuple[int, int], dict] = {}
+    rows = []
+    for f in morphisms:
+        targets = {w: i for i, w in enumerate(product(range(1, N + 1), repeat=f.target))}
+        mat = [[Fraction(0)] * len(sources) for _ in targets]
+        for diagram, coeff in f.terms.items():
+            fns = []
+            for b in diagram.blocks:
+                key = (b.type_index, b.basis_index)
+                if key not in functionals:
+                    functionals[key] = block_functional_reference(form, *key)
+                fns.append((b.support, functionals[key]))
+            for col, u in enumerate(sources):
+                val = Fraction(coeff)
+                for support, fn in fns:
+                    val *= fn.get(tuple(u[s - 1] for s in support), 0)
+                if val:
+                    tgt = [0] * f.target
+                    for s, j in diagram.matching:
+                        tgt[j - 1] = u[s - 1]
+                    mat[targets[tuple(tgt)]][col] += val
+        rows.extend(mat)
+    return RatMat(len(rows), N**n, rows)
 
 
 def reference_space(form, n: int, morphisms=None) -> ReferenceSpace:

@@ -5,11 +5,13 @@ import pytest
 
 from helpers import (
     ReferenceSpace,
+    block_functional_reference,
     isotypic_multiplicities,
     predicted_realization_dim,
     reference_space,
     slot_generator_matrices,
     slot_permutation_matrix,
+    stacked_specializations,
     traceless_isotypic_brute,
     translate_reference,
 )
@@ -116,6 +118,46 @@ def test_dot_product_form_is_the_identity_gram_matrix():
         for i in range(1, N + 1):
             for j in range(1, N + 1):
                 assert fn.get((i, j), 0) == int(i == j), (N, i, j)
+
+
+def test_block_functionals_match_the_word_scan_reference():
+    # the engine's sweep over (gamma word, pivot word) pairs against a scan
+    # of every word through the realization coordinates; N = 0 and the
+    # ranks below the length of an entry give empty functionals
+    cases = 0
+    grid = [("3,2,1", 2), ("4,1,1", 2), ("3,2", 3), ("2,2", 3), ("2,1,1", 3), ("2|1,1", 3)]
+    for text, top in grid:
+        sigma = parse_tuple(text)
+        for N in range(top + 1):
+            # two seeds, once each when they draw the same form (below the length)
+            for form in dict.fromkeys(random_form(sigma, N, seed) for seed in (0, 1)):
+                for p, shape in enumerate(sigma):
+                    for t in range(specht_dim(shape)):
+                        cases += 1
+                        assert block_functional(form, p, t) == block_functional_reference(
+                            form, p, t
+                        ), (text, N, p, t)
+    special = [dot_product_form(N) for N in range(4)]
+    special += [modcat.monomial_cubic_form(M) for M in (3, 4)]
+    for form in special:
+        cases += 1
+        assert block_functional(form, 0, 0) == block_functional_reference(form, 0, 0), form
+    assert cases == 155
+
+
+def test_theta_apply_matches_the_reference_scan():
+    rng = random.Random(41)
+    for text in ("2", "2,1", "2|1"):
+        sigma = parse_tuple(text)
+        form = random_form(sigma, 3, seed=2)
+        done = 0
+        while done < 6:
+            n = rng.randint(2, 4)
+            f = random_morphism(sigma, n, rng.randint(0, n - 1), rng)
+            if not any(d.blocks for d in f.terms):
+                continue
+            done += 1
+            assert theta_apply(form, f) == stacked_specializations(form, n, [f]), (text, f)
 
 
 def test_form_from_tensor_values_rejects_words_outside_the_rank():
@@ -356,7 +398,7 @@ def test_unstable_block_span_is_rejected(monkeypatch):
     form = random_form(sigma, 3, seed=1)
     fn = dict(block_functional(form, 0, 0))
     fn[(1, 1, 2)] = fn.get((1, 1, 2), 0) + 1
-    monkeypatch.setitem(modcat._functional_cache, (form, 0, 0), fn)
+    monkeypatch.setitem(form._functionals, (0, 0), fn)
     for lam in [(3,), (2, 1), (3, 1)]:
         with pytest.raises(RuntimeError, match="do not span"):
             simple_realization_dim(sigma, form, Partition(lam))
