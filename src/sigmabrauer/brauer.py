@@ -18,7 +18,7 @@ from itertools import combinations, permutations, product
 from typing import NamedTuple
 
 from .combinat import PartitionTuple, specht_dim
-from .specht import SpechtVector, get_specht_module, relabel
+from .specht import SpechtVector, get_specht_module
 
 
 class Block(NamedTuple):
@@ -217,24 +217,14 @@ class Morphism:
             for dg, cg in g.terms.items():
                 # transport the blocks of dg back along the bijection of df
                 expansions = []
-                supports = []
                 for b in dg.blocks:
                     src_support = tuple(sorted(inv_f[a] for a in b.support))
                     shape = sigma[b.type_index]
-                    mod_g = get_specht_module(shape, b.support)
-                    vec = SpechtVector(
-                        mod_g,
-                        [Fraction(int(k == b.basis_index)) for k in range(mod_g.dim)],
+                    tab = get_specht_module(shape, b.support).tableaux[b.basis_index]
+                    moved = get_specht_module(shape, src_support).straighten(
+                        tuple(tuple(inv_f[a] for a in row) for row in tab)
                     )
-                    moved = relabel(vec, {a: inv_f[a] for a in b.support})
-                    expansions.append(
-                        (
-                            src_support,
-                            b.type_index,
-                            [(t, c) for t, c in enumerate(moved.coords) if c != 0],
-                        )
-                    )
-                    supports.append(src_support)
+                    expansions.append((src_support, b.type_index, sorted(moved.items())))
                 i_g = dict(dg.matching)
                 new_matching = tuple(
                     sorted((s, i_g[a]) for s, a in df.matching if a in i_g)
@@ -486,12 +476,15 @@ def morphism_from_json(doc: dict, sigma, max_size: int | None = None) -> Morphis
     return total
 
 
-def random_morphism(sigma, n: int, m: int, rng, max_terms: int = 2) -> Morphism:
+MAX_TERMS = 2  # basis diagrams drawn by random_morphism
+
+
+def random_morphism(sigma, n: int, m: int, rng) -> Morphism:
     """Small random rational combination of basis diagrams (for testing)."""
     basis = hom_basis(sigma, n, m)
     if not basis:
         return Morphism.zero(sigma, n, m)
-    k = rng.randint(1, max_terms)
+    k = rng.randint(1, MAX_TERMS)
     total = Morphism.zero(sigma, n, m)
     for _ in range(k):
         d = rng.choice(basis)

@@ -392,37 +392,37 @@ def ext_dim(sigma, i: int, lam, mu) -> int:
 # distinguished forms
 
 
-def moved_values(form: FormPoint, p: int, g: RatMat, indices):
+def integer_columns(rows) -> tuple[int, dict[int, dict[int, int]]]:
+    """A square rational matrix g as `moved_values` reads it: g = G / den
+    with den > 0 least, and {k: {i: G[i][k]}} over the nonzero entries of
+    the columns k that differ from den e_k (letters 1-indexed)."""
+    den = lcm(*(x.denominator for row in rows for x in row))
+    cols = ({i: int(x * den) for i, x in enumerate(c, 1) if x} for c in zip(*rows))
+    return den, {k: col for k, col in enumerate(cols, 1) if col != {k: den}}
+
+
+def moved_values(form: FormPoint, p: int, den: int, cols: dict, indices):
     """Yield omega_p(g b_j) for each basis index j in `indices`, where b_j
-    is the j-th realization basis vector of entry p and g is square of
-    size at most N, extended by the identity.
+    is the j-th realization basis vector of entry p and g = G / den is
+    given by `integer_columns` with every letter at most N.
 
     The realization is stable under g, so omega_p(g b_j) is the pivot-word
     row omega~ applied to g b_j: for each word u of b_j, g e_u1 (x) ... (x)
     g e_ud is expanded and read only at the words omega~ supports.  The
-    sums run over integers: g = G / gden and b_j = B_j / bden with G and
-    B_j integral, and each value is divided once by den * gden^d * bden.
-    Values are produced one index at a time, so a caller that stops early
-    pays only for the indices it read."""
-    if g.rows != g.cols or g.rows > form.N:
-        raise ValueError("matrix does not fit inside the requested rank")
+    sums run over integers: with b_j = B_j / bden and B_j integral, each
+    value is divided once by tden * den^d * bden.  Values are produced one
+    index at a time, so a caller that stops early pays only for the
+    indices it read."""
     rep = get_tensor_rep(form.sigma[p], form.N)
-    den, tilde = _omega_tilde(form, p)
-    gden = lcm(*(x.denominator for row in g.data for x in row))
-    # g e_k = sum_i G[i][k] e_i / gden; cols[k - 1] maps each letter i with G[i][k] != 0 to it
-    cols = [
-        {i + 1: x.numerator * (gden // x.denominator) for i, x in enumerate(col) if x}
-        for col in zip(*g.data)
-    ]
-    cols += [{k: gden} for k in range(g.rows + 1, form.N + 1)]
-    scale = den * gden**rep.d
+    tden, tilde = _omega_tilde(form, p)
+    scale = tden * den**rep.d
     for j in indices:
         b = rep.basis[j]
         bden = lcm(*(c.denominator for c in b.values()))
         total = 0
         for u, c in b.items():
             val = 0
-            ucols = [cols[x - 1] for x in u]
+            ucols = [cols[x] if x in cols else {x: den} for x in u]
             for w in product(*ucols):
                 t = tilde.get(w)
                 if t is not None:
@@ -434,11 +434,12 @@ def moved_values(form: FormPoint, p: int, g: RatMat, indices):
 
 
 def translate(form: FormPoint, g: RatMat) -> FormPoint:
-    """The form v -> omega(g v): the inverse translate of omega by g."""
-    if g == RatMat.identity(g.rows):
-        return form
+    """The form v -> omega(g v), for g square of size at most N (extended by the identity)."""
+    if g.rows != g.cols or g.rows > form.N:
+        raise ValueError("matrix does not fit inside the requested rank")
+    den, cols = integer_columns(g.data)
     comps = [
-        tuple(moved_values(form, p, g, range(len(row))))
+        tuple(moved_values(form, p, den, cols, range(len(row))))
         for p, row in enumerate(form.comps)
     ]
     return FormPoint(form.sigma, form.N, comps)

@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 from typing import NamedTuple
 
 from .combinat import Partition, PartitionTuple, schur_dim
 from .exactla import RatMat, rank
-from .modcat import FormPoint, moved_values, translate
+from .modcat import FormPoint, integer_columns, moved_values, translate
 from .schurweyl import get_tensor_rep
 
 
@@ -29,55 +30,58 @@ class PreconditionError(ValueError):
 class GLElement:
     """An invertible rational matrix, implicitly extended by the identity.
 
-    Trailing rows/columns that already agree with the identity are
-    stripped, so two elements are equal exactly when their infinite
-    extensions agree.
+    Held as g = G / den with den > 0 least and `cols`, the integer columns
+    of G that differ from den e_k (`modcat.integer_columns`), so two
+    elements are equal exactly when their infinite extensions agree; `m`
+    is the largest letter such a column has or reaches.
     """
 
-    __slots__ = ("m", "mat")
+    __slots__ = ("m", "den", "cols")
 
     def __init__(self, mat):
-        if isinstance(mat, RatMat):
-            data = [list(row) for row in mat.data]
-        else:
-            data = [[Fraction(x) for x in row] for row in mat]
-        size = len(data)
-        if any(len(row) != size for row in data):
+        rows = mat.data if isinstance(mat, RatMat) else mat
+        size = len(rows)
+        if any(len(row) != size for row in rows):
             raise ValueError("matrix must be square")
-        k = size
-        while k > 0:
-            col_ok = all(data[i][k - 1] == (1 if i == k - 1 else 0) for i in range(k))
-            row_ok = all(data[k - 1][j] == (1 if j == k - 1 else 0) for j in range(k))
-            if col_ok and row_ok:
-                k -= 1
-            else:
-                break
-        trimmed = [row[:k] for row in data[:k]]
-        self.m = k
-        self.mat = RatMat(k, k, trimmed)
-        if k and rank(self.mat) != k:
+        mat = RatMat(size, size, rows)
+        if rank(mat) != size:
             raise ValueError("matrix must be invertible")
+        self._set(*integer_columns(mat.data))
+
+    def _set(self, den: int, cols: dict) -> "GLElement":
+        self.den, self.cols = den, cols
+        self.m = max((max(k, *col) for k, col in cols.items()), default=0)
+        return self
 
     def embed(self, N: int) -> RatMat:
         if N < self.m:
             raise ValueError("cannot embed into a smaller rank")
         data = [[Fraction(int(i == j)) for j in range(N)] for i in range(N)]
-        for i in range(self.m):
-            for j in range(self.m):
-                data[i][j] = self.mat.data[i][j]
+        for k, col in self.cols.items():
+            for i in range(N):
+                data[i][k - 1] = Fraction(col.get(i + 1, 0), self.den)
         return RatMat(N, N, data)
 
     def __mul__(self, other: "GLElement") -> "GLElement":
-        n = max(self.m, other.m)
-        if n == 0:
-            return GLElement([])
-        return GLElement(self.embed(n) @ other.embed(n))
+        # column k of (A / a)(B / b) is A (B e_k) / ab, where B e_k = b e_k
+        # and A e_i = a e_i off the stored columns
+        a, b = self.den, other.den
+        cols = {k: {} for k in self.cols.keys() | other.cols.keys()}
+        for k, col in cols.items():
+            for i, x in other.cols.get(k, {k: b}).items():
+                for r, y in self.cols.get(i, {i: a}).items():
+                    col[r] = col.get(r, 0) + x * y
+        g = gcd(a * b, *(y for col in cols.values() for y in col.values()))
+        cols = {k: {r: y // g for r, y in col.items() if y} for k, col in cols.items()}
+        den = a * b // g
+        cols = {k: col for k, col in cols.items() if col != {k: den}}
+        return GLElement.__new__(GLElement)._set(den, cols)
 
     def __eq__(self, other):
-        return isinstance(other, GLElement) and self.m == other.m and self.mat == other.mat
+        return isinstance(other, GLElement) and (self.den, self.cols) == (other.den, other.cols)
 
     def __hash__(self):
-        return hash((self.m, self.mat))
+        return hash((self.den, frozenset((k, frozenset(c.items())) for k, c in self.cols.items())))
 
     def __repr__(self):
         return f"GLElement(size={self.m})"
@@ -105,7 +109,7 @@ def in_gamma(q: GammaQuery) -> bool:
     _require_level(form, n, g)
     for p, shape in enumerate(form.sigma):
         idx = get_tensor_rep(shape, form.N).restriction_indices(n)
-        for j, val in zip(idx, moved_values(form, p, g.mat, idx)):
+        for j, val in zip(idx, moved_values(form, p, g.den, g.cols, idx)):
             if val != form.comps[p][j]:
                 return False
     return True
@@ -121,17 +125,17 @@ def gamma_product_level(g: GLElement, n: int) -> int:
 # ---------------------------------------------------------------------------
 # constructive samplers
 
+MOVES = 6  # elementary row moves per sampled element
 
-def random_block_fixing(j: int, size: int, rng: random.Random, moves: int = 6) -> GLElement:
+
+def random_block_fixing(j: int, size: int, rng: random.Random) -> GLElement:
     """A random element of the subgroup fixing the first j coordinates:
     identity block of size j, a random integer unimodular block below."""
     if size < j:
         raise ValueError("size must be at least the fixed block")
-    data = [[Fraction(int(a == b)) for b in range(size)] for a in range(size)]
-    for _ in range(moves):
-        a = rng.randrange(j, size) if size > j else None
-        if a is None:
-            break
+    data = [[int(a == b) for b in range(size)] for a in range(size)]
+    for _ in range(MOVES if size > j else 0):
+        a = rng.randrange(j, size)
         b = rng.randrange(j, size)
         if a == b:
             ii, jj = a, (a + 1 if a + 1 < size else a - 1)
@@ -139,15 +143,16 @@ def random_block_fixing(j: int, size: int, rng: random.Random, moves: int = 6) -
                 continue
             data[ii], data[jj] = data[jj], data[ii]
             continue
-        c = Fraction(rng.randint(-2, 2))
+        c = rng.randint(-2, 2)
         for k in range(size):
             data[a][k] += c * data[b][k]
-    return GLElement(data)
+    # row swaps and elementary moves are invertible: no rank check needed
+    return GLElement.__new__(GLElement)._set(*integer_columns(data))
 
 
-def random_unimodular(size: int, rng: random.Random, moves: int = 6) -> GLElement:
+def random_unimodular(size: int, rng: random.Random) -> GLElement:
     """A random integer matrix of determinant +-1 (elementary moves)."""
-    return random_block_fixing(0, size, rng, moves)
+    return random_block_fixing(0, size, rng)
 
 
 def permutation_element(images: dict[int, int]) -> GLElement:
@@ -158,9 +163,9 @@ def permutation_element(images: dict[int, int]) -> GLElement:
     labels = set(range(1, size + 1))
     if not labels >= images.keys() or {images.get(i, i) for i in labels} != labels:
         raise ValueError(f"{images} does not permute the labels 1..{size}")
-    data = [[Fraction(0)] * size for _ in range(size)]
+    data = [[0] * size for _ in range(size)]
     for i in range(1, size + 1):
-        data[images.get(i, i) - 1][i - 1] = Fraction(1)
+        data[images.get(i, i) - 1][i - 1] = 1
     return GLElement(data)
 
 
@@ -344,7 +349,7 @@ def gamma_linearity_check(
     if any(c != 0 and j not in allowed for j, c in enumerate(v)):
         raise PreconditionError("v must lie in the evaluation at k^n")
 
-    moved = translate(form, g.mat)
+    moved = translate(form, g.embed(form.N))
     if phi.target == "unit":
         diff = Fraction(0)
         for poly, w in phi.pairs:

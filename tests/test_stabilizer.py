@@ -42,12 +42,43 @@ def test_gl_element_normalization():
         GLElement([[1, 2, 3], [4, 5, 6]])
 
 
+def _random_element(rng, size):
+    while True:
+        rows = [[Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(size)] for _ in range(size)]
+        if rng.random() < 0.5:  # leave some columns equal to the identity's
+            for k in rng.sample(range(size), rng.randint(0, size)):
+                for i in range(size):
+                    rows[i][k] = Fraction(int(i == k))
+        try:
+            return GLElement(rows)
+        except ValueError:
+            continue
+
+
 def test_gl_element_product_extends_by_identity():
+    # the dense product of the padded matrices is the reference
     a = GLElement([[0, 1], [1, 0]])
     b = GLElement([[1, 0, 0], [0, 1, 0], [0, 0, 2]])
-    ab = a * b
-    assert ab.m == 3
-    assert ab.embed(3) == a.embed(3) @ b.embed(3)
+    assert (a * b).m == 3
+    rng = random.Random(13)
+    pairs = [(a, b), (b, a)]
+    for _ in range(120):
+        pairs.append((_random_element(rng, rng.randint(0, 4)), _random_element(rng, rng.randint(0, 4))))
+    for a, b in pairs:
+        ab = a * b
+        N = max(a.m, b.m)
+        assert ab.m <= N
+        assert ab.embed(N) == a.embed(N) @ b.embed(N)
+        assert ab == GLElement(ab.embed(N)) and hash(ab) == hash(GLElement(ab.embed(N)))
+    # the denominator is reduced: 2 * 1/2 is the identity
+    half = GLElement([[2]]) * GLElement([[Fraction(1, 2)]])
+    assert half == GLElement([]) and half.m == 0 and hash(half) == hash(GLElement([]))
+    # the 1 <-> 3 swap: the fixed middle column lies between moved ones
+    swap = GLElement([[0, 0, 1], [0, 1, 0], [1, 0, 0]])
+    assert swap.m == 3 and swap * swap == GLElement([])
+    torus = GLElement([[2, 0, 0], [0, 3, 0], [0, 0, Fraction(1, 6)]])
+    assert torus.m == 3 and torus.den == 6
+    assert (torus * torus).embed(3) == torus.embed(3) @ torus.embed(3)
 
 
 def test_identity_membership_all_levels():
