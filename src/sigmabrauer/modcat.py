@@ -14,10 +14,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations, product
-from math import lcm
+from math import lcm, prod
 
 from .combinat import Partition, PartitionTuple, partitions, schur_dim, specht_dim
-from .exactla import RatMat, _eliminate, _integer_row, _primitive, solve
+from .exactla import RatMat, _eliminate, _primitive, solve
 from .brauer import Morphism, hom_basis, make_diagram
 from .schurweyl import get_tensor_rep, specht_word_expansions
 from .symfun import (
@@ -40,7 +40,7 @@ def _check_rank(N) -> int:
 class FormPoint:
     """A form on k^N for the tuple sigma: for each entry one linear
     functional on the corresponding Schur functor realization, stored as
-    the row of its values on the realization basis."""
+    the row of its values at the basis b_j = vec / den_j of `TensorRep`."""
 
     __slots__ = ("sigma", "N", "comps", "_tilde", "_functionals")
 
@@ -104,36 +104,35 @@ def _omega_tilde(form: FormPoint, p: int) -> tuple[int, dict[tuple[int, ...], in
     return form._tilde[p]
 
 
-def block_functional(form: FormPoint, p: int, t: int) -> dict[tuple[int, ...], Fraction]:
+def block_functional(form: FormPoint, p: int, t: int) -> tuple[int, dict[tuple[int, ...], int]]:
     """Values of the contraction attached to a block of type p with basis
-    polytabloid t, as a dict from the words of length d = |sigma_p| in [N]
-    to their nonzero values, kept on the form.
+    polytabloid t as (den, row), kept on the form: row maps the words u of
+    length d = |sigma_p| in [N] in lexicographic order to nonzero ints,
+    the value at u is row[u] / den, and den is the same for every t.
 
     The value at u is omega_p(v_u) for v_u = sum_w gamma_t[w] e_(u o w),
     the image of the polytabloid under e_i -> e_(u_i), and omega_p reads
     v_u only at the pivot words q of its row omega~.  Each word w of
     gamma_t is a permutation of 1..d, so a pair (w, q) fixes the one word
     u with u[w[j]] = q[j]: the values are integer sums over those pairs,
-    divided once per word.
+    over the product of the expansion's and omega~'s denominators.
     """
     cached = form._functionals.get((p, t))
     if cached is not None:
         return cached
     shape = form.sigma[p]
-    out: dict[tuple[int, ...], Fraction] = {}
+    out = 1, {}
     if schur_dim(shape, form.N) > 0:
-        gamma = specht_word_expansions(shape)[t]
+        gden, gammas = specht_word_expansions(shape)
         den, omega = _omega_tilde(form, p)
-        gden = lcm(*(c.denominator for c in gamma.values()))
         acc: dict[tuple[int, ...], int] = {}
-        for w, c in gamma.items():
-            k = c.numerator * (gden // c.denominator)
+        for w, k in gammas[t].items():
             # u[i] = q[pos[i]], where pos[i] is the slot j with w[j] = i + 1
             pos = sorted(range(len(w)), key=w.__getitem__)
             for q, v in omega.items():
                 u = tuple(map(q.__getitem__, pos))
                 acc[u] = acc.get(u, 0) + k * v
-        out = {u: Fraction(acc[u], gden * den) for u in sorted(acc) if acc[u]}
+        out = gden * den, {u: acc[u] for u in sorted(acc) if acc[u]}
     form._functionals[p, t] = out
     return out
 
@@ -145,9 +144,10 @@ def _word_index(word: tuple[int, ...], N: int) -> int:
     return idx
 
 
-def _specialize(form: FormPoint, f: Morphism) -> dict[int, dict[int, Fraction]]:
-    """The specialization of a morphism at the form as sparse rows: target
-    word index -> {source word index: nonzero value}, nonzero rows only.
+def _specialize(form: FormPoint, f: Morphism) -> tuple[int, dict[int, dict[int, int]]]:
+    """The specialization of a morphism at the form as (L, rows): integer
+    rows, target word index -> {source word index: nonzero value times L},
+    nonzero rows only, where L is the lcm of the terms' denominators.
 
     Tensor slots of a disjoint union are ordered first factor then
     second; matchings act by the corresponding coordinate permutation.
@@ -156,16 +156,17 @@ def _specialize(form: FormPoint, f: Morphism) -> dict[int, dict[int, Fraction]]:
         raise ValueError("morphism and form live over different tuples")
     N = form.N
     n, m = f.source, f.target
-    rows: dict[int, dict[int, Fraction]] = {}
+    terms = []
     for d, coeff in f.terms.items():
-        fns = [
-            (tuple(b.support), block_functional(form, b.type_index, b.basis_index))
-            for b in d.blocks
-        ]
-        matching = d.matching
+        fns = [(b.support, block_functional(form, b.type_index, b.basis_index)) for b in d.blocks]
+        terms.append((d.matching, coeff, coeff.denominator * prod(den for _, (den, _) in fns), fns))
+    L = lcm(*(den for _, _, den, _ in terms))
+    rows: dict[int, dict[int, int]] = {}
+    for matching, coeff, den, fns in terms:
+        factor = coeff.numerator * (L // den)
         for col, u in enumerate(product(range(1, N + 1), repeat=n)):
-            val = coeff
-            for support, fn in fns:
+            val = factor
+            for support, (_, fn) in fns:
                 c = fn.get(tuple(u[s - 1] for s in support))
                 if c is None:
                     break
@@ -180,17 +181,17 @@ def _specialize(form: FormPoint, f: Morphism) -> dict[int, dict[int, Fraction]]:
                     row[col] = x
                 else:
                     row.pop(col, None)
-    return {i: row for i, row in rows.items() if row}
+    return L, {i: row for i, row in rows.items() if row}
 
 
 def theta_apply(form: FormPoint, f: Morphism) -> RatMat:
     """The matrix of the specialization of a morphism at the form."""
     cols = form.N**f.source
-    zero = Fraction(0)
-    data = [[zero] * cols for _ in range(form.N**f.target)]
-    for i, row in _specialize(form, f).items():
+    data = [[Fraction(0)] * cols for _ in range(form.N**f.target)]
+    L, rows = _specialize(form, f)
+    for i, row in rows.items():
         for c, x in row.items():
-            data[i][c] = x
+            data[i][c] = Fraction(x, L)
     return RatMat(len(data), cols, data)
 
 
@@ -199,9 +200,9 @@ def _constraint_columns(form: FormPoint, morphisms) -> dict[int, dict[int, int]]
     primitive integer rows and indexed by column: source word index ->
     {row number: nonzero entry}."""
     columns: dict[int, dict[int, int]] = {}
-    rows = (row for f in morphisms for row in _specialize(form, f).values())
+    rows = (row for f in morphisms for row in _specialize(form, f)[1].values())
     for r, row in enumerate(rows):
-        for c, x in _integer_row(row).items():
+        for c, x in _primitive(row).items():
             columns.setdefault(c, {})[r] = x
     return columns
 
@@ -255,13 +256,14 @@ def _check_block_spans(form: FormPoint, n: int):
     where M is the Specht matrix of s_k.  The constraints run over all
     slot subsets, so a slot permutation then maps each one into the span
     of the others, and every joint kernel of block contractions is a
-    representation of S_n."""
+    representation of S_n.  An entry's functionals share one denominator,
+    so the check reads their integer rows."""
     for p, shape in enumerate(form.sigma):
         d = shape.size
         if d > n:
             continue
         check_specht_action(
-            [block_functional(form, p, t) for t in range(specht_dim(shape))],
+            [block_functional(form, p, t)[1] for t in range(specht_dim(shape))],
             get_specht_module(shape, tuple(range(1, d + 1))).generator_matrices(),
             lambda k, w: w[:k] + (w[k + 1], w[k]) + w[k + 2:],
             f"the block functionals of entry {p}",
@@ -282,12 +284,12 @@ def _restricted_nullity(columns: dict[int, dict[int, int]], lam: Partition, N: i
     of k^N, with the Young symmetrizer image S_lam(k^N) that
     `get_tensor_rep` realizes: the number of its basis vectors b_j less
     the rank of their images.  Each image is the sum of the integer
-    columns at the words of b_j."""
+    columns at the words of b_j, weighted by its integer row."""
     rep = get_tensor_rep(lam, N)
     images = []
-    for b in rep.basis:
+    for _, vec in rep.basis:
         image: dict[int, int] = {}
-        for w, k in _integer_row(b).items():
+        for w, k in vec.items():
             col = columns.get(_word_index(w, N))
             if col:
                 for i, x in col.items():
@@ -409,16 +411,15 @@ def moved_values(form: FormPoint, p: int, den: int, cols: dict, indices):
     The realization is stable under g, so omega_p(g b_j) is the pivot-word
     row omega~ applied to g b_j: for each word u of b_j, g e_u1 (x) ... (x)
     g e_ud is expanded and read only at the words omega~ supports.  The
-    sums run over integers: with b_j = B_j / bden and B_j integral, each
-    value is divided once by tden * den^d * bden.  Values are produced one
-    index at a time, so a caller that stops early pays only for the
-    indices it read."""
+    sums run over integers: with b_j = B_j / bden read off
+    `TensorRep.basis`, each value is divided once by tden * den^d * bden.
+    Values are produced one index at a time, so a caller that stops early
+    pays only for the indices it read."""
     rep = get_tensor_rep(form.sigma[p], form.N)
     tden, tilde = _omega_tilde(form, p)
     scale = tden * den**rep.d
     for j in indices:
-        b = rep.basis[j]
-        bden = lcm(*(c.denominator for c in b.values()))
+        bden, b = rep.basis[j]
         total = 0
         for u, c in b.items():
             val = 0
@@ -429,7 +430,7 @@ def moved_values(form: FormPoint, p: int, den: int, cols: dict, indices):
                     for i, col in zip(w, ucols):
                         t *= col[i]
                     val += t
-            total += c.numerator * (bden // c.denominator) * val
+            total += c * val
         yield Fraction(total, scale * bden)
 
 
@@ -452,7 +453,7 @@ def form_from_tensor_values(sigma, N: int, p: int, values: dict) -> FormPoint:
     sigma = PartitionTuple(sigma)
     shape = sigma[p]
     d = shape.size
-    gamma = specht_word_expansions(shape)[0]
+    gden, gammas = specht_word_expansions(shape)
     rep = get_tensor_rep(shape, N)
     rows = []
     rhs = []
@@ -461,13 +462,14 @@ def form_from_tensor_values(sigma, N: int, p: int, values: dict) -> FormPoint:
             raise ValueError(f"{u} is not a word of length {d} in the letters 1..{N}")
         # F(e_u) = omega(v_u) with v_u = sum_w gamma_w e_(u o w), the image of
         # the realization vector gamma under e_i -> e_(u_i), so v_u lies in
-        # the realization and omega(v_u) = sum_j table[j] coords(v_u)[j]
-        v_u: dict[tuple[int, ...], Fraction] = {}
-        for w, c in gamma.items():
+        # the realization and omega(v_u) = sum_j table[j] coords(v_u)[j]; the
+        # integer expansion gives gden * v_u, so the target is scaled by gden
+        v_u: dict[tuple[int, ...], int] = {}
+        for w, c in gammas[0].items():
             q = tuple(u[w[j] - 1] for j in range(d))
             v_u[q] = v_u.get(q, 0) + c
         rows.append(rep.coords({q: c for q, c in v_u.items() if c}))
-        rhs.append(Fraction(target))
+        rhs.append(Fraction(target) * gden)
     sol = solve(RatMat(len(rows), rep.dim, rows), rhs)
     if sol is None:
         raise ValueError("no form takes the prescribed values")

@@ -163,14 +163,15 @@ class TensorRep:
     (in lexicographic order) that produce independent vectors, scaled so
     their lexicographically first nonzero coordinate is 1; this choice
     is stable under enlarging N, so the realization at a smaller rank
-    sits inside the larger one as the subset of its basis."""
+    sits inside the larger one as the subset of its basis.  basis[j] is
+    (den_j, vec): b_j = vec / den_j, vec the signed integer image."""
 
     def __init__(self, shape, N: int):
         self.shape = Partition(shape)
         self.N = int(N)
         self.d = self.shape.size
         self._terms = _symmetrizer(self.shape)[1]
-        self.basis: list[dict[tuple[int, ...], Fraction]] = []
+        self.basis: list[tuple[int, dict[tuple[int, ...], int]]] = []
         self.pivot_words: list[tuple[int, ...]] = []
         self.source_words: list[tuple[int, ...]] = []
         self._class_members: dict[tuple[int, ...], list[int]] = {}
@@ -221,7 +222,7 @@ class TensorRep:
             kept.append((piv, red))
             self._class_members.setdefault(cls, []).append(len(self.basis))
             lead = vec[min(vec)]
-            self.basis.append({w: Fraction(v, lead) for w, v in vec.items()})
+            self.basis.append((abs(lead), vec if lead > 0 else {w: -v for w, v in vec.items()}))
             self.pivot_words.append(piv)
             self.source_words.append(word)
 
@@ -229,14 +230,9 @@ class TensorRep:
         mat = self._class_solver.get(cls)
         if mat is None:
             members = self._class_members[cls]
-            pivots = [self.pivot_words[j] for j in members]
-            b = RatMat(
-                len(members),
-                len(members),
-                [[self.basis[j].get(p, Fraction(0)) for j in members] for p in pivots],
-            )
-            mat = inverse(b)
-            self._class_solver[cls] = mat
+            cols = [self.basis[j] for j in members]
+            rows = [[Fraction(v.get(self.pivot_words[i], 0), den) for den, v in cols] for i in members]
+            mat = self._class_solver[cls] = inverse(RatMat(len(members), len(members), rows))
         return mat
 
     def coords(self, vec: dict[tuple[int, ...], Fraction]) -> tuple[Fraction, ...]:
@@ -295,9 +291,8 @@ class TensorRep:
     def act_matrix(self, g: RatMat) -> RatMat:
         """Matrix of the induced action of g on the realization basis."""
         cols = []
-        for b in self.basis:
-            img = self.apply_matrix(g, b)
-            cols.append(self.coords(img))
+        for den, vec in self.basis:
+            cols.append(tuple(x / den for x in self.coords(self.apply_matrix(g, vec))))
         return RatMat(self.dim, self.dim, list(zip(*cols)) if cols else [])
 
     def restriction_indices(self, n: int) -> tuple[int, ...]:
@@ -327,11 +322,12 @@ def get_tensor_rep(shape: Partition, N: int) -> TensorRep:
 def specht_word_expansions(shape: Partition) -> tuple:
     """Pure-word expansions of the standard polytabloids.
 
-    For every basis polytabloid of the Specht module on labels 1..d, a
-    dict from permutation words over {1..d} to rational coefficients: its
-    image under the intertwiner into the weight space of the realization
-    where each letter appears once, scaled so that the first expansion's
-    coefficient at its lexicographically first word is 1.
+    (den, images): for every basis polytabloid of the Specht module on
+    labels 1..d, a dict from permutation words over {1..d} to integers,
+    over the shared den > 0 its image under the intertwiner into the
+    weight space of the realization where each letter appears once,
+    scaled so that the first expansion's coefficient at its
+    lexicographically first word is 1.
 
     The Young symmetrizer c reads a word through the row group first, so
     T -> c(w_T), where w_T fills the slots of the row filling with the
@@ -367,5 +363,5 @@ def specht_word_expansions(shape: Partition) -> tuple:
         lambda k, w: tuple(map(swaps[k].__getitem__, w)),
         f"the polytabloid images of {shape}",
     )
-    scale = images[0][min(images[0])]
-    return tuple({w: Fraction(c, scale) for w, c in image.items()} for image in images)
+    lead = images[0][min(images[0])]
+    return abs(lead), tuple(im if lead > 0 else {w: -c for w, c in im.items()} for im in images)

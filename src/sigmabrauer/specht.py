@@ -355,7 +355,8 @@ def relabel(v: SpechtVector, mapping: dict) -> SpechtVector:
 
 def check_specht_action(family, gens: list[RatMat], move, what: str):
     """Exact check that the adjacent transpositions act on a family of
-    sparse vectors (dicts from keys to nonzero numbers) through the Specht
+    sparse integer rows (dicts from keys to nonzero ints; a family over
+    one common denominator is checked on its rows) through the Specht
     generator matrices `gens`: for every k and t, family[t] with each key
     w replaced by move(k, w) equals sum_t' gens[k][t'][t] family[t'].
     Raises RuntimeError naming `what` otherwise."""

@@ -13,6 +13,13 @@ from sigmabrauer.exactla import RatMat
 from sigmabrauer.symfun import SchurExpr
 
 
+def as_fractions(pair) -> dict:
+    """The rational vector row / den of the engine's integer format
+    (den, row), as a dict of Fractions."""
+    den, row = pair
+    return {w: Fraction(c, den) for w, c in row.items()}
+
+
 # ---------------------------------------------------------------------------
 # reference elimination: dense rational Gauss-Jordan, independent of the
 # engine's sparse integer core in `exactla`
@@ -375,11 +382,10 @@ def block_functional_reference(form, p: int, t: int) -> dict:
 
     shape = form.sigma[p]
     rep = get_tensor_rep(shape, form.N)
-    gamma = specht_word_expansions(shape)[t]
+    gden, gammas = specht_word_expansions(shape)
     table = form.comps[p]
     # (w read 0-indexed, gden * gamma_t[w]): integer sums, one Fraction per word
-    gden = math.lcm(*(c.denominator for c in gamma.values()))
-    slots = [(tuple(x - 1 for x in w), int(c * gden)) for w, c in gamma.items()]
+    slots = [(tuple(x - 1 for x in w), c) for w, c in gammas[t].items()]
     out = {}
     for u in product(range(1, form.N + 1), repeat=shape.size):
         v_u: dict[tuple[int, ...], int] = {}
@@ -706,7 +712,7 @@ def specht_word_expansions_reference(shape: Partition) -> tuple:
     for t in range(f):
         amb: dict[tuple[int, ...], Fraction] = {}
         for a, j in enumerate(weight_idx):
-            for w, v in rep.basis[j].items():
+            for w, v in as_fractions(rep.basis[j]).items():
                 amb[w] = amb.get(w, Fraction(0)) + iota[a][t] * v
         expansions.append({w: c for w, c in amb.items() if c})
     scale = expansions[0][min(expansions[0])]

@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from helpers import (
     ReferenceSpace,
+    as_fractions,
     block_functional_reference,
     isotypic_multiplicities,
     predicted_realization_dim,
@@ -26,6 +28,7 @@ from sigmabrauer.combinat import (
 )
 from sigmabrauer import modcat
 from sigmabrauer.exactla import RatMat
+from sigmabrauer.schurweyl import get_tensor_rep, specht_word_expansions
 from sigmabrauer.specht import isotypic_projector
 from sigmabrauer.modcat import (
     FormPoint,
@@ -114,7 +117,7 @@ def test_theta_dot_product_fixture():
 
 def test_dot_product_form_is_the_identity_gram_matrix():
     for N in range(1, 6):
-        fn = block_functional(dot_product_form(N), 0, 0)
+        fn = as_fractions(block_functional(dot_product_form(N), 0, 0))
         for i in range(1, N + 1):
             for j in range(1, N + 1):
                 assert fn.get((i, j), 0) == int(i == j), (N, i, j)
@@ -134,14 +137,15 @@ def test_block_functionals_match_the_word_scan_reference():
                 for p, shape in enumerate(sigma):
                     for t in range(specht_dim(shape)):
                         cases += 1
-                        assert block_functional(form, p, t) == block_functional_reference(
-                            form, p, t
-                        ), (text, N, p, t)
+                        assert as_fractions(
+                            block_functional(form, p, t)
+                        ) == block_functional_reference(form, p, t), (text, N, p, t)
     special = [dot_product_form(N) for N in range(4)]
     special += [modcat.monomial_cubic_form(M) for M in (3, 4)]
     for form in special:
         cases += 1
-        assert block_functional(form, 0, 0) == block_functional_reference(form, 0, 0), form
+        fn = as_fractions(block_functional(form, 0, 0))
+        assert fn == block_functional_reference(form, 0, 0), form
     assert cases == 155
 
 
@@ -164,6 +168,53 @@ def test_form_from_tensor_values_rejects_words_outside_the_rank():
     for word in [(1, 3), (0, 1), (1, 1, 1)]:
         with pytest.raises(ValueError, match="not a word of length 2"):
             modcat.form_from_tensor_values(SIG2, 2, 0, {word: 0})
+
+
+def test_form_from_tensor_values_round_trip_with_expansion_denominators():
+    # the polytabloid expansions of (2,1), (3,2) and (2,2) have denominators
+    # 2, 4 and 4, so the solve only holds if the prescribed values are
+    # scaled to match
+    cases = [("2,1", 3), ("3,2", 2), ("2,2", 3), ("2,1|1", 3)]
+    for text, N in cases:
+        sigma = parse_tuple(text)
+        d = sigma[0].size
+        for seed in range(3):
+            fn = block_functional_reference(random_form(sigma, N, seed), 0, 0)
+            words = list(product(range(1, N + 1), repeat=d))[::2]
+            values = {u: fn.get(u, 0) for u in words}
+            solved = modcat.form_from_tensor_values(sigma, N, 0, values)
+            got = block_functional_reference(solved, 0, 0)
+            assert {u: got.get(u, 0) for u in words} == values, (text, N, seed)
+
+
+def test_finite_rank_vectors_are_integers_over_one_denominator():
+    def check(pair):
+        den, row = pair
+        assert type(den) is int and den > 0
+        assert all(type(x) is int and x for x in row.values())
+
+    rng = random.Random(5)
+    for text, N in [("2", 3), ("2,1", 3), ("1,1", 3), ("3,2", 2), ("2,1|1", 3), ("2|1,1", 2)]:
+        sigma = parse_tuple(text)
+        form = random_form(sigma, N, seed=1)
+        for p, shape in enumerate(sigma):
+            for den, vec in get_tensor_rep(shape, N).basis:
+                check((den, vec))
+                assert vec[min(vec)] == den
+            den, images = specht_word_expansions(shape)
+            for image in images:
+                check((den, image))
+            assert images[0][min(images[0])] == den
+            fns = [block_functional(form, p, t) for t in range(specht_dim(shape))]
+            for fn in fns:
+                check(fn)
+            assert len({den for den, _ in fns}) == 1, (text, p)
+        morphisms = modcat._generating_contractions(sigma, 3)
+        morphisms += [random_morphism(sigma, 3, rng.randint(0, 2), rng) for _ in range(4)]
+        for f in morphisms:
+            L, rows = modcat._specialize(form, f)
+            for row in rows.values():
+                check((L, row))
 
 
 def test_theta_functoriality_random():
@@ -396,9 +447,10 @@ def test_unstable_block_span_is_rejected(monkeypatch):
     # the functionals no longer span a representation of S_3
     sigma = parse_tuple("2,1")
     form = random_form(sigma, 3, seed=1)
-    fn = dict(block_functional(form, 0, 0))
+    den, row = block_functional(form, 0, 0)
+    fn = dict(row)
     fn[(1, 1, 2)] = fn.get((1, 1, 2), 0) + 1
-    monkeypatch.setitem(form._functionals, (0, 0), fn)
+    monkeypatch.setitem(form._functionals, (0, 0), (den, fn))
     for lam in [(3,), (2, 1), (3, 1)]:
         with pytest.raises(RuntimeError, match="do not span"):
             simple_realization_dim(sigma, form, Partition(lam))
