@@ -296,26 +296,31 @@ def _typed_set_partitions(sigma: PartitionTuple, elements: tuple[int, ...]):
 
 
 def hom_basis(sigma, n: int, m: int) -> list[Diagram]:
-    """All basis diagrams from [n] to [m], in lexicographic encoding order."""
+    """All basis diagrams from [n] to [m], sorted as `Diagram` tuples
+    (which is lexicographic encoding order), without repeats.
+
+    The order is part of the contract: `random_morphism` picks diagrams by
+    index into this list, so the benchmark's compose documents depend on it.
+    """
     sigma = PartitionTuple(sigma)
     if not sigma.pure:
         raise ValueError("sigma must be pure")
     if m < 0 or n < 0 or m > n:
         return []
     out: list[Diagram] = []
+    images = list(permutations(range(1, m + 1)))
     for used in combinations(range(1, n + 1), n - m):
+        # `free` is ascending, so each matching is already sorted
         free = [x for x in range(1, n + 1) if x not in used]
+        matchings = [tuple(zip(free, image)) for image in images]
         for typed in _typed_set_partitions(sigma, used):
             index_ranges = [range(specht_dim(sigma[p])) for _, p in typed]
-            for indices in product(*index_ranges) if index_ranges else [()]:
-                blocks = tuple(
-                    Block(support, p, t)
-                    for ((support, p), t) in zip(typed, indices)
+            for indices in product(*index_ranges):
+                blocks = _normalize_blocks(
+                    (support, p, t) for ((support, p), t) in zip(typed, indices)
                 )
-                for image in permutations(range(1, m + 1)):
-                    matching = tuple(sorted(zip(free, image)))
-                    out.append(Diagram(n, m, _normalize_blocks(blocks), matching))
-    out.sort(key=lambda d: d.encoding())
+                out.extend(Diagram(n, m, blocks, matching) for matching in matchings)
+    out.sort()
     return out
 
 

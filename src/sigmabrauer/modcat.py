@@ -412,18 +412,20 @@ def moved_values(form: FormPoint, p: int, den: int, cols: dict, indices):
     row omega~ applied to g b_j: for each word u of b_j, g e_u1 (x) ... (x)
     g e_ud is expanded and read only at the words omega~ supports.  The
     sums run over integers: with b_j = B_j / bden read off
-    `TensorRep.basis`, each value is divided once by tden * den^d * bden.
-    Values are produced one index at a time, so a caller that stops early
-    pays only for the indices it read."""
+    `TensorRep.basis`, each value is the integer pair (total, divisor)
+    with divisor = tden * den^d * bden, so a caller that only compares
+    values builds no Fraction.  Values are produced one index at a time,
+    so a caller that stops early pays only for the indices it read."""
     rep = get_tensor_rep(form.sigma[p], form.N)
     tden, tilde = _omega_tilde(form, p)
     scale = tden * den**rep.d
+    letter_cols = {x: cols.get(x, {x: den}) for x in range(1, form.N + 1)}
     for j in indices:
         bden, b = rep.basis[j]
         total = 0
         for u, c in b.items():
             val = 0
-            ucols = [cols[x] if x in cols else {x: den} for x in u]
+            ucols = list(map(letter_cols.__getitem__, u))
             for w in product(*ucols):
                 t = tilde.get(w)
                 if t is not None:
@@ -431,7 +433,7 @@ def moved_values(form: FormPoint, p: int, den: int, cols: dict, indices):
                         t *= col[i]
                     val += t
             total += c * val
-        yield Fraction(total, scale * bden)
+        yield total, scale * bden
 
 
 def translate(form: FormPoint, g: RatMat) -> FormPoint:
@@ -440,7 +442,7 @@ def translate(form: FormPoint, g: RatMat) -> FormPoint:
         raise ValueError("matrix does not fit inside the requested rank")
     den, cols = integer_columns(g.data)
     comps = [
-        tuple(moved_values(form, p, den, cols, range(len(row))))
+        tuple(Fraction(*v) for v in moved_values(form, p, den, cols, range(len(row))))
         for p, row in enumerate(form.comps)
     ]
     return FormPoint(form.sigma, form.N, comps)

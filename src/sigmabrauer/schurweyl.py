@@ -77,25 +77,36 @@ def _typed_partitions_by_counts(sigma: PartitionTuple, elements: tuple[int, ...]
 
 
 def weight_space_basis(sigma, n: int, m: int) -> list[WeightBasisElement]:
-    """The monomial basis of the all-weights-one subspace in degree (n, m)."""
+    """The monomial basis of the all-weights-one subspace in degree (n, m),
+    sorted by (blocks, word).
+
+    The order is part of the contract, as the `Diagram` order of
+    `brauer.hom_basis` is for `random_morphism` and the benchmark's compose
+    documents; `diagram_weight_iso` lists its pairs in this order.
+    """
     sigma = PartitionTuple(sigma)
     if not sigma.pure:
         raise ValueError("sigma must be pure")
     if m < 0 or n < 0 or m > n:
         return []
+    dims = [specht_dim(shape) for shape in sigma]
     out: list[WeightBasisElement] = []
-    for word in permutations(range(1, n + 1), m):
-        leftover = tuple(x for x in range(1, n + 1) if x not in word)
+    for letters in combinations(range(1, n + 1), m):
+        # the generator factors depend only on the set of word letters
+        leftover = tuple(x for x in range(1, n + 1) if x not in letters)
+        factors = []
         for typed in _typed_partitions_by_counts(sigma, leftover):
-            ranges = [range(specht_dim(sigma[p])) for _, p in typed]
-            for indices in product(*ranges) if ranges else [()]:
-                blocks = tuple(
-                    sorted(
-                        ((support, p, t) for (support, p), t in zip(typed, indices)),
-                        key=lambda b: (min(b[0]), b[1]),
+            for indices in product(*(range(dims[p]) for _, p in typed)):
+                factors.append(
+                    tuple(
+                        sorted(
+                            ((support, p, t) for (support, p), t in zip(typed, indices)),
+                            key=lambda b: (min(b[0]), b[1]),
+                        )
                     )
                 )
-                out.append(WeightBasisElement(blocks, word))
+        for word in permutations(letters):
+            out.extend(WeightBasisElement(blocks, word) for blocks in factors)
     out.sort()
     return out
 

@@ -109,8 +109,10 @@ def in_gamma(q: GammaQuery) -> bool:
     _require_level(form, n, g)
     for p, shape in enumerate(form.sigma):
         idx = get_tensor_rep(shape, form.N).restriction_indices(n)
-        for j, val in zip(idx, moved_values(form, p, g.den, g.cols, idx)):
-            if val != form.comps[p][j]:
+        row = form.comps[p]
+        for j, (total, div) in zip(idx, moved_values(form, p, g.den, g.cols, idx)):
+            c = row[j]
+            if total * c.denominator != c.numerator * div:
                 return False
     return True
 

@@ -5,11 +5,13 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 from typing import NamedTuple
 
-from sigmabrauer.combinat import Partition
+from sigmabrauer.brauer import Block, Diagram, _normalize_blocks, _typed_set_partitions
+from sigmabrauer.combinat import Partition, PartitionTuple, specht_dim
 from sigmabrauer.exactla import RatMat
+from sigmabrauer.schurweyl import WeightBasisElement, _typed_partitions_by_counts
 from sigmabrauer.symfun import SchurExpr
 
 
@@ -717,3 +719,66 @@ def specht_word_expansions_reference(shape: Partition) -> tuple:
         expansions.append({w: c for w, c in amb.items() if c})
     scale = expansions[0][min(expansions[0])]
     return tuple({w: c / scale for w, c in amb.items()} for amb in expansions)
+
+
+# ---------------------------------------------------------------------------
+# Hom-space and weight-space bases as first written: one normalisation and
+# one sorted matching per basis element (the engine's `brauer.hom_basis` and
+# `schurweyl.weight_space_basis` must return the same lists, order included)
+
+
+def hom_basis_reference(sigma, n: int, m: int) -> list[Diagram]:
+    """All basis diagrams from [n] to [m], in lexicographic encoding order."""
+    sigma = PartitionTuple(sigma)
+    if not sigma.pure:
+        raise ValueError("sigma must be pure")
+    if m < 0 or n < 0 or m > n:
+        return []
+    out: list[Diagram] = []
+    for used in combinations(range(1, n + 1), n - m):
+        free = [x for x in range(1, n + 1) if x not in used]
+        for typed in _typed_set_partitions(sigma, used):
+            index_ranges = [range(specht_dim(sigma[p])) for _, p in typed]
+            for indices in product(*index_ranges) if index_ranges else [()]:
+                blocks = tuple(
+                    Block(support, p, t)
+                    for ((support, p), t) in zip(typed, indices)
+                )
+                for image in permutations(range(1, m + 1)):
+                    matching = tuple(sorted(zip(free, image)))
+                    out.append(Diagram(n, m, _normalize_blocks(blocks), matching))
+    out.sort(key=lambda d: d.encoding())
+    return out
+
+
+def weight_space_basis_reference(sigma, n: int, m: int) -> list[WeightBasisElement]:
+    """The monomial basis of the all-weights-one subspace in degree (n, m)."""
+    sigma = PartitionTuple(sigma)
+    if not sigma.pure:
+        raise ValueError("sigma must be pure")
+    if m < 0 or n < 0 or m > n:
+        return []
+    out: list[WeightBasisElement] = []
+    for word in permutations(range(1, n + 1), m):
+        leftover = tuple(x for x in range(1, n + 1) if x not in word)
+        for typed in _typed_partitions_by_counts(sigma, leftover):
+            ranges = [range(specht_dim(sigma[p])) for _, p in typed]
+            for indices in product(*ranges) if ranges else [()]:
+                blocks = tuple(
+                    sorted(
+                        ((support, p, t) for (support, p), t in zip(typed, indices)),
+                        key=lambda b: (min(b[0]), b[1]),
+                    )
+                )
+                out.append(WeightBasisElement(blocks, word))
+    out.sort()
+    return out
+
+
+# (sigma, n, m) for the element-for-element comparison with the references
+BASIS_CASES = [
+    (text, n, m)
+    for text in ("1", "2", "1,1", "3", "2|1", "3|1", "2,1|1", "1,1|1")
+    for n in range(7)
+    for m in range(n + 1)
+] + [("2|1", 7, m) for m in range(8)]

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import BASIS_CASES, hom_basis_reference
 from sigmabrauer.brauer import (
     Morphism,
     hom_basis,
@@ -14,7 +15,7 @@ from sigmabrauer.brauer import (
     random_morphism,
     upwards_view,
 )
-from sigmabrauer.combinat import Partition, PartitionTuple
+from sigmabrauer.combinat import Partition, PartitionTuple, parse_tuple
 from sigmabrauer.specht import get_specht_module
 
 SIG2 = PartitionTuple(((2,),))
@@ -50,6 +51,15 @@ def test_hom_vanishes_unless_target_smaller():
     for sigma in FAMILY:
         assert hom_basis(sigma, 2, 3) == []
         assert hom_basis(sigma, 0, 1) == []
+
+
+def test_hom_basis_matches_the_reference_element_for_element():
+    # random_morphism indexes this list, so the order is compared too
+    for text, n, m in BASIS_CASES:
+        sigma = parse_tuple(text)
+        basis = hom_basis(sigma, n, m)
+        assert basis == hom_basis_reference(sigma, n, m), (text, n, m)
+        assert basis == sorted(set(basis)), (text, n, m)
 
 
 def test_hom_basis_rejects_impure_sigma():

@@ -4,9 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import as_fractions, realization_reference, specht_word_expansions_reference
+from helpers import (
+    BASIS_CASES,
+    as_fractions,
+    realization_reference,
+    specht_word_expansions_reference,
+    weight_space_basis_reference,
+)
 from sigmabrauer.brauer import hom_basis
-from sigmabrauer.combinat import Partition, PartitionTuple, partitions, schur_dim
+from sigmabrauer.combinat import Partition, PartitionTuple, parse_tuple, partitions, schur_dim
 from sigmabrauer.exactla import RatMat
 from sigmabrauer.schurweyl import (
     TensorRep,
@@ -42,6 +48,16 @@ def test_weight_basis_partitions_ground_set():
         for support, _p, _t in el.blocks:
             labels.extend(support)
         assert sorted(labels) == [1, 2, 3, 4]
+
+
+def test_weight_basis_matches_the_reference_element_for_element():
+    for text, n, m in BASIS_CASES:
+        sigma = parse_tuple(text)
+        assert weight_space_basis(sigma, n, m) == weight_space_basis_reference(sigma, n, m), (
+            text,
+            n,
+            m,
+        )
 
 
 def test_weight_basis_rejects_impure_sigma():

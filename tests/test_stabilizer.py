@@ -42,13 +42,18 @@ def test_gl_element_normalization():
         GLElement([[1, 2, 3], [4, 5, 6]])
 
 
-def _random_element(rng, size):
+def _random_element(rng, size, fixed=0):
+    """A random invertible rational element whose first `fixed` columns are
+    the identity's, so it is a member at level `fixed` of every form."""
     while True:
         rows = [[Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(size)] for _ in range(size)]
         if rng.random() < 0.5:  # leave some columns equal to the identity's
             for k in rng.sample(range(size), rng.randint(0, size)):
                 for i in range(size):
                     rows[i][k] = Fraction(int(i == k))
+        for k in range(fixed):
+            for i in range(size):
+                rows[i][k] = Fraction(int(i == k))
         try:
             return GLElement(rows)
         except ValueError:
@@ -199,6 +204,36 @@ def test_in_gamma_matches_reference_on_non_members():
     assert not _agrees(form, 2, swap)
     assert not _agrees(form, 2, GLElement([[-1]]))
     assert _agrees(FormPoint(sig, 4, [dot_product_form(4).comps[0], [0, 0, 2, 5]]), 2, swap)
+
+
+def test_in_gamma_compares_rational_values_exactly():
+    # non-integer form components and rational elements: each moved value
+    # reaches the comparison as an unreduced integer pair
+    rng = random.Random(17)
+    torus = GLElement([[2, 0, 0], [0, 3, 0], [0, 0, Fraction(1, 6)]])
+    swap = permutation_element({1: 2, 2: 1})
+    for text in ("3", "2|1", "2,1", "1,1|1"):
+        base = random_form(parse_tuple(text), 4, seed=9)
+        comps = [[Fraction(c, rng.choice((1, 2, 3, 6))) for c in row] for row in base.comps]
+        comps[0][0], comps[-1][-1] = Fraction(1, 3), Fraction(-5, 2)
+        form = FormPoint(base.sigma, 4, comps)
+        for n in range(5):
+            g = _random_element(rng, 4, fixed=n)
+            assert _agrees(form, n, g)
+            h = _random_element(rng, 4, fixed=gamma_product_level(g, n))
+            assert _agrees(form, n, h * g)
+        for lvl in (3, 4):
+            assert not _agrees(form, lvl, swap)
+            assert not _agrees(form, lvl, torus)
+            assert not _agrees(form, lvl, GLElement([[Fraction(1, 2)]]))
+    # a rational multiple of x1 x2 x3: fixed by the torus of product one,
+    # moved by the one of product 2/3
+    mono = monomial_cubic_form(4)
+    for scale in (Fraction(1, 3), Fraction(-5, 2)):
+        form = FormPoint(SIG3, 4, [[scale * c for c in mono.comps[0]]])
+        for lvl in range(5):
+            assert _agrees(form, lvl, torus)
+            assert _agrees(form, lvl, GLElement([[1, 0, 0], [0, Fraction(2, 3), 0], [0, 0, 1]])) is (lvl < 3)
 
 
 def test_gamma_product_level_fixture():
