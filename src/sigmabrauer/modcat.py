@@ -92,7 +92,7 @@ def random_form(sigma, N: int, seed: int) -> FormPoint:
 
 
 def _omega_tilde(form: FormPoint, p: int) -> tuple[int, dict[tuple[int, ...], int]]:
-    """The form component as an integer row over the pivot words of the
+    """The form component as an integer row over the source words of the
     realization and its denominator: omega_p(v) = sum_w row[w] v[w] / den
     for every v in the realization.  Computed once per form."""
     cached = form._tilde[p]
@@ -112,7 +112,7 @@ def block_functional(form: FormPoint, p: int, t: int) -> tuple[int, dict[tuple[i
 
     The value at u is omega_p(v_u) for v_u = sum_w gamma_t[w] e_(u o w),
     the image of the polytabloid under e_i -> e_(u_i), and omega_p reads
-    v_u only at the pivot words q of its row omega~.  Each word w of
+    v_u only at the source words q of its row omega~.  Each word w of
     gamma_t is a permutation of 1..d, so a pair (w, q) fixes the one word
     u with u[w[j]] = q[j]: the values are integer sums over those pairs,
     over the product of the expansion's and omega~'s denominators.
@@ -408,7 +408,7 @@ def moved_values(form: FormPoint, p: int, den: int, cols: dict, indices):
     is the j-th realization basis vector of entry p and g = G / den is
     given by `integer_columns` with every letter at most N.
 
-    The realization is stable under g, so omega_p(g b_j) is the pivot-word
+    The realization is stable under g, so omega_p(g b_j) is the source-word
     row omega~ applied to g b_j: for each word u of b_j, g e_u1 (x) ... (x)
     g e_ud is expanded and read only at the words omega~ supports.  The
     sums run over integers: with b_j = B_j / bden read off

@@ -14,16 +14,15 @@ standard polytabloid, certified equivariant, with no realization built.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
+from math import factorial
 from typing import NamedTuple
 
 from .combinat import Partition, PartitionTuple, schur_dim, specht_dim
-from .exactla import RatMat, _clear, _primitive, inverse
+from .exactla import RatMat, inverse
 from .specht import check_specht_action, get_specht_module, perm_sign
-from .symfun import kostka
 
 
 class WeightBasisElement(NamedTuple):
@@ -167,24 +166,44 @@ def _symmetrizer(shape: Partition) -> tuple[tuple, tuple]:
     return col_terms, terms
 
 
+def _semistandard_words(shape: Partition, N: int) -> list[tuple[int, ...]]:
+    """Row readings of the semistandard tableaux of `shape` with entries at
+    most N, in lexicographic order, built slot by slot in row-filling
+    order: each letter is at least its left neighbour and greater than the
+    letter above it, shape[i - 1] slots back."""
+    words: list[tuple[int, ...]] = [()]
+    start = 0
+    for i, r in enumerate(shape):
+        for j in range(r):
+            up = start + j - shape[i - 1]
+            words = [
+                w + (x,)
+                for w in words
+                for x in range(max(w[-1] if j else 1, w[up] + 1 if i else 1), N + 1)
+            ]
+        start += r
+    return words
+
+
 class TensorRep:
     """The Schur functor for `shape` on k^N, realized as the image of the
     Young symmetrizer of the initial row filling inside the d-th tensor
-    power.  Basis vectors are the symmetrizer images of the first words
-    (in lexicographic order) that produce independent vectors, scaled so
-    their lexicographically first nonzero coordinate is 1; this choice
-    is stable under enlarging N, so the realization at a smaller rank
-    sits inside the larger one as the subset of its basis.  basis[j] is
-    (den_j, vec): b_j = vec / den_j, vec the signed integer image."""
+    power.  Basis vectors are the symmetrizer images of the row readings
+    of the semistandard tableaux (in lexicographic order, `source_words`),
+    scaled so their lexicographically first nonzero coordinate is 1; this
+    choice is stable under enlarging N, so the realization at a smaller
+    rank sits inside the larger one as the subset of its basis.  basis[j]
+    is (den_j, vec): b_j = vec / den_j, vec the signed integer image.
+    Within a content class the images are triangular on the source words,
+    which are therefore the pivot words of `coords` and `dual_row`."""
 
     def __init__(self, shape, N: int):
         self.shape = Partition(shape)
         self.N = int(N)
         self.d = self.shape.size
-        self._terms = _symmetrizer(self.shape)[1]
+        self._col_terms = _symmetrizer(self.shape)[0]
         self.basis: list[tuple[int, dict[tuple[int, ...], int]]] = []
-        self.pivot_words: list[tuple[int, ...]] = []
-        self.source_words: list[tuple[int, ...]] = []
+        self.source_words = _semistandard_words(self.shape, self.N)
         self._class_members: dict[tuple[int, ...], list[int]] = {}
         self._build_basis()
         if len(self.basis) != schur_dim(self.shape, self.N):
@@ -197,52 +216,43 @@ class TensorRep:
         return len(self.basis)
 
     def symmetrizer_image(self, word: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+        # each distinct row rearrangement once, times the number of row
+        # permutations fixing the word, then the signed column sum
+        rows, weight, start = [], 1, 0
+        for r in self.shape:
+            rows.append(set(permutations(word[start : start + r])))
+            weight *= factorial(r) // len(rows[-1])
+            start += r
         out: dict[tuple[int, ...], int] = {}
-        for rq, sg in self._terms:
-            neww = tuple(word[i] for i in rq)
-            out[neww] = out.get(neww, 0) + sg
-        return {w: c for w, c in out.items() if c}
+        for choice in product(*rows):
+            wr = sum(choice, ())
+            for q, sg in self._col_terms:
+                neww = tuple(map(wr.__getitem__, q))
+                out[neww] = out.get(neww, 0) + sg
+        return {w: weight * c for w, c in out.items() if c}
 
     def _build_basis(self):
-        # greedy reduction inside each content class on primitive integer
-        # rows keyed by word; scaling a row keeps its support, so the pivot
-        # (first) words are those of the rational reduction.  The weight
-        # space of a class has dimension K_(shape, content), so the words
-        # of a class that holds that many vectors (none when it is 0) are
-        # not imaged; the hook-content check in __init__ certifies the total.
-        reduced: dict[tuple[int, ...], list] = {}
-        weight_dim: dict[tuple[int, ...], int] = {}
-        for word in product(range(1, self.N + 1), repeat=self.d):
-            cls = tuple(sorted(word))
-            if cls not in weight_dim:
-                content = sorted(Counter(cls).values(), reverse=True)
-                weight_dim[cls] = kostka(self.shape, tuple(content))
-            kept = reduced.setdefault(cls, [])
-            if len(kept) == weight_dim[cls]:
-                continue
+        # the standard basis theorem: each image is nonzero at its own word
+        # and zero at the later words of its content class, checked here.
+        # So the images are independent, and with the hook-content count
+        # checked in __init__ they are a basis.
+        words = self.source_words
+        for j, word in enumerate(words):
+            self._class_members.setdefault(tuple(sorted(word)), []).append(j)
+        for j, word in enumerate(words):
             vec = self.symmetrizer_image(word)
-            if not vec:
-                continue
-            red = _primitive(vec)
-            for piv, row in kept:
-                if piv in red:
-                    red = _clear(red, row, piv)
-            if not red:
-                continue
-            piv = min(red)
-            kept.append((piv, red))
-            self._class_members.setdefault(cls, []).append(len(self.basis))
+            members = self._class_members[tuple(sorted(word))]
+            if word not in vec or any(words[i] in vec for i in members if i > j):
+                raise RuntimeError(f"the symmetrizer image of {word} is not triangular")
             lead = vec[min(vec)]
             self.basis.append((abs(lead), vec if lead > 0 else {w: -v for w, v in vec.items()}))
-            self.pivot_words.append(piv)
-            self.source_words.append(word)
 
     def _solver(self, cls: tuple[int, ...]) -> RatMat:
         mat = self._class_solver.get(cls)
         if mat is None:
             members = self._class_members[cls]
             cols = [self.basis[j] for j in members]
-            rows = [[Fraction(v.get(self.pivot_words[i], 0), den) for den, v in cols] for i in members]
+            rows = [[Fraction(v.get(self.source_words[i], 0), den) for den, v in cols] for i in members]
             mat = self._class_solver[cls] = inverse(RatMat(len(members), len(members), rows))
         return mat
 
@@ -256,8 +266,7 @@ class TensorRep:
             members = self._class_members.get(cls)
             if members is None:
                 raise ValueError("vector does not lie in the realization")
-            pivots = [self.pivot_words[j] for j in members]
-            rhs = [piece.get(p, Fraction(0)) for p in pivots]
+            rhs = [piece.get(self.source_words[j], Fraction(0)) for j in members]
             sol = self._solver(cls).matvec(rhs)
             for j, x in zip(members, sol):
                 out[j] = x
@@ -265,7 +274,7 @@ class TensorRep:
 
     def dual_row(self, table) -> dict[tuple[int, ...], Fraction]:
         """The functional v -> sum_j table[j] coords(v)[j] on the
-        realization as a row over the pivot words: its value at every
+        realization as a row over the source words: its value at every
         realization vector v is sum_w row[w] v[w]."""
         row: dict[tuple[int, ...], Fraction] = {}
         for cls, members in self._class_members.items():
@@ -275,7 +284,7 @@ class TensorRep:
                     (table[m] * inv.data[c][r] for c, m in enumerate(members)), Fraction(0)
                 )
                 if val:
-                    row[self.pivot_words[j]] = val
+                    row[self.source_words[j]] = val
         return row
 
     def apply_matrix(self, g: RatMat, vec: dict) -> dict:

@@ -304,7 +304,7 @@ def traceless_isotypic_brute(form, lam: Partition) -> int:
 
 # ---------------------------------------------------------------------------
 # translation of a form by the full action matrix (independent of the
-# engine's pivot-word route in `modcat.moved_values`)
+# engine's source-word route in `modcat.moved_values`)
 
 
 def translate_reference(form, g: RatMat) -> tuple[tuple[Fraction, ...], ...]:
@@ -378,7 +378,7 @@ def block_functional_reference(form, p: int, t: int) -> dict:
     length d = |sigma_p| in [N], by the relation `form_from_tensor_values`
     solves: for every word u, F(e_u) = omega_p(v_u) with
     v_u = sum_w gamma_t[w] e_(u o w), read through the realization
-    coordinates of v_u and the form table.  Uses neither the pivot-word
+    coordinates of v_u and the form table.  Uses neither the source-word
     row omega~ nor a sweep over its support."""
     from sigmabrauer.schurweyl import get_tensor_rep, specht_word_expansions
 

@@ -124,7 +124,7 @@ def test_dot_product_form_is_the_identity_gram_matrix():
 
 
 def test_block_functionals_match_the_word_scan_reference():
-    # the engine's sweep over (gamma word, pivot word) pairs against a scan
+    # the engine's sweep over (gamma word, source word) pairs against a scan
     # of every word through the realization coordinates; N = 0 and the
     # ranks below the length of an entry give empty functionals
     cases = 0

@@ -126,16 +126,20 @@ def test_realization_matches_reference_reduction(monkeypatch):
         for shape in partitions(d):
             for N in range(1, 4 if d == 5 else 6):
                 rep = get_tensor_rep(shape, N)
-                basis, pivot_words, source_words = realization_reference(shape, N)
+                basis, _, source_words = realization_reference(shape, N)
                 assert [as_fractions(b) for b in rep.basis] == basis, (shape, N)
-                assert rep.pivot_words == pivot_words, (shape, N)
                 assert rep.source_words == source_words, (shape, N)
                 members = {}
                 for j, word in enumerate(source_words):
                     members.setdefault(tuple(sorted(word)), []).append(j)
                 assert rep._class_members == members, (shape, N)
-    # a content class holds K_(shape, content) vectors, and the words of a
-    # full class are not imaged: only 611 of the 7 776 words of [6]^5 are
+                # the reference basis is triangular on the source words of
+                # each class, so they serve as the pivot words
+                for idx in members.values():
+                    for k, j in enumerate(idx):
+                        assert source_words[j] in basis[j], (shape, N, j)
+                        assert not any(source_words[i] in basis[j] for i in idx[k + 1 :]), (shape, N, j)
+    # one image per basis vector: 420 of the 7 776 words of [6]^5 are
     # imaged for S_(3,2)(k^6)
     calls = []
     image = TensorRep.symmetrizer_image
@@ -143,7 +147,27 @@ def test_realization_matches_reference_reduction(monkeypatch):
         TensorRep, "symmetrizer_image", lambda self, w: calls.append(w) or image(self, w)
     )
     assert TensorRep(Partition((3, 2)), 6).dim == 420
-    assert len(calls) <= 700
+    assert len(calls) == 420
+
+
+@pytest.mark.parametrize("tamper", ["later word", "own word"])
+def test_realization_rejects_images_that_are_not_triangular(monkeypatch, tamper):
+    # the source words of S_(2,1)(k^3) in the class of (1, 2, 3) are
+    # (1, 2, 3) and then (1, 3, 2)
+    image = TensorRep.symmetrizer_image
+
+    def tampered(self, word):
+        vec = image(self, word)
+        if word == (1, 2, 3):
+            if tamper == "later word":
+                vec[(1, 3, 2)] = 1
+            else:
+                del vec[word]
+        return vec
+
+    monkeypatch.setattr(TensorRep, "symmetrizer_image", tampered)
+    with pytest.raises(RuntimeError, match="not triangular"):
+        TensorRep(Partition((2, 1)), 3)
 
 
 def test_symmetrizer_image_has_integer_coefficients():
