@@ -8,7 +8,10 @@ cleared and the gcd of its entries divided out, so no Fraction is built
 inside the loop and entries stay small.  `rank` counts the pivots of the
 echelon form; `kernel_basis_with_free`, `solve` ([A | b]) and `inverse`
 ([A | I]) read the reduced row echelon form, so the coordinates of a
-kernel vector are its entries in the free columns.
+kernel vector are its entries in the free columns.  No path of the
+package inverts a matrix (the Schur functor realizations solve by
+substitution on their triangular bases); `inverse` stays a public entry
+point.
 """
 
 from __future__ import annotations

@@ -95,12 +95,8 @@ def _omega_tilde(form: FormPoint, p: int) -> tuple[int, dict[tuple[int, ...], in
     """The form component as an integer row over the source words of the
     realization and its denominator: omega_p(v) = sum_w row[w] v[w] / den
     for every v in the realization.  Computed once per form."""
-    cached = form._tilde[p]
-    if cached is not None:
-        return cached
-    vals = get_tensor_rep(form.sigma[p], form.N).dual_row(form.comps[p])
-    den = lcm(*(v.denominator for v in vals.values()))
-    form._tilde[p] = den, {w: v.numerator * (den // v.denominator) for w, v in vals.items()}
+    if form._tilde[p] is None:
+        form._tilde[p] = get_tensor_rep(form.sigma[p], form.N).dual_row(form.comps[p])
     return form._tilde[p]
 
 
@@ -436,16 +432,21 @@ def moved_values(form: FormPoint, p: int, den: int, cols: dict, indices):
         yield total, scale * bden
 
 
-def translate(form: FormPoint, g: RatMat) -> FormPoint:
-    """The form v -> omega(g v), for g square of size at most N (extended by the identity)."""
-    if g.rows != g.cols or g.rows > form.N:
-        raise ValueError("matrix does not fit inside the requested rank")
-    den, cols = integer_columns(g.data)
+def moved_form(form: FormPoint, den: int, cols: dict) -> FormPoint:
+    """The form v -> omega(g v), for g = G / den given by `integer_columns`
+    with every letter at most N."""
     comps = [
         tuple(Fraction(*v) for v in moved_values(form, p, den, cols, range(len(row))))
         for p, row in enumerate(form.comps)
     ]
     return FormPoint(form.sigma, form.N, comps)
+
+
+def translate(form: FormPoint, g: RatMat) -> FormPoint:
+    """The form v -> omega(g v), for g square of size at most N (extended by the identity)."""
+    if g.rows != g.cols or g.rows > form.N:
+        raise ValueError("matrix does not fit inside the requested rank")
+    return moved_form(form, *integer_columns(g.data))
 
 
 def form_from_tensor_values(sigma, N: int, p: int, values: dict) -> FormPoint:

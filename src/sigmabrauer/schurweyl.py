@@ -17,11 +17,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
-from math import factorial
+from math import factorial, lcm
 from typing import NamedTuple
 
 from .combinat import Partition, PartitionTuple, schur_dim, specht_dim
-from .exactla import RatMat, inverse
+from .exactla import RatMat
 from .specht import check_specht_action, get_specht_module, perm_sign
 
 
@@ -195,7 +195,7 @@ class TensorRep:
     rank sits inside the larger one as the subset of its basis.  basis[j]
     is (den_j, vec): b_j = vec / den_j, vec the signed integer image.
     Within a content class the images are triangular on the source words,
-    which are therefore the pivot words of `coords` and `dual_row`."""
+    so `coords` and `dual_row` solve on those words by substitution."""
 
     def __init__(self, shape, N: int):
         self.shape = Partition(shape)
@@ -208,7 +208,6 @@ class TensorRep:
         self._build_basis()
         if len(self.basis) != schur_dim(self.shape, self.N):
             raise RuntimeError("realization basis size differs from the hook content formula")
-        self._class_solver: dict[tuple[int, ...], RatMat] = {}
         self._restriction: dict[int, tuple[int, ...]] = {}
 
     @property
@@ -247,17 +246,12 @@ class TensorRep:
             lead = vec[min(vec)]
             self.basis.append((abs(lead), vec if lead > 0 else {w: -v for w, v in vec.items()}))
 
-    def _solver(self, cls: tuple[int, ...]) -> RatMat:
-        mat = self._class_solver.get(cls)
-        if mat is None:
-            members = self._class_members[cls]
-            cols = [self.basis[j] for j in members]
-            rows = [[Fraction(v.get(self.source_words[i], 0), den) for den, v in cols] for i in members]
-            mat = self._class_solver[cls] = inverse(RatMat(len(members), len(members), rows))
-        return mat
-
     def coords(self, vec: dict[tuple[int, ...], Fraction]) -> tuple[Fraction, ...]:
-        """Coordinates of a vector known to lie in the realization."""
+        """Coordinates of a vector known to lie in the realization, read off
+        the source words of each content class from last to first: b_c is
+        zero at the later source words of its class, so
+        v[w_c] = sum_{i >= c} a_i b_i[w_c] fixes a_c once the later a_i are
+        known (back substitution)."""
         out = [Fraction(0)] * self.dim
         by_cls: dict[tuple[int, ...], dict] = {}
         for w, c in vec.items():
@@ -266,26 +260,41 @@ class TensorRep:
             members = self._class_members.get(cls)
             if members is None:
                 raise ValueError("vector does not lie in the realization")
-            rhs = [piece.get(self.source_words[j], Fraction(0)) for j in members]
-            sol = self._solver(cls).matvec(rhs)
-            for j, x in zip(members, sol):
-                out[j] = x
+            for pos in range(len(members) - 1, -1, -1):
+                j = members[pos]
+                w = self.source_words[j]
+                x = Fraction(piece.get(w, 0))
+                for i in members[pos + 1 :]:
+                    den, b = self.basis[i]
+                    if w in b:
+                        x -= out[i] * b[w] / den
+                den, b = self.basis[j]
+                out[j] = x * den / b[w]
         return tuple(out)
 
-    def dual_row(self, table) -> dict[tuple[int, ...], Fraction]:
+    def dual_row(self, table) -> tuple[int, dict[tuple[int, ...], int]]:
         """The functional v -> sum_j table[j] coords(v)[j] on the
-        realization as a row over the source words: its value at every
-        realization vector v is sum_w row[w] v[w]."""
-        row: dict[tuple[int, ...], Fraction] = {}
-        for cls, members in self._class_members.items():
-            inv = self._solver(cls)
-            for r, j in enumerate(members):
-                val = sum(
-                    (table[m] * inv.data[c][r] for c, m in enumerate(members)), Fraction(0)
-                )
-                if val:
-                    row[self.source_words[j]] = val
-        return row
+        realization as (den, row) over the source words: row maps them to
+        nonzero ints, and the value at every realization vector v is
+        sum_w row[w] v[w] / den.  Read off the source words of each content
+        class from first to last: b_c = B_c / den_c is zero at the later
+        source words of its class, so table[c] = sum_{i <= c} y_i b_c[w_i]
+        fixes y_c = (table[c] den_c - sum_{i < c} y_i B_c[w_i]) / B_c[w_c]
+        once the earlier y_i are known (forward substitution)."""
+        vals: dict[tuple[int, ...], Fraction] = {}
+        for members in self._class_members.values():
+            ys: list[tuple[tuple[int, ...], Fraction]] = []
+            for j in members:
+                den, b = self.basis[j]
+                x = Fraction(table[j]) * den
+                for u, y in ys:
+                    if u in b:
+                        x -= y * b[u]
+                w = self.source_words[j]
+                ys.append((w, x / b[w]))
+            vals.update((w, y) for w, y in ys if y)
+        den = lcm(*(y.denominator for y in vals.values()))
+        return den, {w: y.numerator * (den // y.denominator) for w, y in vals.items()}
 
     def apply_matrix(self, g: RatMat, vec: dict) -> dict:
         """Apply g tensor ... tensor g to a vector in word coordinates."""

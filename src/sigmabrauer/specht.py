@@ -18,6 +18,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import factorial
 
 from .combinat import Partition, specht_dim
@@ -65,13 +66,7 @@ def cycle_type(one_line: tuple[int, ...]) -> Partition:
 def _parity_of_rearrangement(old: tuple, new: tuple) -> int:
     """Sign of the permutation carrying the tuple `old` to `new`."""
     pos = {v: k for k, v in enumerate(old)}
-    idx = [pos[v] for v in new]
-    inv = 0
-    for a in range(len(idx)):
-        for b in range(a + 1, len(idx)):
-            if idx[a] > idx[b]:
-                inv += 1
-    return -1 if inv % 2 else 1
+    return perm_sign(tuple(pos[v] for v in new))
 
 
 def plain_changes(n: int):
@@ -253,8 +248,6 @@ class SpechtModule:
         b_part = tuple(col_j1[: i + 1])
         pool = sorted(a_part + b_part)
         old_seq = a_part + b_part
-
-        from itertools import combinations
 
         acc: dict[int, int] = {}
         for new_a in combinations(pool, len(a_part)):

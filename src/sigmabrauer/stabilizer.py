@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 from .combinat import Partition, PartitionTuple, schur_dim
 from .exactla import RatMat, rank
-from .modcat import FormPoint, integer_columns, moved_values, translate
+from .modcat import FormPoint, integer_columns, moved_form, moved_values
 from .schurweyl import get_tensor_rep
 
 
@@ -351,7 +351,7 @@ def gamma_linearity_check(
     if any(c != 0 and j not in allowed for j, c in enumerate(v)):
         raise PreconditionError("v must lie in the evaluation at k^n")
 
-    moved = translate(form, g.embed(form.N))
+    moved = moved_form(form, g.den, g.cols)
     if phi.target == "unit":
         diff = Fraction(0)
         for poly, w in phi.pairs:

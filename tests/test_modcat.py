@@ -209,6 +209,7 @@ def test_finite_rank_vectors_are_integers_over_one_denominator():
             for fn in fns:
                 check(fn)
             assert len({den for den, _ in fns}) == 1, (text, p)
+            check(modcat._omega_tilde(form, p))
         morphisms = modcat._generating_contractions(sigma, 3)
         morphisms += [random_morphism(sigma, 3, rng.randint(0, 2), rng) for _ in range(4)]
         for f in morphisms:

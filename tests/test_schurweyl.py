@@ -7,6 +7,7 @@ import pytest
 from helpers import (
     BASIS_CASES,
     as_fractions,
+    block_functional_reference,
     realization_reference,
     specht_word_expansions_reference,
     weight_space_basis_reference,
@@ -168,6 +169,49 @@ def test_realization_rejects_images_that_are_not_triangular(monkeypatch, tamper)
     monkeypatch.setattr(TensorRep, "symmetrizer_image", tampered)
     with pytest.raises(RuntimeError, match="not triangular"):
         TensorRep(Partition((2, 1)), 3)
+
+
+def test_coords_and_dual_row_read_back_random_combinations():
+    # v = sum_j a_j b_j: coords must return a, and the row of dual_row must
+    # take the value sum_j table_j a_j at v
+    rng = random.Random(17)
+    for d in range(6):
+        for shape in partitions(d):
+            for N in range(1, 5):
+                rep = get_tensor_rep(shape, N)
+                for _ in range(3):
+                    a = [rng.randint(-3, 3) for _ in range(rep.dim)]
+                    v: dict = {}
+                    for x, (den, b) in zip(a, rep.basis):
+                        for w, c in b.items():
+                            v[w] = v.get(w, 0) + Fraction(x * c, den)
+                    v = {w: c for w, c in v.items() if c}
+                    assert rep.coords(v) == tuple(a), (shape, N)
+                    table = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(rep.dim)]
+                    den, row = rep.dual_row(table)
+                    assert type(den) is int and den > 0, (shape, N)
+                    assert all(type(c) is int and c for c in row.values()), (shape, N)
+                    value = Fraction(sum(c * v.get(w, 0) for w, c in row.items()), den)
+                    assert value == sum(t * x for t, x in zip(table, a)), (shape, N)
+
+
+def test_coordinates_invert_no_matrix(monkeypatch):
+    from sigmabrauer import exactla, modcat, schurweyl
+
+    def refuse(m):
+        raise RuntimeError("a realization coordinate inverted a matrix")
+
+    monkeypatch.setattr(exactla, "inverse", refuse)
+    monkeypatch.setattr(schurweyl, "inverse", refuse, raising=False)
+    rep = TensorRep(Partition((2, 1)), 3)
+    den, b = rep.basis[4]
+    assert rep.coords(as_fractions((den, b))) == tuple(Fraction(int(j == 4)) for j in range(rep.dim))
+    den, row = rep.dual_row([Fraction(j - 3, 2) for j in range(rep.dim)])
+    assert den > 0 and row
+    monkeypatch.setattr(modcat, "get_tensor_rep", TensorRep)
+    form = modcat.random_form(parse_tuple("2,1"), 3, seed=4)
+    fn = modcat.block_functional(form, 0, 1)
+    assert as_fractions(fn) == block_functional_reference(form, 0, 1)
 
 
 def test_symmetrizer_image_has_integer_coefficients():
