@@ -150,20 +150,18 @@ def _group_perms(groups: list[tuple[int, ...]], d: int):
         yield tuple(perm)
 
 
-@lru_cache(maxsize=None)
-def _symmetrizer(shape: Partition) -> tuple[tuple, tuple]:
-    """The Young symmetrizer of the initial row filling of `shape` as
-    signed slot permutations: its column terms (q, sign of q) and its
-    terms (r o q, sign of q), row group after column group.  A term p
-    reads a word w as (w[p[0]], ..., w[p[d-1]])."""
-    d = shape.size
+def _columns(shape: Partition) -> list[tuple[int, ...]]:
     rows = _row_filling(shape)
-    cols = [tuple(r[j] for r in rows if len(r) > j) for j in range(len(rows[0]) if rows else 0)]
-    col_terms = tuple((q, perm_sign(q)) for q in _group_perms(cols, d))
-    terms = tuple(
-        (tuple(r[i] for i in q), sg) for r in _group_perms(rows, d) for q, sg in col_terms
-    )
-    return col_terms, terms
+    return [tuple(r[j] for r in rows if len(r) > j) for j in range(len(rows[0]) if rows else 0)]
+
+
+@lru_cache(maxsize=None)
+def _column_terms(shape: Partition) -> tuple:
+    """The column group of the initial row filling of `shape` as signed
+    slot permutations (q, sign of q).  A slot permutation p reads a word w
+    as (w[p[0]], ..., w[p[d-1]]); the Young symmetrizer reads a word
+    through the row group first, then through these."""
+    return tuple((q, perm_sign(q)) for q in _group_perms(_columns(shape), shape.size))
 
 
 def _semistandard_words(shape: Partition, N: int) -> list[tuple[int, ...]]:
@@ -201,7 +199,7 @@ class TensorRep:
         self.shape = Partition(shape)
         self.N = int(N)
         self.d = self.shape.size
-        self._col_terms = _symmetrizer(self.shape)[0]
+        self._col_terms = _column_terms(self.shape)
         self.basis: list[tuple[int, dict[tuple[int, ...], int]]] = []
         self.source_words = _semistandard_words(self.shape, self.N)
         self._class_members: dict[tuple[int, ...], list[int]] = {}
@@ -369,17 +367,34 @@ def specht_word_expansions(shape: Partition) -> tuple:
     """
     shape = Partition(shape)
     d = shape.size
-    col_terms, terms = _symmetrizer(shape)
-    # sum_q sgn(q) q o c as signed slot permutations: w o q o r o q'
+    col_terms = _column_terms(shape)
+    cols = [c for c in _columns(shape) if len(c) > 1]
+    # sum_q sgn(q) q o c is the sum of sgn(q0) sgn(q) q0 o r o q over q0, q
+    # in the column group C and r in the row group.  Right multiplication
+    # by C permutes the entries of x = q0 o r within each column, so
+    # x = k o q1 with k sorted within columns, sgn(q0) sgn(q1) = sgn(r) sgn(k),
+    # and the term k o q has sgn(k o q) times the sum of sgn(r) over the
+    # pairs in the right coset kC: C is summed once per coset.
+    coset_sums: dict[tuple[int, ...], int] = {}
+    for r in _group_perms(_row_filling(shape), d):
+        sr = perm_sign(r)
+        for q0, _ in col_terms:
+            x = list(map(q0.__getitem__, r))
+            for col in cols:
+                for i, v in zip(col, sorted([x[i] for i in col])):
+                    x[i] = v
+            k = tuple(x)
+            coset_sums[k] = coset_sums.get(k, 0) + sr
     polytabloid: dict[tuple[int, ...], int] = {}
-    for q, sq in col_terms:
-        for rq, sg in terms:
-            p = tuple(q[i] for i in rq)
-            polytabloid[p] = polytabloid.get(p, 0) + sq * sg
+    for k, c in coset_sums.items():
+        if c:
+            c *= perm_sign(k)
+            for q, sq in col_terms:
+                polytabloid[tuple(map(k.__getitem__, q))] = sq * c
     module = get_specht_module(shape, tuple(range(1, d + 1)))
     # w_T has distinct letters, so distinct slot permutations give distinct words
     images = [
-        {tuple(w[i] for i in p): c for p, c in polytabloid.items() if c}
+        {tuple(map(w.__getitem__, p)): c for p, c in polytabloid.items()}
         for w in (tuple(x for row in tab for x in row) for tab in module.tableaux)
     ]
     if not images[0]:

@@ -374,33 +374,48 @@ def check_specht_action(family, gens: list[RatMat], move, what: str):
 # characters (Murnaghan-Nakayama)
 
 
+def beta_set(lam: tuple[int, ...]) -> tuple[int, ...]:
+    """The first-column hook lengths of a partition, decreasing; the last
+    is its last part, so a nonempty beta-set never ends in 0."""
+    return tuple(p + len(lam) - 1 - j for j, p in enumerate(lam))
+
+
 @lru_cache(maxsize=None)
+def mn_character(beta: tuple[int, ...], cls: tuple[int, ...]) -> int:
+    """Irreducible symmetric group character value at cycle type `cls`
+    (a tuple of parts, largest first) for the shape with beta-set `beta`,
+    by the Murnaghan-Nakayama rule: a border strip of length cls[0] moves
+    one entry b to a free b - cls[0], with the sign of the number of
+    entries it passes.  A beta-set ending in 0 drops it and lowers the
+    rest by one, so each shape has one key."""
+    if not cls:
+        return 1
+    m, rest = cls[0], cls[1:]
+    total = 0
+    for j, b in enumerate(beta):
+        nb = b - m
+        if nb < 0:
+            break
+        k = j + 1
+        while k < len(beta) and beta[k] > nb:
+            k += 1
+        if k < len(beta) and beta[k] == nb:
+            continue
+        new = beta[:j] + beta[j + 1 : k] + (nb,) + beta[k:]
+        while new and not new[-1]:
+            new = tuple(x - 1 for x in new[:-1])
+        value = mn_character(new, rest)
+        total += -value if (k - j) % 2 == 0 else value
+    return total
+
+
 def sn_character(lam: Partition, cls: Partition) -> int:
     """Irreducible symmetric group character value, by border strip removal
-    on first-column hook lengths."""
+    on first-column hook lengths (`mn_character`)."""
     lam, cls = Partition(lam), Partition(cls)
     if lam.size != cls.size:
         raise ValueError("partition and cycle type must have equal size")
-    if lam.size == 0:
-        return 1
-    m = cls[0]
-    L = len(lam)
-    beta = [lam[j] + (L - 1 - j) for j in range(L)]
-    bset = set(beta)
-    total = 0
-    for b in beta:
-        nb = b - m
-        if nb < 0 or nb in bset:
-            continue
-        ht = sum(1 for x in beta if nb < x < b)
-        newbeta = sorted((x for x in beta if x != b), reverse=True)
-        newbeta.append(nb)
-        newbeta.sort(reverse=True)
-        newlam = [newbeta[j] - (L - 1 - j) for j in range(L)]
-        total += (-1) ** ht * sn_character(
-            Partition([x for x in newlam if x > 0]), Partition(cls[1:])
-        )
-    return total
+    return mn_character(beta_set(lam), tuple(cls))
 
 
 def class_representative(cls: Partition) -> tuple[int, ...]:

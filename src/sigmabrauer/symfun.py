@@ -1,32 +1,27 @@
 """Exact symmetric function calculus in the Schur basis.
 
-Products are computed by Littlewood-Richardson skew tableau enumeration,
-plethysms h_a[f] and e_i[f] by monomial substitution in a finite
-alphabet followed by conversion back to the Schur basis by repeated
-subtraction of the lexicographically leading term.  The alphabet has
-a * l letters, l the largest length (number of rows) of a term of f,
-which makes the finite-variable computation faithful: every Schur
-constituent of h_a[f] or e_a[f] also occurs in f^a, so by
-Littlewood-Richardson its length is at most a * l, and the Schur
-polynomials of length at most the number of letters are linearly
-independent.
-
-A monomial is one packed integer word, each letter's exponent in its
-own field of bits wide enough for the largest degree, so a product of
-monomials is one integer addition.  Before the conversion the result
-is certified symmetric on the packed words (a transposition and the
-full cycle generate the symmetric group), and the conversion then
-reads it only at its dominant words, the partitions of each degree.
+Products are computed by Littlewood-Richardson skew tableau enumeration.
+Plethysms h_a[f] and e_a[f] go through the power-sum basis (Macdonald,
+Symmetric Functions and Hall Polynomials, I.7-I.8): each term of f
+expands as s_nu = sum_tau chi^nu(tau) p_tau / z_tau, then
+h_a[f] = sum over rho of a of z_rho^-1 prod_k p_{rho_k}[f] with
+p_k[p_tau] = p_{k tau}, e_a[f] weights each term by (-1)^(a - len(rho)),
+and the Schur coefficients are read back as <p_pi, s_mu> = chi^mu(pi).
+The characters are the Murnaghan-Nakayama values of
+`specht.mn_character`, and all of it runs in integers over one common
+denominator.  The result is a GL character, so a Schur coefficient that
+is not a non-negative integer raises RuntimeError.  No plethysm builds a
+monomial or depends on a number of variables.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, combinations_with_replacement
-from math import comb
+from math import factorial
 
 from .combinat import Partition, PartitionTuple, partitions
+from .specht import beta_set, centralizer_size, mn_character
 
 
 class SchurExpr:
@@ -251,7 +246,8 @@ def kostka(lam: Partition, mu: tuple[int, ...]) -> int:
 
     The recursion removes the horizontal strip of mu's last letter and
     calls back with the rest of the shape as a plain tuple, which hashes
-    and compares like the Partition it stands for."""
+    and compares like the Partition it stands for.  No plethysm path
+    calls it."""
     shape = tuple(lam)
     if sum(mu) != sum(shape):
         return 0
@@ -281,7 +277,8 @@ def kostka(lam: Partition, mu: tuple[int, ...]) -> int:
 
 
 def _distinct_arrangements(mu: Partition, nvars: int):
-    """Distinct length-`nvars` exponent tuples whose nonzero entries are mu."""
+    """Distinct length-`nvars` exponent tuples whose nonzero entries are
+    mu, for `schur_monomials`; no plethysm path calls it."""
     if len(mu) > nvars:
         return
     values: dict[int, int] = {0: nvars - len(mu)}
@@ -304,7 +301,8 @@ def _distinct_arrangements(mu: Partition, nvars: int):
 
 @lru_cache(maxsize=None)
 def schur_monomials(lam: Partition, nvars: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Monomial expansion of a Schur function in nvars variables."""
+    """Monomial expansion of a Schur function in nvars variables.  No
+    plethysm path calls it."""
     lam = Partition(lam)
     out: dict[tuple[int, ...], int] = {}
     for mu in partitions(lam.size):
@@ -318,84 +316,27 @@ def schur_monomials(lam: Partition, nvars: int) -> tuple[tuple[tuple[int, ...], 
     return tuple(sorted(out.items()))
 
 
-def _dominates(lam: Partition, mu: Partition) -> bool:
-    """Dominance order on partitions of one size: every partial sum of lam
-    is at least the corresponding partial sum of mu.  Past the end of the
-    shorter one the comparison cannot fail unless it already has."""
-    return all(a >= b for a, b in zip(accumulate(lam), accumulate(mu)))
-
-
-def _pack(exp, shift: int) -> int:
-    """The word of an exponent vector: letter k's exponent in bits
-    shift*k .. shift*(k+1)-1."""
-    return sum(e << (shift * k) for k, e in enumerate(exp))
-
-
-def _packed_to_schur(words: dict[int, int | Fraction], nvars: int, shift: int, degrees) -> SchurExpr:
-    """Schur expansion of a polynomial in nvars letters given by its packed
-    monomials (nonzero coefficients only), with `shift` bits enough for
-    every degree in `degrees`, the degrees it has.
-
-    Symmetry is certified first: the transposition of the first two
-    letters and the cycle of all of them generate the symmetric group, so
-    the polynomial is symmetric iff each of them maps every word to one
-    with the same coefficient.  A symmetric polynomial is then fixed by
-    its dominant words, the partitions kappa of each degree with at most
-    nvars parts; in descending lexicographic order the coefficient of
-    s_kappa is that of kappa less what the earlier Schur terms put there
-    (K_{lam kappa} = 0 unless lam dominates kappa)."""
-    mask = (1 << shift) - 1
-    top = shift * (nvars - 1)
-    for w, c in words.items():
-        # the cycle moves letter 0's field to the top; exchanging letters 0
-        # and 1 (exponents a, b) adds (a - b) * (2^shift - 1)
-        first = w & mask
-        if words.get((w >> shift) | (first << top), 0) != c or (
-            nvars > 1 and words.get(w + (first - ((w >> shift) & mask)) * mask, 0) != c
-        ):
-            raise ValueError("input monomials are not symmetric")
-    out: dict[Partition, int | Fraction] = {}
-    for d in sorted(degrees):
-        shapes = [kappa for kappa in partitions(d) if len(kappa) <= nvars]
-        found: dict[Partition, int | Fraction] = {}
-        for i, kappa in enumerate(shapes):
-            c = words.get(_pack(kappa, shift), 0) - found.get(kappa, 0)
-            if not c:
-                continue
-            out[kappa] = c
-            for mu in shapes[i + 1 :]:
-                if _dominates(kappa, mu):
-                    found[mu] = found.get(mu, 0) + c * kostka(kappa, mu)
-    return SchurExpr(out)
-
-
-def monomials_to_schur(mono: dict[tuple[int, ...], int | Fraction], nvars: int) -> SchurExpr:
-    """Convert a symmetric polynomial, given by its monomials, to the Schur basis.
-
-    Coefficients may be ints or Fractions; a polynomial that is not
-    symmetric in nvars letters raises ValueError."""
-    mono = {exp: c for exp, c in mono.items() if c}
-    degrees = {sum(exp) for exp in mono}
-    shift = max(degrees, default=0).bit_length()
-    words = {_pack(exp, shift): c for exp, c in mono.items()}
-    return _packed_to_schur(words, nvars, shift, degrees)
-
-
 # ---------------------------------------------------------------------------
 # plethysm
 
 
-def _inner_monomial_multiset(inner: SchurExpr, nvars: int, shift: int) -> dict[int, int]:
-    mono: dict[int, int] = {}
-    for p, c in inner.terms.items():
+def _power_sums(f: SchurExpr) -> tuple[int, dict[tuple[int, ...], int]]:
+    """(den, F) with f = sum_tau F[tau] p_tau / den and integer F, from
+    s_nu = sum_tau chi^nu(tau) p_tau / z_tau; z_tau divides |tau|!, so den
+    is the factorial of the largest degree of f."""
+    den = factorial(f.max_degree())
+    out: dict[tuple[int, ...], int] = {}
+    for nu, c in f.terms.items():
         if c.denominator != 1 or c < 0:
             raise ValueError(
                 "plethysm requires non-negative integer coefficients in the inner argument"
             )
-        for exp, k in schur_monomials(p, nvars):
-            w = _pack(exp, shift)
-            mono[w] = mono.get(w, 0) + int(c) * k
-    return mono
+        beta = beta_set(nu)
+        for tau in partitions(nu.size):
+            x = mn_character(beta, tau)
+            if x:
+                out[tau] = out.get(tau, 0) + int(c) * x * (den // centralizer_size(tau))
+    return den, {tau: c for tau, c in out.items() if c}
 
 
 def _plethysm(outer: int, inner: SchurExpr, mode: str) -> SchurExpr:
@@ -405,32 +346,43 @@ def _plethysm(outer: int, inner: SchurExpr, mode: str) -> SchurExpr:
         return SchurExpr.one()
     if not inner:
         return SchurExpr.zero()
-    # every constituent of the result has length at most outer times the
-    # largest length of an inner term (see the module docstring), so this
-    # many letters keep the Schur polynomials of the result independent
-    nvars = max(1, outer * max(len(p) for p in inner.terms))
-    # no exponent and no degree of the result exceeds outer times the
-    # inner degree, so words of `shift` bits a letter add without carries
-    shift = (outer * inner.max_degree()).bit_length()
-    mono = _inner_monomial_multiset(inner, nvars, shift)
-
-    # generating-function DP over distinct monomial values: the h-series of
-    # a value v with multiplicity m is sum_j C(m+j-1, j) v^j t^j, the
-    # e-series is sum_j C(m, j) v^j t^j; poly[deg] is updated in place from
-    # the top down, so it reads the lower degrees before they change
-    poly: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(outer)]
-    for v, m in mono.items():
-        jmax = outer if mode == "h" else min(outer, m)
-        coeffs = [comb(m + j - 1, j) if mode == "h" else comb(m, j) for j in range(jmax + 1)]
-        for deg in range(outer, 0, -1):
-            tgt = poly[deg]
-            for j in range(1, min(jmax, deg) + 1):
-                cj, vj = coeffs[j], j * v
-                for w, cc in poly[deg - j].items():
-                    w += vj
-                    tgt[w] = tgt.get(w, 0) + cc * cj
-    degrees = {sum(ds) for ds in combinations_with_replacement(inner.degrees(), outer)}
-    return _packed_to_schur(poly[outer], nvars, shift, degrees)
+    den, f = _power_sums(inner)
+    # h_a[f] = sum_rho z_rho^-1 prod_k p_{rho_k}[f], and e_a[f] weights each
+    # term by (-1)^(a - len(rho)); p_k[p_tau] = p_{k tau}.  Over the common
+    # denominator a! den^a, the term of rho has weight a!/z_rho den^(a - len(rho)).
+    common = factorial(outer) * den**outer
+    total: dict[tuple[int, ...], int] = {}
+    for rho in partitions(outer):
+        weight = common // (centralizer_size(rho) * den ** len(rho))
+        terms = {(): -weight if mode == "e" and (outer - len(rho)) % 2 else weight}
+        for k in rho:
+            scaled = [(tuple(k * t for t in tau), b) for tau, b in f.items()]
+            new: dict[tuple[int, ...], int] = {}
+            for pi, a in terms.items():
+                for ktau, b in scaled:
+                    key = tuple(sorted(pi + ktau, reverse=True))
+                    new[key] = new.get(key, 0) + a * b
+            terms = new
+        for pi, a in terms.items():
+            total[pi] = total.get(pi, 0) + a
+    by_degree: dict[int, list] = {}
+    for pi, a in total.items():
+        if a:
+            by_degree.setdefault(sum(pi), []).append((pi, a))
+    # <p_pi, s_mu> = chi^mu(pi); the result is a GL character, so every
+    # Schur coefficient must come out a non-negative integer
+    out: dict[Partition, int] = {}
+    for d in sorted(by_degree):
+        for mu in partitions(d):
+            beta = beta_set(mu)
+            c = sum(a * mn_character(beta, pi) for pi, a in by_degree[d])
+            if c % common or c < 0:
+                raise RuntimeError(
+                    f"plethysm coefficient {Fraction(c, common)} of s{tuple(mu)} is not a count"
+                )
+            if c:
+                out[mu] = c // common
+    return SchurExpr(out)
 
 
 def plethysm_h(a: int, inner: SchurExpr) -> SchurExpr:

@@ -123,6 +123,24 @@ def test_characters_fixtures():
         sn_character(Partition((2,)), Partition((3,)))
 
 
+def test_characters_are_traces_of_the_straightened_action():
+    # Murnaghan-Nakayama against the trace of the Garnir-straightened
+    # action on a permutation of each cycle type: the cycles run over
+    # consecutive labels
+    for n in range(1, 7):
+        labels = tuple(range(1, n + 1))
+        for mu in partitions(n):
+            perm, start = {}, 1
+            for part in mu:
+                for t in range(part):
+                    perm[start + t] = start + (t + 1) % part
+                start += part
+            for lam in partitions(n):
+                mat = get_specht_module(lam, labels).perm_matrix(perm)
+                trace = sum(mat.data[i][i] for i in range(mat.rows))
+                assert sn_character(lam, mu) == trace, (lam, mu)
+
+
 def test_character_orthogonality():
     for n in range(1, 7):
         for lam in partitions(n):

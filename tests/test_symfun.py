@@ -12,7 +12,6 @@ from sigmabrauer.symfun import (
     inner_product,
     kostka,
     lr_product,
-    monomials_to_schur,
     plethysm_e,
     plethysm_h,
     shift_decompose,
@@ -110,9 +109,8 @@ def test_plethysm_against_brute_oracle_small():
         for a in range(4):
             assert plethysm_h(a, s(shape)) == plethysm_brute(a, s(shape), "h")
             assert plethysm_e(a, s(shape)) == plethysm_brute(a, s(shape), "e")
-    # mixed inners whose terms differ in length, degree and coefficient:
-    # the alphabet must follow the greatest length over all terms (the last
-    # one lists the shorter term first)
+    # mixed inners whose terms differ in length, degree and coefficient
+    # (the last one lists the shorter term first)
     mixed = [
         s((2,)) + s((1,)),
         s((1, 1)) + s((1,)),
@@ -128,16 +126,18 @@ def test_plethysm_against_brute_oracle_small():
 
 def test_plethysm_dimensions_at_every_rank():
     # at rank N, e_i[f] has dimension C(D, i) and h_a[f] has C(D+a-1, a),
-    # with D the dimension of f; a constituent lost to a too-small alphabet
-    # has positive dimension from rank len(nu) <= outer*deg on, so the
-    # ranks up to outer*deg+1 show it; in the last case the term with the
-    # most rows has the lower degree
+    # with D the dimension of f; a constituent lost or added has positive
+    # dimension from rank len(nu) <= outer*deg on, so the ranks up to
+    # outer*deg+1 show it; in the fifth case the term with the most rows
+    # has the lower degree
     cases = [
         (plethysm_e, 5, s((2,)) + s((1,))),
         (plethysm_h, 5, s((2,))),
         (plethysm_e, 4, s((1, 1)) + s((1,))),
         (plethysm_h, 3, s((2, 1)) + s((2,))),
         (plethysm_e, 3, s((3,)) + s((1, 1))),
+        (plethysm_h, 4, s((1, 1, 1))),
+        (plethysm_e, 4, s((1, 1, 1))),
     ]
     for pleth, a, f in cases:
         result = pleth(a, f)
@@ -148,31 +148,11 @@ def test_plethysm_dimensions_at_every_rank():
             assert got == want, (pleth.__name__, a, f, N, got, want)
 
 
-def test_monomials_to_schur():
-    # integer and Fraction coefficients alike; every arrangement of one
-    # monomial orbit must be present with the same coefficient, and one
-    # missing from the input counts as coefficient 0
-    assert monomials_to_schur({(1, 0): 1, (0, 1): 1}, 2) == s((1,))
-    two = {(2, 0): 1, (1, 1): Fraction(2), (0, 2): 1}
-    assert monomials_to_schur(two, 2) == s((2,)) + s((1, 1))
-    assert monomials_to_schur({(0, 0, 0): 3}, 3) == SchurExpr.one().scale(3)
-    with pytest.raises(ValueError):
-        monomials_to_schur({(1, 0): 1, (0, 1): 2}, 2)
-    with pytest.raises(ValueError):
-        monomials_to_schur({(1, 0): 1}, 2)
-    # symmetric under swapping the first two letters, not under the cycle,
-    # and the other way round
-    with pytest.raises(ValueError):
-        monomials_to_schur({(2, 0, 0): 1, (0, 2, 0): 1}, 3)
-    with pytest.raises(ValueError):
-        monomials_to_schur({(2, 1, 0): 1, (0, 2, 1): 1, (1, 0, 2): 1}, 3)
-
-
 def test_plethysm_packed_words_at_the_edges():
-    # one letter: h_1[s_3] runs in a single-letter alphabet
+    # one cycle type: h_1[s_3] is the single term rho = (1)
     assert plethysm_h(1, s((3,))) == s((3,))
-    # a letter reaching the full result degree, which fills its bits
-    # exactly: 7 = 0b111 in h_7[s_1], 8 = 0b1000 in h_2[s_4]
+    # a power sum reaching the full result degree: p_7 in h_7[s_1],
+    # p_(4,4) and p_8 in h_2[s_4] and e_2[s_4]
     assert plethysm_h(7, s((1,))) == s((7,))
     assert plethysm_h(2, s((4,))) == SchurExpr({(8,): 1, (6, 2): 1, (4, 4): 1})
     assert plethysm_e(2, s((4,))) == SchurExpr({(7, 1): 1, (5, 3): 1})
@@ -184,18 +164,32 @@ def test_plethysm_packed_words_at_the_edges():
         assert result.degrees() == {3, 4, 5, 6}
 
 
-def test_plethysm_certifies_symmetry(monkeypatch):
-    # an inner monomial expansion with one arrangement dropped makes the
-    # substituted polynomial non-symmetric; in four letters the dropped
-    # word x3*x4 of s_(1,1) is fixed by the swap of the first two letters,
-    # so only the cycle shows it
-    full = symfun.schur_monomials
-    monkeypatch.setattr(symfun, "schur_monomials", lambda p, nvars: full(p, nvars)[1:])
-    assert full(Partition((1, 1)), 4)[0][0] == (0, 0, 1, 1)
-    with pytest.raises(ValueError, match="not symmetric"):
-        plethysm_e(2, s((1, 1)))
-    with pytest.raises(ValueError, match="not symmetric"):
-        plethysm_h(2, s((2,)))
+@pytest.mark.parametrize(
+    "shape, cls, outer",
+    [
+        # an inner character: s_(1,1) = (p_1^2 - p_2)/2
+        ((1, 1), (2,), 2),
+        # a character read back at the result's degree
+        ((4,), (2, 2), 2),
+    ],
+)
+def test_plethysm_certifies_its_coefficients(monkeypatch, shape, cls, outer):
+    # one character value off by one makes e_2[s_(1,1)] a virtual or
+    # fractional character, which the plethysm must refuse
+    true_value = symfun.mn_character
+    beta = symfun.beta_set(shape)
+    reads = []
+
+    def perturbed(b, c):
+        if (b, tuple(c)) == (beta, cls):
+            reads.append(c)
+            return true_value(b, c) + 1
+        return true_value(b, c)
+
+    monkeypatch.setattr(symfun, "mn_character", perturbed)
+    with pytest.raises(RuntimeError, match="not a count"):
+        plethysm_e(outer, s((1, 1)))
+    assert reads
 
 
 def test_kostka_basics():
