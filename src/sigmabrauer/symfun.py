@@ -1,6 +1,7 @@
 """Exact symmetric function calculus in the Schur basis.
 
-Products are computed by Littlewood-Richardson skew tableau enumeration.
+Products and Kostka numbers read the ballot-pruned skew expansion
+`skew_schur_expand`, the one Littlewood-Richardson tableau enumerator.
 Plethysms h_a[f] and e_a[f] go through the power-sum basis (Macdonald,
 Symmetric Functions and Hall Polynomials, I.7-I.8): each term of f
 expands as s_nu = sum_tau chi^nu(tau) p_tau / z_tau, then
@@ -103,83 +104,16 @@ class SchurExpr:
 # Littlewood-Richardson
 
 
-def _horizontal_strip_additions(shape: tuple[int, ...], k: int):
-    """All shapes obtained from `shape` by adding a horizontal strip of size k.
-
-    Yields (new_shape, added_cells); cells are (row, col), 0-indexed.
-    """
-    nrows = len(shape)
-
-    def rec(r: int, remaining: int, built: tuple[int, ...], cells: tuple):
-        if r == nrows + 1:
-            if remaining == 0:
-                yield built, cells
-            return
-        old = shape[r] if r < nrows else 0
-        hi = old + remaining
-        if r > 0:
-            # partition condition against the new row above, and the strip
-            # condition (no two added cells in one column) against the old one
-            hi = min(hi, built[r - 1], shape[r - 1])
-        for new_len in range(old, hi + 1):
-            newcells = cells + tuple((r, c) for c in range(old, new_len))
-            yield from rec(r + 1, remaining - (new_len - old), built + (new_len,), newcells)
-
-    for built, cells in rec(0, k, (), ()):
-        trimmed = tuple(x for x in built if x > 0)
-        yield trimmed, cells
-
-
-def _is_ballot(word) -> bool:
-    counts: dict[int, int] = {}
-    for ell in word:
-        counts[ell] = counts.get(ell, 0) + 1
-        if ell > 1 and counts.get(ell - 1, 0) < counts[ell]:
-            return False
-    return True
-
-
-@lru_cache(maxsize=None)
-def _lr_expansion(lam: Partition, mu: Partition) -> tuple[tuple[Partition, int], ...]:
-    """Expansion of s_lam * s_mu as ((nu, c), ...), by LR tableau enumeration."""
-    results: dict[tuple[int, ...], int] = {}
-
-    def place(label: int, shape: tuple[int, ...], cells: tuple):
-        if label > len(mu):
-            word = tuple(
-                ell for (_r, _c, ell) in sorted(cells, key=lambda t: (t[0], -t[1]))
-            )
-            if _is_ballot(word):
-                results[shape] = results.get(shape, 0) + 1
-            return
-        for new_shape, added in _horizontal_strip_additions(shape, mu[label - 1]):
-            place(
-                label + 1,
-                new_shape,
-                cells + tuple((r, c, label) for (r, c) in added),
-            )
-
-    place(1, tuple(lam), ())
-    return tuple(sorted((Partition(nu), c) for nu, c in results.items()))
-
-
-def lr_product(a: SchurExpr, b: SchurExpr) -> SchurExpr:
-    """Schur expansion of the product a*b."""
-    out: dict[Partition, Fraction] = {}
-    for lam, ca in a.terms.items():
-        for mu, cb in b.terms.items():
-            for nu, c in _lr_expansion(lam, mu):
-                out[nu] = out.get(nu, Fraction(0)) + ca * cb * c
-    return SchurExpr(out)
-
-
 @lru_cache(maxsize=None)
 def skew_schur_expand(lam: Partition, mu: Partition) -> SchurExpr:
     """Schur expansion of the skew function for the shape lam/mu.
 
     Enumerates semistandard fillings of the skew diagram whose reverse
-    reading word is a ballot sequence; each filling contributes 1 to the
-    coefficient of its content.
+    reading word is a ballot sequence, abandoning a partial filling as
+    soon as its word stops being a ballot prefix; each filling contributes
+    1 to the coefficient of its content.  This is the package's only
+    Littlewood-Richardson enumerator: `lr_product`, `kostka` and
+    `shift_decompose` read it.
     """
     lam, mu = Partition(lam), Partition(mu)
     if not lam.contains(mu):
@@ -196,17 +130,14 @@ def skew_schur_expand(lam: Partition, mu: Partition) -> SchurExpr:
 
     filling: dict[tuple[int, int], int] = {}
     counts = [0] * (size + 2)  # counts[ell] = occurrences of label ell so far
-    out: dict[Partition, Fraction] = {}
+    out: dict[tuple[int, ...], int] = {}
 
     def rec(idx: int):
         if idx == len(cells):
-            content = []
-            for ell in range(1, size + 1):
-                if counts[ell] == 0:
-                    break
-                content.append(counts[ell])
-            nu = Partition(content)
-            out[nu] = out.get(nu, Fraction(0)) + 1
+            # a ballot word's content is a partition: counts[1:] decreases
+            # weakly to its first zero (counts[size + 1] is always 0)
+            content = tuple(counts[1 : counts.index(0, 1)])
+            out[content] = out.get(content, 0) + 1
             return
         r, c = cells[idx]
         hi = size
@@ -230,6 +161,23 @@ def skew_schur_expand(lam: Partition, mu: Partition) -> SchurExpr:
     return SchurExpr(out)
 
 
+def lr_product(a: SchurExpr, b: SchurExpr) -> SchurExpr:
+    """Schur expansion of the product a*b.  By c^nu_{lam,mu} =
+    <s_{nu/lam}, s_mu> (Macdonald I.5), the coefficient of s_nu in
+    s_lam * b_d, for b_d the degree-d part of b, is the pairing of b_d
+    with the skew expansion of nu/lam."""
+    out: dict[Partition, Fraction] = {}
+    for d in b.degrees():
+        b_d = b.degree_component(d)
+        for lam, ca in a.terms.items():
+            for nu in partitions(lam.size + d):
+                if nu.contains(lam):
+                    c = inner_product(skew_schur_expand(nu, lam), b_d)
+                    if c:
+                        out[nu] = out.get(nu, Fraction(0)) + ca * c
+    return SchurExpr(out)
+
+
 def inner_product(a: SchurExpr, b: SchurExpr) -> Fraction:
     """Hall inner product: Schur functions are orthonormal."""
     small, big = (a.terms, b.terms) if len(a.terms) <= len(b.terms) else (b.terms, a.terms)
@@ -242,38 +190,14 @@ def inner_product(a: SchurExpr, b: SchurExpr) -> Fraction:
 
 @lru_cache(maxsize=None)
 def kostka(lam: Partition, mu: tuple[int, ...]) -> int:
-    """Number of semistandard tableaux of shape lam and content mu.
-
-    The recursion removes the horizontal strip of mu's last letter and
-    calls back with the rest of the shape as a plain tuple, which hashes
-    and compares like the Partition it stands for.  No plethysm path
-    calls it."""
-    shape = tuple(lam)
-    if sum(mu) != sum(shape):
-        return 0
-    if not mu:
-        return 1
-    rest = mu[:-1]
-    total = 0
-
-    def rec(r: int, remaining: int, built: tuple[int, ...]):
-        nonlocal total
-        if r == len(shape):
-            if remaining == 0:
-                total += kostka(tuple(x for x in built if x), rest)
-            return
-        lo = shape[r + 1] if r + 1 < len(shape) else 0
-        hi = shape[r]
-        for new_len in range(hi, lo - 1, -1):
-            removed = shape[r] - new_len
-            if removed > remaining:
-                continue
-            if built and new_len > built[-1]:
-                continue
-            rec(r + 1, remaining - removed, built + (new_len,))
-
-    rec(0, mu[-1], ())
-    return total
+    """Number of semistandard tableaux of shape lam and content mu: by
+    K_{lam,mu} = <s_lam, h_mu> (Macdonald I.6), the coefficient of s_lam
+    in the product of the one-row functions s_(mu_1) s_(mu_2) ....  No
+    plethysm path calls it."""
+    product = SchurExpr.one()
+    for part in filter(None, mu):
+        product = lr_product(product, SchurExpr.schur((part,)))
+    return int(product.coefficient(lam))
 
 
 def _distinct_arrangements(mu: Partition, nvars: int):

@@ -1,10 +1,11 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
 import pytest
 
-from helpers import kostka_row, plethysm_brute
+from helpers import kostka_row, plethysm_brute, schur_from_dominant_monomials, ssyt_monomials
 from sigmabrauer import symfun
 from sigmabrauer.combinat import Partition, PartitionTuple, partitions, schur_dim
 from sigmabrauer.symfun import (
@@ -49,8 +50,11 @@ def test_lr_degree_additive_and_bilinear():
 
 
 def test_skew_matches_lr():
-    # the coefficient of s_lam in s_mu s_nu equals the coefficient of
-    # s_nu in the skew expansion of lam/mu
+    # the reciprocity c^lam_{mu,nu} = <s_{lam/mu}, s_nu>: the coefficient
+    # of s_lam in s_mu s_nu equals the coefficient of s_nu in the skew
+    # expansion of lam/mu.  Products read the skew expansions, so this is
+    # not an independent check of the enumeration; the monomial oracle
+    # below is
     rng = random.Random(7)
     pool = [p for n in range(1, 5) for p in partitions(n)]
     for _ in range(60):
@@ -58,6 +62,25 @@ def test_skew_matches_lr():
         prod = lr_product(s(mu), s(nu))
         for lam, c in prod.terms.items():
             assert skew_schur_expand(lam, mu).coefficient(nu) == c
+
+
+def test_lr_against_monomial_products():
+    # an oracle sharing no enumeration with symfun: multiply the monomial
+    # expansions of s_lam and s_mu in |lam| + |mu| letters and read the
+    # Schur expansion of the product back from its dominant monomials
+    for n in range(7):
+        for a in range(n + 1):
+            for lam in partitions(a):
+                left = Counter(ssyt_monomials(lam, n))
+                for mu in partitions(n - a):
+                    dominant = Counter()
+                    for y, cy in Counter(ssyt_monomials(mu, n)).items():
+                        for x, cx in left.items():
+                            z = [i + j for i, j in zip(x, y)]
+                            if z == sorted(z, reverse=True):
+                                dominant[Partition(v for v in z if v)] += cx * cy
+                    want = schur_from_dominant_monomials(dominant)
+                    assert lr_product(s(lam), s(mu)) == want, (lam, mu)
 
 
 def test_skew_trivial_cases():
