@@ -71,20 +71,8 @@ def validate_diagram(sigma: PartitionTuple, d: Diagram):
 def make_diagram(sigma, source, target, blocks, matching) -> Diagram:
     """Build and validate a basis diagram.
 
-    `source` and `target` are sizes (the objects {1..n}), or arbitrary
-    iterables of integer labels, which are normalized to {1..n} by their
-    order on intake (order-preserving relabeling leaves polytabloid
-    indices unchanged).
+    `source` and `target` are sizes n and m, the objects {1..n} and {1..m}.
     """
-    if not isinstance(source, int):
-        order = {x: i + 1 for i, x in enumerate(sorted(source))}
-        blocks = [(tuple(order[x] for x in sup), p, t) for sup, p, t in blocks]
-        matching = [(order[s], t) for s, t in matching]
-        source = len(order)
-    if not isinstance(target, int):
-        order = {x: i + 1 for i, x in enumerate(sorted(target))}
-        matching = [(s, order[t]) for s, t in matching]
-        target = len(order)
     d = Diagram(
         int(source),
         int(target),
@@ -374,10 +362,6 @@ def upwards_view(f):
 # serialization and sampling
 
 
-def _frac_str(c: Fraction) -> str:
-    return str(c)
-
-
 def morphism_to_json(f: Morphism) -> dict:
     terms = []
     for d in sorted(f.terms, key=lambda d: d.encoding()):
@@ -391,7 +375,7 @@ def morphism_to_json(f: Morphism) -> dict:
             )
         terms.append(
             {
-                "coef": _frac_str(c),
+                "coef": str(c),
                 "matching": [[s, t] for s, t in d.matching],
                 "blocks": blocks,
             }

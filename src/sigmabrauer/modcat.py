@@ -109,20 +109,31 @@ def block_functional(form: FormPoint, p: int, t: int) -> tuple[int, dict[tuple[i
     The value at u is omega_p(v_u) for v_u = sum_w gamma_t[w] e_(u o w),
     the image of the polytabloid under e_i -> e_(u_i), and omega_p reads
     v_u only at the source words q of its row omega~.  Each word w of
-    gamma_t is a permutation of 1..d, so a pair (w, q) fixes the one word
+    gamma_0 is a permutation of 1..d, so a pair (w, q) fixes the one word
     u with u[w[j]] = q[j]: the values are integer sums over those pairs,
     over the product of the expansion's and omega~'s denominators.
+    gamma_t is gamma_0 with the letter r0[i] of each word relabelled rt[i],
+    where r0 and rt are the reading words of tableaux 0 and t, so the
+    value at u is the one for t = 0 at the word with letters u[rt[i]] in
+    slots r0[i].
     """
     cached = form._functionals.get((p, t))
     if cached is not None:
         return cached
     shape = form.sigma[p]
     out = 1, {}
-    if schur_dim(shape, form.N) > 0:
+    if t:
+        den, row = block_functional(form, p, 0)
+        tabs = get_specht_module(shape, tuple(range(1, shape.size + 1))).tableaux
+        r0, rt = ([x for line in tabs[s] for x in line] for s in (0, t))
+        # u[rt[i]] = u0[r0[i]]: slot y of u reads slot pos[y] of u0
+        pos = [r0[i] - 1 for i in sorted(range(len(rt)), key=rt.__getitem__)]
+        out = den, dict(sorted((tuple(map(u.__getitem__, pos)), c) for u, c in row.items()))
+    elif schur_dim(shape, form.N) > 0:
         gden, gammas = specht_word_expansions(shape)
         den, omega = _omega_tilde(form, p)
         acc: dict[tuple[int, ...], int] = {}
-        for w, k in gammas[t].items():
+        for w, k in gammas[0].items():
             # u[i] = q[pos[i]], where pos[i] is the slot j with w[j] = i + 1
             pos = sorted(range(len(w)), key=w.__getitem__)
             for q, v in omega.items():

@@ -199,84 +199,78 @@ def germinal_axiom_suite(
         raise ValueError("need at least one level")
     if levels[0] < 0 or levels[-1] > form.N:
         raise PreconditionError("levels must lie between 0 and the form rank")
-    extra = list(extra_members or [])
-    reports = []
+    # the identity and the extra members: their verdicts depend only on
+    # the level, so each is tested once per level
+    fixed = [GLElement([]), *(extra_members or [])]
+    verdicts: dict[tuple[int, int], bool] = {}
+
+    def member(level: int, g: GLElement, k: int = 0) -> bool:
+        """g's membership at level, where g is fixed[k] for k > 0, and a
+        sample (the identity when it has no stored columns) for k = 0."""
+        if not k and g.cols:
+            return in_gamma(GammaQuery(form, level, g))
+        if (level, k) not in verdicts:
+            verdicts[level, k] = in_gamma(GammaQuery(form, level, fixed[k]))
+        return verdicts[level, k]
+
+    def sample_member(level: int) -> tuple[GLElement, int]:
+        eligible = [k for k in range(1, len(fixed)) if member(level, fixed[k], k)]
+        # the draw is made even from ["block"]: it consumes randomness
+        if rng.choice(["block", "extra", "extra"] if eligible else ["block"]) == "extra":
+            k = rng.choice(eligible)
+            return fixed[k], k
+        return random_block_fixing(level, form.N, rng), 0
+
+    def report(axiom: str, outcomes: list) -> dict:
+        """An axiom's report; each outcome is None for a pass, else the failure."""
+        failures = [o for o in outcomes if o is not None]
+        passes = len(outcomes) - len(failures)
+        return {"axiom": axiom, "samples": len(outcomes), "passes": passes, "failures": failures}
+
+    rejected = "constructive sample rejected"
 
     # (a) identity membership, cycling through the levels
-    failures = []
-    passes = 0
-    ident = GLElement([])
-    total_a = max(samples, len(levels))
-    for k in range(total_a):
-        lvl = levels[k % len(levels)]
-        if in_gamma(GammaQuery(form, lvl, ident)):
-            passes += 1
-        else:
-            failures.append({"level": lvl, "reason": "identity rejected"})
-    reports.append(
-        {"axiom": "a", "samples": total_a, "passes": passes, "failures": failures}
-    )
-
-    def sample_member(level: int) -> GLElement:
-        choices = ["block"]
-        eligible = [
-            e for e in extra if in_gamma(GammaQuery(form, level, e))
-        ]
-        if eligible:
-            choices += ["extra", "extra"]
-        kind = rng.choice(choices)
-        if kind == "extra":
-            return rng.choice(eligible)
-        return random_block_fixing(level, form.N, rng)
+    cycle = [levels[k % len(levels)] for k in range(max(samples, len(levels)))]
+    outcomes = [
+        None if member(lvl, fixed[0]) else {"level": lvl, "reason": "identity rejected"}
+        for lvl in cycle
+    ]
+    reports = [report("a", outcomes)]
 
     # (b) nesting: members established at level j stay members at i <= j
-    failures = []
-    passes = 0
-    total = 0
+    outcomes = []
     for _ in range(samples):
         j = rng.choice(levels)
-        g = sample_member(j)
-        if not in_gamma(GammaQuery(form, j, g)):
-            failures.append({"level": j, "reason": "constructive sample rejected"})
-            total += 1
+        g, k = sample_member(j)
+        if not member(j, g, k):
+            outcomes.append({"level": j, "reason": rejected})
             continue
-        for i in [lvl for lvl in levels if lvl <= j]:
-            total += 1
-            if in_gamma(GammaQuery(form, i, g)):
-                passes += 1
+        # the verdict at j itself, the last of these levels, was just established
+        for i in levels[: levels.index(j) + 1]:
+            if i == j or member(i, g, k):
+                outcomes.append(None)
             else:
-                failures.append({"level": i, "from_level": j, "reason": "nesting failed"})
-    reports.append(
-        {"axiom": "b", "samples": total, "passes": passes, "failures": failures}
-    )
+                outcomes.append({"level": i, "from_level": j, "reason": "nesting failed"})
+    reports.append(report("b", outcomes))
 
-    # (c) product law at the witness level
-    failures = []
-    passes = 0
-    total = 0
+    # (c) product law at the witness level; g is a member, so its letters,
+    # and the witness level, are at most the form rank
+    outcomes = []
     for _ in range(samples):
         n = rng.choice(levels)
-        g = sample_member(n)
-        if not in_gamma(GammaQuery(form, n, g)):
-            failures.append({"level": n, "reason": "constructive sample rejected"})
-            total += 1
+        g, k = sample_member(n)
+        if not member(n, g, k):
+            outcomes.append({"level": n, "reason": rejected})
             continue
         j = gamma_product_level(g, n)
-        if j > form.N:
-            continue
-        h = sample_member(j)
-        if not in_gamma(GammaQuery(form, j, h)):
-            failures.append({"level": j, "reason": "constructive sample rejected"})
-            total += 1
-            continue
-        total += 1
-        if in_gamma(GammaQuery(form, n, h * g)):
-            passes += 1
+        h, k = sample_member(j)
+        if not member(j, h, k):
+            outcomes.append({"level": j, "reason": rejected})
+        elif member(n, h * g):
+            outcomes.append(None)
         else:
-            failures.append({"level": n, "witness": j, "reason": "product law failed"})
-    reports.append(
-        {"axiom": "c", "samples": total, "passes": passes, "failures": failures}
-    )
+            outcomes.append({"level": n, "witness": j, "reason": "product law failed"})
+    reports.append(report("c", outcomes))
     return reports
 
 

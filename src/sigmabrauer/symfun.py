@@ -87,9 +87,6 @@ class SchurExpr:
     def degree_component(self, d: int) -> "SchurExpr":
         return SchurExpr({p: c for p, c in self.terms.items() if p.size == d})
 
-    def is_nonneg_integral(self) -> bool:
-        return all(c.denominator == 1 and c >= 0 for c in self.terms.values())
-
     def __repr__(self):
         if not self.terms:
             return "SchurExpr(0)"

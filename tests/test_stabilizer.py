@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import translate_reference
+from sigmabrauer import stabilizer
 from sigmabrauer.combinat import Partition, PartitionTuple, parse_tuple
 from sigmabrauer.modcat import FormPoint, dot_product_form, monomial_cubic_form, random_form
 from sigmabrauer.schurweyl import get_tensor_rep
@@ -268,6 +269,56 @@ def test_axiom_suite_generic_and_monomial():
     for r in reports:
         assert r["passes"] == r["samples"]
         assert r["failures"] == []
+
+
+def _in_gamma_stub(q):
+    """A membership predicate of (level, g) alone: the identity is rejected
+    at level 2 and every other element at level 3."""
+    return (q.level, bool(q.g.cols)) not in ((2, False), (3, True))
+
+
+def test_axiom_suite_failure_reports(monkeypatch):
+    # every failure kind, with and without extra members; the reports are
+    # pinned to those of the suite that tested every element every time
+    monkeypatch.setattr(stabilizer, "in_gamma", _in_gamma_stub)
+    form = random_form(SIG3, 5, seed=1)
+    extra = [permutation_element({1: 2, 2: 1}), permutation_element({1: 2, 2: 3, 3: 1})]
+    a = {"axiom": "a", "samples": 6, "passes": 5, "failures": [{"level": 2, "reason": "identity rejected"}]}
+    rejected = {"level": 3, "reason": "constructive sample rejected"}
+    nest = [{"level": i, "from_level": j, "reason": "nesting failed"} for i, j in ((2, 4), (3, 5), (3, 4))]
+    assert germinal_axiom_suite(form, [1, 2, 3, 4, 5], samples=6, seed=25) == [
+        a,
+        {"axiom": "b", "samples": 14, "passes": 11, "failures": [nest[0], rejected, nest[0]]},
+        {"axiom": "c", "samples": 6, "passes": 5, "failures": [rejected]},
+    ]
+    assert germinal_axiom_suite(form, [1, 2, 3, 4, 5], samples=6, seed=25, extra_members=extra) == [
+        a,
+        {"axiom": "b", "samples": 18, "passes": 15, "failures": nest},
+        {
+            "axiom": "c",
+            "samples": 6,
+            "passes": 4,
+            "failures": [{"level": 2, "witness": 2, "reason": "product law failed"}, rejected],
+        },
+    ]
+
+
+def test_axiom_suite_tests_the_identity_once_per_level(monkeypatch):
+    identity_calls = []
+
+    def counting(q):
+        if not q.g.cols:
+            identity_calls.append(q.level)
+        return in_gamma(q)
+
+    monkeypatch.setattr(stabilizer, "in_gamma", counting)
+    mono = monomial_cubic_form(4)
+    extra = [permutation_element({1: 2, 2: 3, 3: 1}), permutation_element({1: 2, 2: 1})]
+    for form, members in ((random_form(SIG3, 4, seed=7), None), (mono, extra)):
+        identity_calls.clear()
+        reports = germinal_axiom_suite(form, [1, 2, 3, 4], samples=20, seed=3, extra_members=members)
+        assert all(r["passes"] == r["samples"] for r in reports)
+        assert sorted(identity_calls) == [1, 2, 3, 4]
 
 
 def test_axiom_suite_level_validation():
