@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from math import comb, factorial
 from typing import NamedTuple
 
 from .combinat import PartitionTuple, specht_dim
@@ -283,9 +284,18 @@ def _typed_set_partitions(sigma: PartitionTuple, elements: tuple[int, ...]):
                 yield ((support, p),) + tail
 
 
+def _typed_blocks(sigma: PartitionTuple, k: int) -> list:
+    """The decorated block tuples of {0..k-1}, each in normal form."""
+    return [tuple((s, p, t) for (s, p), t in zip(typed, ix))
+            for typed in _typed_set_partitions(sigma, tuple(range(k)))
+            for ix in product(*(range(specht_dim(sigma[p])) for _, p in typed))]
+
+
 def hom_basis(sigma, n: int, m: int) -> list[Diagram]:
     """All basis diagrams from [n] to [m], sorted as `Diagram` tuples
-    (which is lexicographic encoding order), without repeats.
+    (which is lexicographic encoding order), without repeats: the block
+    tuples of {0..n-m-1}, relabelled through each ascending used set, are
+    sorted, and the matchings of each come out of `permutations` in order.
 
     The order is part of the contract: `random_morphism` picks diagrams by
     index into this list, so the benchmark's compose documents depend on it.
@@ -295,25 +305,31 @@ def hom_basis(sigma, n: int, m: int) -> list[Diagram]:
         raise ValueError("sigma must be pure")
     if m < 0 or n < 0 or m > n:
         return []
-    out: list[Diagram] = []
+    keys = []
+    typed_blocks = _typed_blocks(sigma, n - m)
     images = list(permutations(range(1, m + 1)))
     for used in combinations(range(1, n + 1), n - m):
-        # `free` is ascending, so each matching is already sorted
         free = [x for x in range(1, n + 1) if x not in used]
         matchings = [tuple(zip(free, image)) for image in images]
-        for typed in _typed_set_partitions(sigma, used):
-            index_ranges = [range(specht_dim(sigma[p])) for _, p in typed]
-            for indices in product(*index_ranges):
-                blocks = _normalize_blocks(
-                    (support, p, t) for ((support, p), t) in zip(typed, indices)
-                )
-                out.extend(Diagram(n, m, blocks, matching) for matching in matchings)
-    out.sort()
-    return out
+        keys += [(tuple(Block(tuple(used[i] for i in s), p, t) for s, p, t in typed), matchings)
+                 for typed in typed_blocks]
+    keys.sort()  # block tuples are distinct, so no matching list is compared
+    return [tuple.__new__(Diagram, (n, m, b, mt)) for b, mts in keys for mt in mts]
 
 
 def hom_dim(sigma, n: int, m: int) -> int:
-    return len(hom_basis(sigma, n, m))
+    """The count C(n, m) m! B_(n-m), B_k the decorated block tuples of a k-set:
+    B_k = sum_p dim S^(sigma_p) C(k-1, |sigma_p|-1) B_(k-|sigma_p|), B_0 = 1."""
+    sigma = PartitionTuple(sigma)
+    if not sigma.pure:
+        raise ValueError("sigma must be pure")
+    if m < 0 or n < 0 or m > n:
+        return 0
+    B = [1]
+    for k in range(1, n - m + 1):
+        B.append(sum(specht_dim(s) * comb(k - 1, s.size - 1) * B[k - s.size]
+                     for s in sigma if s.size <= k))
+    return comb(n, m) * factorial(m) * B[n - m]
 
 
 # ---------------------------------------------------------------------------

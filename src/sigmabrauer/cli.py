@@ -14,7 +14,7 @@ import json
 import sys
 
 from .combinat import format_partition, parse_partition, parse_tuple, schur_dim
-from .brauer import hom_basis, morphism_from_json, morphism_to_json
+from .brauer import hom_basis, hom_dim, morphism_from_json, morphism_to_json
 from .modcat import ext_dim, multiplicity, random_form, simple_realization_dim, traceless_space
 from .schurweyl import weight_space_basis
 from .stabilizer import PreconditionError, germinal_axiom_suite
@@ -128,7 +128,7 @@ def _run(args) -> dict:
         for name, v in (("n", args.n), ("m", args.m)):
             if v < 0:
                 raise PreconditionError(f"{name} must be non-negative")
-        return {"dim": len(hom_basis(sigma, args.n, args.m))}
+        return {"dim": hom_dim(sigma, args.n, args.m)}
 
     if args.command == "compose":
         with open(args.infile) as fh:

@@ -75,9 +75,18 @@ def _typed_partitions_by_counts(sigma: PartitionTuple, elements: tuple[int, ...]
         yield from assign(elements, list(counts))
 
 
+def _weight_blocks(sigma: PartitionTuple, k: int) -> list:
+    """The generator factor tuples of {0..k-1}, ordered by support minimum."""
+    return [tuple((s, p, t) for (s, p), t in zip(typed, ix))
+            for typed in _typed_partitions_by_counts(sigma, tuple(range(k)))
+            for ix in product(*(range(specht_dim(sigma[p])) for _, p in typed))]
+
+
 def weight_space_basis(sigma, n: int, m: int) -> list[WeightBasisElement]:
     """The monomial basis of the all-weights-one subspace in degree (n, m),
-    sorted by (blocks, word).
+    sorted by (blocks, word): the factor tuples of {0..n-m-1}, relabelled
+    through each ascending leftover set, are sorted, and the words of each
+    come out of `permutations` in order.
 
     The order is part of the contract, as the `Diagram` order of
     `brauer.hom_basis` is for `random_morphism` and the benchmark's compose
@@ -88,26 +97,15 @@ def weight_space_basis(sigma, n: int, m: int) -> list[WeightBasisElement]:
         raise ValueError("sigma must be pure")
     if m < 0 or n < 0 or m > n:
         return []
-    dims = [specht_dim(shape) for shape in sigma]
-    out: list[WeightBasisElement] = []
+    keys = []
+    weight_blocks = _weight_blocks(sigma, n - m)
     for letters in combinations(range(1, n + 1), m):
-        # the generator factors depend only on the set of word letters
         leftover = tuple(x for x in range(1, n + 1) if x not in letters)
-        factors = []
-        for typed in _typed_partitions_by_counts(sigma, leftover):
-            for indices in product(*(range(dims[p]) for _, p in typed)):
-                factors.append(
-                    tuple(
-                        sorted(
-                            ((support, p, t) for (support, p), t in zip(typed, indices)),
-                            key=lambda b: (min(b[0]), b[1]),
-                        )
-                    )
-                )
-        for word in permutations(letters):
-            out.extend(WeightBasisElement(blocks, word) for blocks in factors)
-    out.sort()
-    return out
+        words = list(permutations(letters))
+        for typed in weight_blocks:
+            keys.append((tuple((tuple(leftover[i] for i in s), p, t) for s, p, t in typed), words))
+    keys.sort()  # factor tuples are distinct, so no word list is compared
+    return [tuple.__new__(WeightBasisElement, (b, w)) for b, words in keys for w in words]
 
 
 def diagram_weight_iso(sigma, n: int, m: int) -> dict:

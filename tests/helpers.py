@@ -8,10 +8,10 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
 from typing import NamedTuple
 
-from sigmabrauer.brauer import Block, Diagram, _normalize_blocks, _typed_set_partitions
+from sigmabrauer.brauer import Block, Diagram
 from sigmabrauer.combinat import Partition, PartitionTuple, specht_dim
 from sigmabrauer.exactla import RatMat
-from sigmabrauer.schurweyl import WeightBasisElement, _typed_partitions_by_counts
+from sigmabrauer.schurweyl import WeightBasisElement
 from sigmabrauer.symfun import SchurExpr
 
 
@@ -722,9 +722,46 @@ def specht_word_expansions_reference(shape: Partition) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Hom-space and weight-space bases as first written: one normalisation and
-# one sorted matching per basis element (the engine's `brauer.hom_basis` and
-# `schurweyl.weight_space_basis` must return the same lists, order included)
+# Hom-space and weight-space bases by brute force, sharing no enumerator with
+# the engine: set partitions from restricted growth strings, each block typed
+# by every sigma entry of its size, blocks sorted by their minimum (the
+# engine's `brauer.hom_basis` and `schurweyl.weight_space_basis` must return
+# the same lists, order included)
+
+
+def restricted_growth_strings(k: int):
+    """Every string a of length k with a[0] = 0 and a[i] <= 1 + max(a[:i])."""
+
+    def grow(prefix: tuple[int, ...], top: int):
+        if len(prefix) == k:
+            yield prefix
+            return
+        for a in range(top + 2):
+            yield from grow(prefix + (a,), max(top, a))
+
+    yield from grow((), -1)
+
+
+def typed_block_tuples_reference(sigma: PartitionTuple, elements: tuple[int, ...]):
+    """Every decorated block tuple (support, type index, basis index) of the
+    sorted `elements`, blocks sorted by their minimum."""
+    for rgs in restricted_growth_strings(len(elements)):
+        supports = [
+            tuple(x for x, a in zip(elements, rgs) if a == label)
+            for label in range(max(rgs, default=-1) + 1)
+        ]
+        choices = [
+            [(p, t) for p, shape in enumerate(sigma) if shape.size == len(support)
+             for t in range(specht_dim(shape))]
+            for support in supports
+        ]
+        for chosen in product(*choices):
+            yield tuple(
+                sorted(
+                    ((support, p, t) for support, (p, t) in zip(supports, chosen)),
+                    key=lambda b: min(b[0]),
+                )
+            )
 
 
 def hom_basis_reference(sigma, n: int, m: int) -> list[Diagram]:
@@ -737,16 +774,10 @@ def hom_basis_reference(sigma, n: int, m: int) -> list[Diagram]:
     out: list[Diagram] = []
     for used in combinations(range(1, n + 1), n - m):
         free = [x for x in range(1, n + 1) if x not in used]
-        for typed in _typed_set_partitions(sigma, used):
-            index_ranges = [range(specht_dim(sigma[p])) for _, p in typed]
-            for indices in product(*index_ranges) if index_ranges else [()]:
-                blocks = tuple(
-                    Block(support, p, t)
-                    for ((support, p), t) in zip(typed, indices)
-                )
-                for image in permutations(range(1, m + 1)):
-                    matching = tuple(sorted(zip(free, image)))
-                    out.append(Diagram(n, m, _normalize_blocks(blocks), matching))
+        for typed in typed_block_tuples_reference(sigma, used):
+            blocks = tuple(Block(*b) for b in typed)
+            for image in permutations(range(1, m + 1)):
+                out.append(Diagram(n, m, blocks, tuple(sorted(zip(free, image)))))
     out.sort(key=lambda d: d.encoding())
     return out
 
@@ -761,16 +792,8 @@ def weight_space_basis_reference(sigma, n: int, m: int) -> list[WeightBasisEleme
     out: list[WeightBasisElement] = []
     for word in permutations(range(1, n + 1), m):
         leftover = tuple(x for x in range(1, n + 1) if x not in word)
-        for typed in _typed_partitions_by_counts(sigma, leftover):
-            ranges = [range(specht_dim(sigma[p])) for _, p in typed]
-            for indices in product(*ranges) if ranges else [()]:
-                blocks = tuple(
-                    sorted(
-                        ((support, p, t) for (support, p), t in zip(typed, indices)),
-                        key=lambda b: (min(b[0]), b[1]),
-                    )
-                )
-                out.append(WeightBasisElement(blocks, word))
+        for blocks in typed_block_tuples_reference(sigma, leftover):
+            out.append(WeightBasisElement(blocks, word))
     out.sort()
     return out
 

@@ -1,10 +1,12 @@
 import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from helpers import BASIS_CASES, hom_basis_reference
+from sigmabrauer import brauer
 from sigmabrauer.brauer import (
     Morphism,
     hom_basis,
@@ -65,6 +67,42 @@ def test_hom_basis_matches_the_reference_element_for_element():
 def test_hom_basis_rejects_impure_sigma():
     with pytest.raises(ValueError):
         hom_basis(PartitionTuple(((1,), ())), 2, 0)
+    with pytest.raises(ValueError):
+        hom_dim(PartitionTuple(((1,), ())), 2, 0)
+
+
+@pytest.mark.parametrize(
+    "text", ["1", "2", "1,1", "3", "2|1", "1|1", "3|1", "2,1|1", "1,1|1", "2,2|1", "3|2|1"]
+)
+def test_hom_dim_counts_the_basis(text):
+    # hom_dim counts by a recurrence on the block of the smallest label
+    sigma = parse_tuple(text)
+    for n in range(8):
+        for m in range(n + 1):
+            assert hom_dim(sigma, n, m) == len(hom_basis(sigma, n, m)), (text, n, m)
+    assert hom_dim(sigma, 2, 3) == hom_dim(sigma, -1, 0) == hom_dim(sigma, 1, -1) == 0
+
+
+def test_hom_dim_of_the_involution_category():
+    # for sigma = 2|1 the blocks of a k-set are the involutions of it
+    assert hom_dim(parse_tuple("2|1"), 14, 4) == math.comb(14, 4) * math.factorial(4) * 9496
+
+
+def test_hom_basis_enumerates_the_typed_blocks_once(monkeypatch):
+    # the typed set partitions of an (n-m)-set depend only on n-m, so one
+    # top-level enumeration serves every one of the C(n, m) used sets
+    sigma, n, m = parse_tuple("2|1"), 6, 2
+    original = brauer._typed_set_partitions
+    top_level = []
+
+    def counting(sg, elements):
+        if len(elements) == n - m:  # the recursion always passes fewer elements
+            top_level.append(elements)
+        return original(sg, elements)
+
+    monkeypatch.setattr(brauer, "_typed_set_partitions", counting)
+    assert hom_basis(sigma, n, m) == hom_basis_reference(sigma, n, m)
+    assert len(top_level) <= 1
 
 
 def test_identity_laws():

@@ -12,6 +12,7 @@ from helpers import (
     specht_word_expansions_reference,
     weight_space_basis_reference,
 )
+from sigmabrauer import schurweyl
 from sigmabrauer.brauer import hom_basis
 from sigmabrauer.combinat import Partition, PartitionTuple, parse_tuple, partitions, schur_dim
 from sigmabrauer.exactla import RatMat
@@ -59,6 +60,22 @@ def test_weight_basis_matches_the_reference_element_for_element():
             n,
             m,
         )
+
+
+def test_weight_basis_enumerates_the_typed_factors_once(monkeypatch):
+    # the typed factors of an (n-m)-set depend only on n-m, so one
+    # enumeration serves every one of the C(n, m) letter sets
+    sigma, n, m = parse_tuple("2|1"), 6, 2
+    original = schurweyl._typed_partitions_by_counts
+    calls = []
+
+    def counting(sg, elements):
+        calls.append(elements)
+        return original(sg, elements)
+
+    monkeypatch.setattr(schurweyl, "_typed_partitions_by_counts", counting)
+    assert weight_space_basis(sigma, n, m) == weight_space_basis_reference(sigma, n, m)
+    assert len(calls) <= 1
 
 
 def test_weight_basis_rejects_impure_sigma():
