@@ -20,13 +20,7 @@ from .combinat import Partition, PartitionTuple, partitions, schur_dim, specht_d
 from .exactla import RatMat, _eliminate, _primitive, solve
 from .brauer import Morphism, hom_basis, make_diagram
 from .schurweyl import get_tensor_rep, specht_word_expansions
-from .symfun import (
-    SchurExpr,
-    exterior_power_char,
-    inner_product,
-    lr_product,
-    sym_algebra_degree,
-)
+from .symfun import exterior_power_sums, schur_pairing, skew_schur_expand, sym_algebra_power_sums
 from .specht import check_specht_action, get_specht_module
 
 
@@ -368,33 +362,29 @@ def socle_check(sigma, form: FormPoint, lam: Partition) -> bool:
 
 def multiplicity(sigma, lam, mu) -> int:
     """Composition multiplicity of the simple labeled mu inside the
-    injective labeled lam; the pairing of s_lam against s_mu times the
-    degree |lam|-|mu| part of the free algebra character."""
+    injective labeled lam: <s_lam, s_mu Sym_d> for Sym_d the degree
+    d = |lam|-|mu| part of the free algebra character.  By
+    c^lam_{mu,nu} = <s_{lam/mu}, s_nu> (Macdonald I.5) this is
+    sum_nu c_nu <s_nu, Sym_d> over the skew expansion of lam/mu, each
+    pairing read off Sym_d in power sums by <p_pi, s_nu> = chi^nu(pi)."""
     sigma = PartitionTuple(sigma)
     lam, mu = Partition(lam), Partition(mu)
     if mu.size > lam.size:
         return 0
-    piece = sym_algebra_degree(sigma, lam.size - mu.size)
-    val = inner_product(SchurExpr.schur(lam), lr_product(SchurExpr.schur(mu), piece))
-    if val.denominator != 1 or val < 0:
-        raise RuntimeError(f"multiplicity {val} is not a non-negative integer")
-    return int(val)
+    d = lam.size - mu.size
+    return schur_pairing(sym_algebra_power_sums(sigma, d), skew_schur_expand(lam, mu))
 
 
 def ext_dim(sigma, i: int, lam, mu) -> int:
     """Dimension of the degree-i Ext space between the simples labeled lam
-    and mu, via the exterior powers of the generator space."""
+    and mu: <s_lam e_i[V], s_mu> = <e_i[V], s_{mu/lam}> for V the
+    generator space, the exterior power paired in power sums with the
+    skew expansion of mu/lam, at degree |mu|-|lam| only."""
     sigma = PartitionTuple(sigma)
     if i < 0:
         raise ValueError("i must be non-negative")
     lam, mu = Partition(lam), Partition(mu)
-    wedge = exterior_power_char(sigma, i)
-    val = inner_product(
-        lr_product(wedge, SchurExpr.schur(lam)), SchurExpr.schur(mu)
-    )
-    if val.denominator != 1 or val < 0:
-        raise RuntimeError(f"Ext dimension {val} is not a non-negative integer")
-    return int(val)
+    return schur_pairing(exterior_power_sums(sigma, i), skew_schur_expand(mu, lam))
 
 
 # ---------------------------------------------------------------------------

@@ -6,22 +6,25 @@ Plethysms h_a[f] and e_a[f] go through the power-sum basis (Macdonald,
 Symmetric Functions and Hall Polynomials, I.7-I.8): each term of f
 expands as s_nu = sum_tau chi^nu(tau) p_tau / z_tau, then
 h_a[f] = sum over rho of a of z_rho^-1 prod_k p_{rho_k}[f] with
-p_k[p_tau] = p_{k tau}, e_a[f] weights each term by (-1)^(a - len(rho)),
-and the Schur coefficients are read back as <p_pi, s_mu> = chi^mu(pi).
-The characters are the Murnaghan-Nakayama values of
-`specht.mn_character`, and all of it runs in integers over one common
-denominator.  The result is a GL character, so a Schur coefficient that
-is not a non-negative integer raises RuntimeError.  No plethysm builds a
-monomial or depends on a number of variables.
+p_k[p_tau] = p_{k tau}, and e_a[f] weights each term by
+(-1)^(a - len(rho)), all in integers over one common denominator.  The
+free algebra character Sym_d and the exterior powers stay in power sums,
+where a product is a concatenation of cycle types.  A pairing with s_nu
+is <p_pi, s_nu> = chi^nu(pi), the Murnaghan-Nakayama value of
+`specht.mn_character`: a multiplicity or an Ext dimension pairs with the
+few s_nu of one skew expansion (`schur_pairing`), and a Schur expansion
+reads back every s_nu.  Each pairing is with a GL character, so a value
+that is not a non-negative integer raises RuntimeError.  No plethysm
+builds a monomial or depends on a number of variables.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 
-from .combinat import Partition, PartitionTuple, partitions
+from .combinat import Partition, PartitionTuple, partitions, schur_dim, subpartitions
 from .specht import beta_set, centralizer_size, mn_character
 
 
@@ -109,8 +112,8 @@ def skew_schur_expand(lam: Partition, mu: Partition) -> SchurExpr:
     reading word is a ballot sequence, abandoning a partial filling as
     soon as its word stops being a ballot prefix; each filling contributes
     1 to the coefficient of its content.  This is the package's only
-    Littlewood-Richardson enumerator: `lr_product`, `kostka` and
-    `shift_decompose` read it.
+    Littlewood-Richardson enumerator: `lr_product`, `kostka`,
+    `shift_decompose` and `modcat`'s multiplicity and Ext pairings read it.
     """
     lam, mu = Partition(lam), Partition(mu)
     if not lam.contains(mu):
@@ -260,13 +263,15 @@ def _power_sums(f: SchurExpr) -> tuple[int, dict[tuple[int, ...], int]]:
     return den, {tau: c for tau, c in out.items() if c}
 
 
-def _plethysm(outer: int, inner: SchurExpr, mode: str) -> SchurExpr:
+def _plethysm_power_sums(outer: int, inner: SchurExpr, mode: str) -> tuple[int, dict]:
+    """(common, A) with h_a[inner] (mode "h") or e_a[inner] (mode "e") equal
+    to sum_pi A[pi] p_pi / common and integer A."""
     if outer < 0:
         raise ValueError("outer index must be non-negative")
     if outer == 0:
-        return SchurExpr.one()
+        return 1, {(): 1}
     if not inner:
-        return SchurExpr.zero()
+        return 1, {}
     den, f = _power_sums(inner)
     # h_a[f] = sum_rho z_rho^-1 prod_k p_{rho_k}[f], and e_a[f] weights each
     # term by (-1)^(a - len(rho)); p_k[p_tau] = p_{k tau}.  Over the common
@@ -286,76 +291,98 @@ def _plethysm(outer: int, inner: SchurExpr, mode: str) -> SchurExpr:
             terms = new
         for pi, a in terms.items():
             total[pi] = total.get(pi, 0) + a
-    by_degree: dict[int, list] = {}
-    for pi, a in total.items():
-        if a:
-            by_degree.setdefault(sum(pi), []).append((pi, a))
-    # <p_pi, s_mu> = chi^mu(pi); the result is a GL character, so every
-    # Schur coefficient must come out a non-negative integer
-    out: dict[Partition, int] = {}
-    for d in sorted(by_degree):
-        for mu in partitions(d):
-            beta = beta_set(mu)
-            c = sum(a * mn_character(beta, pi) for pi, a in by_degree[d])
-            if c % common or c < 0:
-                raise RuntimeError(
-                    f"plethysm coefficient {Fraction(c, common)} of s{tuple(mu)} is not a count"
-                )
-            if c:
-                out[mu] = c // common
-    return SchurExpr(out)
+    return common, total
+
+
+def schur_pairing(expansion: tuple[int, dict], g: SchurExpr) -> int:
+    """<f, g> for f = sum_pi A[pi] p_pi / common, given as (common, A), and
+    g a non-negative integer combination of Schur functions, by
+    <p_pi, s_nu> = chi^nu(pi): only the s_nu of g are read.  f is a GL
+    character, so each <f, s_nu> must be a non-negative integer."""
+    common, terms = expansion
+    total = 0
+    for nu, m in g.terms.items():
+        beta, n = beta_set(nu), nu.size
+        c = sum(a * mn_character(beta, pi) for pi, a in terms.items() if sum(pi) == n)
+        if c % common or c < 0:
+            raise RuntimeError(f"coefficient {Fraction(c, common)} of s{tuple(nu)} is not a count")
+        total += int(m) * (c // common)
+    return total
+
+
+def _read_back(expansion: tuple[int, dict]) -> SchurExpr:
+    """Every Schur coefficient of a power-sum expansion (common, A)."""
+    degrees = sorted({sum(pi) for pi, a in expansion[1].items() if a})
+    s = SchurExpr.schur
+    return SchurExpr({mu: schur_pairing(expansion, s(mu)) for d in degrees for mu in partitions(d)})
 
 
 def plethysm_h(a: int, inner: SchurExpr) -> SchurExpr:
     """Plethysm h_a[inner]: the a-th symmetric power on characters."""
-    return _plethysm(a, inner, "h")
+    return _read_back(_plethysm_power_sums(a, inner, "h"))
 
 
 def plethysm_e(i: int, inner: SchurExpr) -> SchurExpr:
     """Plethysm e_i[inner]: the i-th exterior power on characters."""
-    return _plethysm(i, inner, "e")
+    return _read_back(_plethysm_power_sums(i, inner, "e"))
 
 
 # ---------------------------------------------------------------------------
 # the free algebra character and shifts
 
 
-@lru_cache(maxsize=None)
-def sym_algebra_degree(sigma: PartitionTuple, d: int) -> SchurExpr:
-    """Degree-d Schur expansion of the symmetric algebra on one generator
-    space per entry of sigma (the product over p of sum_a h_a[s_{sigma_p}])."""
+def _pure(sigma) -> PartitionTuple:
     sigma = PartitionTuple(sigma)
     if not sigma.pure:
         raise ValueError("sigma must be pure (no empty partition entries)")
+    return sigma
+
+
+@lru_cache(maxsize=None)
+def sym_algebra_power_sums(sigma: PartitionTuple, d: int) -> tuple[int, dict]:
+    """(d!, A): the degree-d part Sym_d of the symmetric algebra on one
+    generator space per entry of sigma, prod_p sum_a h_a[s_{sigma_p}], as
+    sum_pi A[pi] p_pi / d!.  Each degree-k piece is held over k!, so a
+    product of pieces of degrees k and l concatenates cycle types with the
+    factor C(k+l, k) = (k+l)!/(k! l!)."""
+    sigma = _pure(sigma)
     if d < 0:
         raise ValueError("degree must be non-negative")
-    acc: dict[int, SchurExpr] = {0: SchurExpr.one()}
+    acc: dict[int, dict] = {0: {(): 1}}
     for p in sigma:
         g = p.size
-        pieces = {
-            a * g: plethysm_h(a, SchurExpr.schur(p)) for a in range(d // g + 1)
-        }
-        new: dict[int, SchurExpr] = {}
-        for d1, f1 in acc.items():
-            for d2, f2 in pieces.items():
-                if d1 + d2 > d:
-                    continue
-                term = lr_product(f1, f2)
-                new[d1 + d2] = new.get(d1 + d2, SchurExpr.zero()) + term
+        pieces = [_plethysm_power_sums(a, SchurExpr.schur(p), "h") for a in range(d // g + 1)]
+        new: dict[int, dict] = {}
+        for k, f1 in acc.items():
+            for l in range(0, d - k + 1, g):
+                common, f2 = pieces[l // g]
+                scale = comb(k + l, k) * (factorial(l) // common)
+                out = new.setdefault(k + l, {})
+                for pi, a in f1.items():
+                    for tau, b in f2.items():
+                        key = tuple(sorted(pi + tau, reverse=True))
+                        out[key] = out.get(key, 0) + scale * a * b
         acc = new
-    return acc.get(d, SchurExpr.zero())
+    return factorial(d), acc.get(d, {})
+
+
+def sym_algebra_degree(sigma: PartitionTuple, d: int) -> SchurExpr:
+    """Degree-d Schur expansion of the symmetric algebra on one generator
+    space per entry of sigma: the read-back of `sym_algebra_power_sums`."""
+    return _read_back(sym_algebra_power_sums(sigma, d))
 
 
 @lru_cache(maxsize=None)
+def exterior_power_sums(sigma: PartitionTuple, i: int) -> tuple[int, dict]:
+    """(common, A): the i-th exterior power e_i[sum_p s_{sigma_p}] of the
+    generator space of sigma, as sum_pi A[pi] p_pi / common."""
+    inner = sum((SchurExpr.schur(p) for p in _pure(sigma)), SchurExpr.zero())
+    return _plethysm_power_sums(i, inner, "e")
+
+
 def exterior_power_char(sigma: PartitionTuple, i: int) -> SchurExpr:
-    """Character of the i-th exterior power of the generator space of sigma."""
-    sigma = PartitionTuple(sigma)
-    if not sigma.pure:
-        raise ValueError("sigma must be pure (no empty partition entries)")
-    inner = SchurExpr.zero()
-    for p in sigma:
-        inner = inner + SchurExpr.schur(p)
-    return plethysm_e(i, inner)
+    """Schur expansion of `exterior_power_sums`: the i-th exterior power."""
+    return _read_back(exterior_power_sums(sigma, i))
 
 
 def shift_decompose(lam: Partition, n: int) -> dict[Partition, int]:
@@ -364,8 +391,6 @@ def shift_decompose(lam: Partition, n: int) -> dict[Partition, int]:
     Expands the evaluation on (k^n plus V): the multiplicity of nu is
     sum over mu inside lam of c^lam_{mu,nu} * dim S_mu(k^n).
     """
-    from .combinat import schur_dim, subpartitions
-
     lam = Partition(lam)
     if n < 0:
         raise ValueError("n must be non-negative")

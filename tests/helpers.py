@@ -12,7 +12,7 @@ from sigmabrauer.brauer import Block, Diagram
 from sigmabrauer.combinat import Partition, PartitionTuple, specht_dim
 from sigmabrauer.exactla import RatMat
 from sigmabrauer.schurweyl import WeightBasisElement
-from sigmabrauer.symfun import SchurExpr
+from sigmabrauer.symfun import SchurExpr, lr_product, plethysm_h
 
 
 def as_fractions(pair) -> dict:
@@ -200,6 +200,22 @@ def plethysm_brute(outer: int, inner: SchurExpr, mode: str) -> SchurExpr:
         if _is_dominant(exp):
             dominant[Partition(x for x in exp if x)] = c
     return schur_from_dominant_monomials(dominant)
+
+
+def sym_algebra_degree_by_products(sigma: PartitionTuple, d: int) -> SchurExpr:
+    """The degree-d part of prod_p sum_a h_a[s_{sigma_p}] in the Schur
+    basis: every h_a[s_{sigma_p}] read back by `plethysm_h` and the pieces
+    multiplied with `lr_product`, with no power-sum product or pairing."""
+    acc = {0: SchurExpr.one()}
+    for p in sigma:
+        g = p.size
+        new: dict[int, SchurExpr] = {}
+        for k, f in acc.items():
+            for l in range(0, d - k + 1, g):
+                term = lr_product(f, plethysm_h(l // g, SchurExpr.schur(p)))
+                new[k + l] = new.get(k + l, SchurExpr.zero()) + term
+        acc = new
+    return acc.get(d, SchurExpr.zero())
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from itertools import product
 
@@ -14,6 +15,7 @@ from helpers import (
     slot_generator_matrices,
     slot_permutation_matrix,
     stacked_specializations,
+    sym_algebra_degree_by_products,
     traceless_isotypic_brute,
     translate_reference,
 )
@@ -25,11 +27,13 @@ from sigmabrauer.combinat import (
     partitions,
     partitions_upto,
     specht_dim,
+    subpartitions,
 )
-from sigmabrauer import modcat
+from sigmabrauer import modcat, symfun
 from sigmabrauer.exactla import RatMat
 from sigmabrauer.schurweyl import get_tensor_rep, specht_word_expansions
-from sigmabrauer.specht import isotypic_projector
+from sigmabrauer.specht import beta_set, isotypic_projector
+from sigmabrauer.symfun import SchurExpr, exterior_power_char, inner_product, lr_product
 from sigmabrauer.modcat import (
     FormPoint,
     _constraint_columns,
@@ -88,6 +92,106 @@ def test_ext_fixtures():
     assert ext_dim(SIG2, 2, (), (2, 2)) == 0
     with pytest.raises(ValueError):
         ext_dim(SIG2, -1, (), ())
+
+
+# the sigma of the character-side sweeps: one to three entries, entries of
+# size 1 to 3, a generator space with one and with several constituents
+PAIRING_SIGMAS = ["2", "1,1", "3", "2,1", "2|1", "1,1|1", "1,1,1", "2|1,1"]
+
+
+def _by_schur_products(sigma, top: int, ext_top: int):
+    """Multiplicities for |lam| <= top and Ext dimensions for i <= ext_top,
+    as <s_lam, s_mu Sym_d> and <s_lam e_i[V], s_mu> computed with
+    `lr_product` and `inner_product` on the full Schur expansions."""
+    s = SchurExpr.schur
+    mult, ext = {}, {}
+    for n in range(top + 1):
+        for m in range(n + 1):
+            piece = sym_algebra_degree_by_products(sigma, n - m)
+            for mu in partitions(m):
+                term = lr_product(s(mu), piece)
+                for lam in partitions(n):
+                    mult[lam, mu] = inner_product(s(lam), term)
+    for i in range(ext_top + 1):
+        wedge = exterior_power_char(sigma, i)
+        for lam in partitions_upto(3):
+            term = lr_product(wedge, s(lam))
+            for mu in partitions_upto(top):
+                ext[i, lam, mu] = inner_product(term, s(mu))
+    return mult, ext
+
+
+def test_multiplicity_and_ext_match_schur_products():
+    # the pairing with one skew expansion against the full products
+    for text in PAIRING_SIGMAS:
+        sigma = parse_tuple(text)
+        mult, ext = _by_schur_products(sigma, 7, 3)
+        for (lam, mu), want in mult.items():
+            assert multiplicity(sigma, lam, mu) == want, (text, lam, mu)
+        for (i, lam, mu), want in ext.items():
+            assert ext_dim(sigma, i, lam, mu) == want, (text, i, lam, mu)
+
+
+def test_multiplicity_and_ext_take_no_lr_product(monkeypatch):
+    # the pairing reads one skew expansion, so no Littlewood-Richardson
+    # product may run, however deep the caches are
+    sigma = parse_tuple("2|1")
+    mult, ext = _by_schur_products(sigma, 5, 2)
+    symfun.sym_algebra_power_sums.cache_clear()
+    symfun.exterior_power_sums.cache_clear()
+
+    def refuse(*args):
+        raise AssertionError("lr_product called")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "sigmabrauer" and getattr(module, "lr_product", None) is lr_product:
+            monkeypatch.setattr(module, "lr_product", refuse)
+    for (lam, mu), want in mult.items():
+        assert multiplicity(sigma, lam, mu) == want, (lam, mu)
+    for (i, lam, mu), want in ext.items():
+        assert ext_dim(sigma, i, lam, mu) == want, (i, lam, mu)
+
+
+def test_multiplicity_certifies_its_pairing(monkeypatch):
+    # one character value off by one makes <s_(4), Sym_4> for sigma = (2),
+    # (p_1^4 + 6 p_2 p_1^2 + 3 p_2^2 + 8 p_3 p_1 + 6 p_4)/24 at the class
+    # (2, 2), a fraction, which the pairing must refuse
+    true_value = symfun.mn_character
+    beta = beta_set((4,))
+    symfun.sym_algebra_power_sums.cache_clear()
+    monkeypatch.setattr(
+        symfun, "mn_character", lambda b, c: true_value(b, c) + (b == beta and tuple(c) == (2, 2))
+    )
+    with pytest.raises(RuntimeError, match="not a count"):
+        multiplicity(SIG2, (4,), ())
+
+
+def _signed_ext(sigma, memo: dict, nu, mu) -> int:
+    """sum_i (-1)^i dim Ext^i(L_nu, L_mu); every generator has degree at
+    least 1, so i runs to |mu| - |nu|."""
+    key = (nu, mu)
+    if key not in memo:
+        top = mu.size - nu.size
+        memo[key] = sum((-1) ** i * ext_dim(sigma, i, nu, mu) for i in range(top + 1))
+    return memo[key]
+
+
+@pytest.mark.parametrize(
+    "text, top",
+    [("2", 9), ("1,1", 9), ("3", 10), ("2|1", 8), ("2,1", 8)],
+)
+def test_koszul_duality_of_multiplicities_and_ext(text, top):
+    # the free algebra is Koszul, sum_i (-1)^i e_i[V] h_{k-i}[V] = 0 for
+    # k > 0, so the multiplicity matrix times the transpose of the signed
+    # Ext matrix is the identity:
+    # sum_mu [I_lam : L_mu] sum_i (-1)^i dim Ext^i(L_nu, L_mu) = delta
+    sigma = parse_tuple(text)
+    memo: dict = {}
+    for lam in partitions_upto(top):
+        row = {mu: multiplicity(sigma, lam, mu) for mu in subpartitions(lam)}
+        for nu in partitions_upto(lam.size):
+            total = sum(m * _signed_ext(sigma, memo, nu, mu) for mu, m in row.items() if m)
+            assert total == (nu == lam), (text, lam, nu, total)
 
 
 def test_form_point_validation():

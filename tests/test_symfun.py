@@ -5,9 +5,15 @@ from math import comb
 
 import pytest
 
-from helpers import kostka_row, plethysm_brute, schur_from_dominant_monomials, ssyt_monomials
+from helpers import (
+    kostka_row,
+    plethysm_brute,
+    schur_from_dominant_monomials,
+    ssyt_monomials,
+    sym_algebra_degree_by_products,
+)
 from sigmabrauer import symfun
-from sigmabrauer.combinat import Partition, PartitionTuple, partitions, schur_dim
+from sigmabrauer.combinat import Partition, PartitionTuple, parse_tuple, partitions, schur_dim
 from sigmabrauer.symfun import (
     SchurExpr,
     inner_product,
@@ -239,6 +245,15 @@ def test_sym_algebra_degree():
     assert sym_algebra_degree(two, 1) == s((1,)).scale(2)
     with pytest.raises(ValueError):
         sym_algebra_degree(PartitionTuple(((1,), ())), 2)
+
+
+def test_sym_algebra_degree_matches_schur_products():
+    # the power-sum product of the pieces, read back, against the pieces
+    # read back one by one and multiplied in the Schur basis
+    for text in ["2", "1,1", "3", "2,1", "2|1", "1,1|1", "1,1,1", "2|1,1"]:
+        sigma = parse_tuple(text)
+        for d in range(11):
+            assert sym_algebra_degree(sigma, d) == sym_algebra_degree_by_products(sigma, d), (text, d)
 
 
 def test_shift_fixtures():
