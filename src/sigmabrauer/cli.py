@@ -13,12 +13,8 @@ import argparse
 import json
 import sys
 
-from .combinat import format_partition, parse_partition, parse_tuple, schur_dim
-from .brauer import hom_basis, hom_dim, morphism_from_json, morphism_to_json
-from .modcat import ext_dim, multiplicity, random_form, simple_realization_dim, traceless_space
-from .schurweyl import weight_space_basis
-from .stabilizer import PreconditionError, germinal_axiom_suite
-from .symfun import shift_decompose
+from . import brauer, modcat, schurweyl, stabilizer, symfun
+from .combinat import PreconditionError, format_partition, parse_partition, parse_tuple, schur_dim
 
 AMBIENT_SAFETY_LIMIT = 100_000
 
@@ -128,7 +124,7 @@ def _run(args) -> dict:
         for name, v in (("n", args.n), ("m", args.m)):
             if v < 0:
                 raise PreconditionError(f"{name} must be non-negative")
-        return {"dim": hom_dim(sigma, args.n, args.m)}
+        return {"dim": brauer.hom_dim(sigma, args.n, args.m)}
 
     if args.command == "compose":
         with open(args.infile) as fh:
@@ -141,28 +137,28 @@ def _run(args) -> dict:
         if not isinstance(doc["sigma"], str):
             raise PreconditionError('"sigma" must be a string in the tuple grammar')
         sigma = _pure_sigma(doc["sigma"], bound)
-        f = morphism_from_json(doc["f"], sigma, max_size=bound)
-        g = morphism_from_json(doc["g"], sigma, max_size=bound)
-        return morphism_to_json(g.compose(f))
+        f = brauer.morphism_from_json(doc["f"], sigma, max_size=bound)
+        g = brauer.morphism_from_json(doc["g"], sigma, max_size=bound)
+        return brauer.morphism_to_json(g.compose(f))
 
     if args.command == "mult":
         sigma = _pure_sigma(args.sigma, bound)
         lam = parse_partition(args.lam)
         mu = parse_partition(args.mu)
         _check_bound(bound, lam=lam.size, mu=mu.size)
-        return {"mult": multiplicity(sigma, lam, mu)}
+        return {"mult": symfun.multiplicity(sigma, lam, mu)}
 
     if args.command == "ext":
         sigma = _pure_sigma(args.sigma, bound)
         lam = parse_partition(args.lam)
         mu = parse_partition(args.mu)
         _check_bound(bound, i=args.i, lam=lam.size, mu=mu.size)
-        return {"dim": ext_dim(sigma, args.i, lam, mu)}
+        return {"dim": symfun.ext_dim(sigma, args.i, lam, mu)}
 
     if args.command == "shift":
         lam = parse_partition(args.lam)
         _check_bound(bound, lam=lam.size, n=args.n)
-        dec = shift_decompose(lam, args.n)
+        dec = symfun.shift_decompose(lam, args.n)
         return {format_partition(nu): mult for nu, mult in dec.items()}
 
     if args.command == "traceless":
@@ -183,14 +179,14 @@ def _run(args) -> dict:
                     f"a form at rank {args.rank} has {entries} entries, "
                     "which exceeds the safety limit"
                 )
-        form = random_form(sigma, args.rank, args.seed)
+        form = modcat.random_form(sigma, args.rank, args.seed)
         if args.lam is None:
-            return {"dim": traceless_space(sigma, form, args.n).dim}
+            return {"dim": modcat.traceless_space(sigma, form, args.n).dim}
         lam = parse_partition(args.lam)
         _check_bound(bound, lam=lam.size)
         if lam.size != args.n:
             raise PreconditionError("--lambda must be a partition of --n")
-        return {"dim": simple_realization_dim(sigma, form, lam)}
+        return {"dim": modcat.simple_realization_dim(sigma, form, lam)}
 
     if args.command == "stab":
         sigma = _pure_sigma(args.sigma, bound)
@@ -204,8 +200,8 @@ def _run(args) -> dict:
                 raise PreconditionError(
                     f"--levels must be comma-separated integers, got {args.levels!r}"
                 ) from None
-        reports = germinal_axiom_suite(
-            random_form(sigma, args.rank, args.seed), levels, args.samples, args.seed
+        reports = stabilizer.germinal_axiom_suite(
+            modcat.random_form(sigma, args.rank, args.seed), levels, args.samples, args.seed
         )
         return {
             "axioms": reports,
@@ -221,8 +217,8 @@ def _run(args) -> dict:
         all_equal = True
         for n in range(args.max_n + 1):
             for m in range(n + 1):
-                h = len(hom_basis(sigma, n, m))
-                w = len(weight_space_basis(sigma, n, m))
+                h = len(brauer.hom_basis(sigma, n, m))
+                w = len(schurweyl.weight_space_basis(sigma, n, m))
                 checks.append({"n": n, "m": m, "hom": h, "weight": w, "equal": h == w})
                 all_equal = all_equal and h == w
         return {"all_equal": all_equal, "checks": checks}

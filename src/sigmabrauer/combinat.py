@@ -12,10 +12,16 @@ from functools import lru_cache, total_ordering
 from math import factorial
 
 
+class PreconditionError(ValueError):
+    """A documented precondition was violated (as opposed to a check failing)."""
+
+
 class Partition(tuple):
     """A weakly decreasing tuple of positive integers; () is the empty partition."""
 
     def __new__(cls, parts=()):
+        if type(parts) is cls:
+            return parts  # immutable, so a partition converts to itself
         parts = tuple(int(p) for p in parts)
         if any(p <= 0 for p in parts):
             raise ValueError(f"partition parts must be positive: {parts}")
@@ -58,6 +64,8 @@ class PartitionTuple(tuple):
     """An ordered tuple of partitions."""
 
     def __new__(cls, entries=()):
+        if type(entries) is cls:
+            return entries
         return super().__new__(cls, (Partition(e) for e in entries))
 
     @property

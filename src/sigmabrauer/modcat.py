@@ -1,12 +1,15 @@
 """Finite-rank invariants of the module category attached to a pure tuple.
 
 Composition multiplicities and Ext dimensions are pure character
-computations, delegated to the symmetric function engine.  The finite
-rank side evaluates the diagram category on a concrete space k^N
+computations: they live in the symmetric function engine, and this
+module re-exports `multiplicity` and `ext_dim` from `symfun`.  The
+finite rank side evaluates the diagram category on a concrete space k^N
 equipped with a form (one linear functional on each generator Schur
 functor): every block becomes a concrete contraction, every diagram a
 matrix, and the traceless subspace of a tensor power together with its
-symmetric group action realizes the simple objects.
+symmetric group action realizes the simple objects.  Only the
+specialization, contraction and socle paths read `brauer`, as a module
+attribute, so a job that moves forms alone never loads it.
 """
 
 from __future__ import annotations
@@ -16,12 +19,12 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import lcm, prod
 
+from . import brauer
 from .combinat import Partition, PartitionTuple, partitions, schur_dim, specht_dim
 from .exactla import RatMat, _eliminate, _primitive, solve
-from .brauer import Morphism, hom_basis, make_diagram
 from .schurweyl import get_tensor_rep, specht_word_expansions
-from .symfun import exterior_power_sums, schur_pairing, skew_schur_expand, sym_algebra_power_sums
 from .specht import check_specht_action, get_specht_module
+from .symfun import ext_dim, multiplicity  # re-exported
 
 
 def _check_rank(N) -> int:
@@ -145,7 +148,7 @@ def _word_index(word: tuple[int, ...], N: int) -> int:
     return idx
 
 
-def _specialize(form: FormPoint, f: Morphism) -> tuple[int, dict[int, dict[int, int]]]:
+def _specialize(form: FormPoint, f: brauer.Morphism) -> tuple[int, dict[int, dict[int, int]]]:
     """The specialization of a morphism at the form as (L, rows): integer
     rows, target word index -> {source word index: nonzero value times L},
     nonzero rows only, where L is the lcm of the terms' denominators.
@@ -185,7 +188,7 @@ def _specialize(form: FormPoint, f: Morphism) -> tuple[int, dict[int, dict[int, 
     return L, {i: row for i, row in rows.items() if row}
 
 
-def theta_apply(form: FormPoint, f: Morphism) -> RatMat:
+def theta_apply(form: FormPoint, f: brauer.Morphism) -> RatMat:
     """The matrix of the specialization of a morphism at the form."""
     cols = form.N**f.source
     data = [[Fraction(0)] * cols for _ in range(form.N**f.target)]
@@ -212,7 +215,7 @@ def _constraint_columns(form: FormPoint, morphisms) -> dict[int, dict[int, int]]
 # traceless tensors
 
 
-def _generating_contractions(sigma: PartitionTuple, n: int) -> list[Morphism]:
+def _generating_contractions(sigma: PartitionTuple, n: int) -> list[brauer.Morphism]:
     """The block contractions on n slots: one block (p, t) on the slots S,
     the other slots kept in order.  Their joint kernel is the traceless
     subspace."""
@@ -225,8 +228,8 @@ def _generating_contractions(sigma: PartitionTuple, n: int) -> list[Morphism]:
             for S in combinations(range(1, n + 1), d):
                 rest = [s for s in range(1, n + 1) if s not in S]
                 matching = zip(rest, range(1, n - d + 1))
-                diagram = make_diagram(sigma, n, n - d, ((S, p, t),), matching)
-                out.append(Morphism.from_diagram(sigma, diagram))
+                diagram = brauer.make_diagram(sigma, n, n - d, ((S, p, t),), matching)
+                out.append(brauer.Morphism.from_diagram(sigma, diagram))
     return out
 
 
@@ -351,40 +354,13 @@ def socle_check(sigma, form: FormPoint, lam: Partition) -> bool:
     lam = Partition(lam)
     n = lam.size
     gen = _traceless_constraints(form, n)
-    homs = [Morphism.from_diagram(sigma, d) for m in range(n) for d in hom_basis(sigma, n, m)]
+    homs = [
+        brauer.Morphism.from_diagram(sigma, d)
+        for m in range(n)
+        for d in brauer.hom_basis(sigma, n, m)
+    ]
     hom = _constraint_columns(form, homs)
     return _restricted_nullity(gen, lam, form.N) == _restricted_nullity(hom, lam, form.N)
-
-
-# ---------------------------------------------------------------------------
-# character-level invariants
-
-
-def multiplicity(sigma, lam, mu) -> int:
-    """Composition multiplicity of the simple labeled mu inside the
-    injective labeled lam: <s_lam, s_mu Sym_d> for Sym_d the degree
-    d = |lam|-|mu| part of the free algebra character.  By
-    c^lam_{mu,nu} = <s_{lam/mu}, s_nu> (Macdonald I.5) this is
-    sum_nu c_nu <s_nu, Sym_d> over the skew expansion of lam/mu, each
-    pairing read off Sym_d in power sums by <p_pi, s_nu> = chi^nu(pi)."""
-    sigma = PartitionTuple(sigma)
-    lam, mu = Partition(lam), Partition(mu)
-    if mu.size > lam.size:
-        return 0
-    d = lam.size - mu.size
-    return schur_pairing(sym_algebra_power_sums(sigma, d), skew_schur_expand(lam, mu))
-
-
-def ext_dim(sigma, i: int, lam, mu) -> int:
-    """Dimension of the degree-i Ext space between the simples labeled lam
-    and mu: <s_lam e_i[V], s_mu> = <e_i[V], s_{mu/lam}> for V the
-    generator space, the exterior power paired in power sums with the
-    skew expansion of mu/lam, at degree |mu|-|lam| only."""
-    sigma = PartitionTuple(sigma)
-    if i < 0:
-        raise ValueError("i must be non-negative")
-    lam, mu = Partition(lam), Partition(mu)
-    return schur_pairing(exterior_power_sums(sigma, i), skew_schur_expand(mu, lam))
 
 
 # ---------------------------------------------------------------------------

@@ -17,14 +17,10 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
-from .combinat import Partition, PartitionTuple, schur_dim
+from .combinat import Partition, PartitionTuple, PreconditionError, schur_dim
 from .exactla import RatMat, rank
 from .modcat import FormPoint, integer_columns, moved_form, moved_values
 from .schurweyl import get_tensor_rep
-
-
-class PreconditionError(ValueError):
-    """A documented precondition was violated (as opposed to a check failing)."""
 
 
 class GLElement:

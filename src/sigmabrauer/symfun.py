@@ -11,11 +11,13 @@ p_k[p_tau] = p_{k tau}, and e_a[f] weights each term by
 free algebra character Sym_d and the exterior powers stay in power sums,
 where a product is a concatenation of cycle types.  A pairing with s_nu
 is <p_pi, s_nu> = chi^nu(pi), the Murnaghan-Nakayama value of
-`specht.mn_character`: a multiplicity or an Ext dimension pairs with the
-few s_nu of one skew expansion (`schur_pairing`), and a Schur expansion
-reads back every s_nu.  Each pairing is with a GL character, so a value
-that is not a non-negative integer raises RuntimeError.  No plethysm
-builds a monomial or depends on a number of variables.
+`specht.mn_character`: a composition multiplicity (`multiplicity`, Sym_d
+against s_{lam/mu}) or an Ext dimension (`ext_dim`, an exterior power
+against s_{mu/lam}) pairs with the few s_nu of one skew expansion
+(`schur_pairing`), and a Schur expansion reads back every s_nu.  Each
+pairing is with a GL character, so a value that is not a non-negative
+integer raises RuntimeError.  No plethysm builds a monomial or depends
+on a number of variables.
 """
 
 from __future__ import annotations
@@ -113,7 +115,7 @@ def skew_schur_expand(lam: Partition, mu: Partition) -> SchurExpr:
     soon as its word stops being a ballot prefix; each filling contributes
     1 to the coefficient of its content.  This is the package's only
     Littlewood-Richardson enumerator: `lr_product`, `kostka`,
-    `shift_decompose` and `modcat`'s multiplicity and Ext pairings read it.
+    `shift_decompose`, `multiplicity` and `ext_dim` read it.
     """
     lam, mu = Partition(lam), Partition(mu)
     if not lam.contains(mu):
@@ -349,13 +351,19 @@ def sym_algebra_power_sums(sigma: PartitionTuple, d: int) -> tuple[int, dict]:
     if d < 0:
         raise ValueError("degree must be non-negative")
     acc: dict[int, dict] = {0: {(): 1}}
-    for p in sigma:
+    last = len(sigma) - 1
+    for j, p in enumerate(sigma):
         g = p.size
-        pieces = [_plethysm_power_sums(a, SchurExpr.schur(p), "h") for a in range(d // g + 1)]
+        pieces: dict[int, tuple[int, dict]] = {}
         new: dict[int, dict] = {}
         for k, f1 in acc.items():
-            for l in range(0, d - k + 1, g):
-                common, f2 = pieces[l // g]
+            # only degree d is read, so the last entry forms only k + l = d
+            for l in range(d - k if j == last else 0, d - k + 1, g):
+                if l % g:
+                    continue
+                if l not in pieces:
+                    pieces[l] = _plethysm_power_sums(l // g, SchurExpr.schur(p), "h")
+                common, f2 = pieces[l]
                 scale = comb(k + l, k) * (factorial(l) // common)
                 out = new.setdefault(k + l, {})
                 for pi, a in f1.items():
@@ -404,3 +412,34 @@ def shift_decompose(lam: Partition, n: int) -> dict[Partition, int]:
                 raise RuntimeError("skew Schur expansion has a non-integer coefficient")
             out[nu] = out.get(nu, 0) + mult * int(c)
     return {nu: m for nu, m in out.items() if m != 0}
+
+
+# ---------------------------------------------------------------------------
+# multiplicities and Ext
+
+
+def multiplicity(sigma, lam, mu) -> int:
+    """Composition multiplicity of the simple labeled mu inside the
+    injective labeled lam: <s_lam, s_mu Sym_d> for Sym_d the degree
+    d = |lam|-|mu| part of the free algebra character.  By
+    c^lam_{mu,nu} = <s_{lam/mu}, s_nu> (Macdonald I.5) this is
+    sum_nu c_nu <s_nu, Sym_d> over the skew expansion of lam/mu, each
+    pairing read off Sym_d in power sums by <p_pi, s_nu> = chi^nu(pi)."""
+    sigma = PartitionTuple(sigma)
+    lam, mu = Partition(lam), Partition(mu)
+    if mu.size > lam.size:
+        return 0
+    d = lam.size - mu.size
+    return schur_pairing(sym_algebra_power_sums(sigma, d), skew_schur_expand(lam, mu))
+
+
+def ext_dim(sigma, i: int, lam, mu) -> int:
+    """Dimension of the degree-i Ext space between the simples labeled lam
+    and mu: <s_lam e_i[V], s_mu> = <e_i[V], s_{mu/lam}> for V the
+    generator space, the exterior power paired in power sums with the
+    skew expansion of mu/lam, at degree |mu|-|lam| only."""
+    sigma = PartitionTuple(sigma)
+    if i < 0:
+        raise ValueError("i must be non-negative")
+    lam, mu = Partition(lam), Partition(mu)
+    return schur_pairing(exterior_power_sums(sigma, i), skew_schur_expand(mu, lam))

@@ -246,6 +246,85 @@ def test_sigma_entry_is_held_to_the_degree_bound():
 
 
 # ---------------------------------------------------------------------------
+# the package modules a job executes, recorded by an audit hook on every
+# "exec" event (module bodies run through exec, from source or from a cache)
+
+_LAYERS = {"combinat", "exactla", "specht", "symfun", "brauer", "schurweyl", "modcat", "stabilizer"}
+_EXEC_PROBE = """
+import json, pathlib, sys
+files = set()
+sys.addaudithook(
+    lambda event, args: event == "exec" and files.add(getattr(args[0], "co_filename", ""))
+)
+from sigmabrauer.cli import main
+code = main(sys.argv[1:])
+paths = map(pathlib.Path, files)
+print(json.dumps([code, sorted(p.stem for p in paths if p.parent.name == "sigmabrauer")]))
+"""
+
+
+def executed_modules(*args, exit_code=0) -> set[str]:
+    """The sigmabrauer modules a fresh interpreter executes to run one job."""
+    proc = subprocess.run([sys.executable, "-c", _EXEC_PROBE, *args], capture_output=True, text=True)
+    code, stems = json.loads(proc.stdout.splitlines()[-1])
+    assert code == exit_code, proc.stderr
+    return set(stems)
+
+
+def test_character_jobs_execute_only_the_character_layers():
+    character = {"__init__", "cli", "combinat", "exactla", "specht", "symfun"}
+    ext = ("ext", "--sigma", "2|1", "--i", "4", "--lambda", "0", "--mu", "3,1,1,1")
+    assert executed_modules(*ext) == character
+    assert executed_modules("mult", "--sigma", "2", "--lambda", "2,2", "--mu", "2") == character
+
+
+def test_homdim_and_stab_skip_the_layers_they_do_not_read():
+    assert not executed_modules("homdim", "--sigma", "2", "--n", "4", "--m", "0") & {
+        "symfun", "schurweyl", "modcat", "stabilizer"
+    }
+    stab = executed_modules("stab", "check", "--sigma", "3", "--rank", "3", "--samples", "2")
+    assert "stabilizer" in stab and "brauer" not in stab
+
+
+def test_rejected_job_loads_no_layer_beyond_combinat():
+    assert executed_modules("homdim", "--sigma", "2", "--n", "7", "--m", "0", exit_code=1) == {
+        "__init__", "cli", "combinat"
+    }
+
+
+def test_package_contract():
+    import sigmabrauer
+    from sigmabrauer import combinat, modcat, stabilizer, symfun
+
+    probe = "import sys, sigmabrauer.cli; print(*sorted(sys.modules))"
+    loaded = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True).stdout
+    assert {f"sigmabrauer.{layer}" for layer in _LAYERS} <= set(loaded.split())
+    namespace: dict = {}
+    exec("from sigmabrauer import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(sigmabrauer.__all__) == _LAYERS | {
+        "Block", "Diagram", "FormPoint", "GLElement", "GammaQuery", "Magnitude",
+        "MapPresentation", "Morphism", "Partition", "PartitionTuple", "PreconditionError",
+        "RatMat", "SchurExpr", "SpechtModule", "SpechtVector", "TensorRep", "UpMorphism",
+        "WeightBasisElement", "diagram_weight_iso", "dot_product_form",
+        "evaluation_presentation", "ext_dim", "format_partition", "format_tuple",
+        "gamma_linearity_check", "gamma_product_level", "germinal_axiom_suite",
+        "get_specht_module", "get_tensor_rep", "hom_basis", "hom_dim", "in_gamma",
+        "inner_product", "isotypic_projector", "kernel_basis", "lr_product", "magnitude",
+        "make_diagram", "monomial_cubic_form", "morphism_from_json", "morphism_to_json",
+        "multiplicity", "parse_partition", "parse_tuple", "partitions", "permutation_element",
+        "plethysm_e", "plethysm_h", "random_block_fixing", "random_form", "random_morphism",
+        "random_unimodular", "rank", "relabel", "schur_dim", "shift_decompose",
+        "simple_realization_dim", "skew_schur_expand", "sn_character", "socle_check",
+        "specht_dim", "sym_algebra_degree", "theta_apply", "traceless_space", "translate",
+        "upwards_view", "weight_space_basis",
+    }
+    assert len(sigmabrauer.__all__) == 75
+    assert stabilizer.PreconditionError is combinat.PreconditionError
+    assert modcat.multiplicity is symfun.multiplicity and modcat.ext_dim is symfun.ext_dim
+    assert sigmabrauer.multiplicity is symfun.multiplicity
+
+
+# ---------------------------------------------------------------------------
 # the exit-code contract under fuzzed argv: tiny jobs, small integers and
 # malformed partition and tuple strings
 
