@@ -8,7 +8,9 @@ rational combinations of basis diagrams in normal form: blocks sorted
 by the minimum of their support, every Specht coefficient expanded into
 the standard polytabloid basis, no zero terms.  The straightening
 relations of the Specht modules are therefore quotiented out by
-construction.
+construction.  Only composition and `Morphism.from_blocks` read
+`specht`, as a module attribute, so counting Hom dimensions never
+loads the Specht layer.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from itertools import combinations, permutations, product
 from math import comb, factorial
 from typing import NamedTuple
 
+from . import specht
 from .combinat import PartitionTuple, specht_dim
-from .specht import SpechtVector, get_specht_module
 
 
 class Block(NamedTuple):
@@ -129,7 +131,7 @@ class Morphism:
         for support, p, coords in blocks:
             support = tuple(sorted(support))
             shape = sigma[p]
-            if isinstance(coords, SpechtVector):
+            if isinstance(coords, specht.SpechtVector):
                 coords = coords.coords
             coords = tuple(Fraction(c) for c in coords)
             if len(coords) != specht_dim(shape):
@@ -209,8 +211,8 @@ class Morphism:
                 for b in dg.blocks:
                     src_support = tuple(sorted(inv_f[a] for a in b.support))
                     shape = sigma[b.type_index]
-                    tab = get_specht_module(shape, b.support).tableaux[b.basis_index]
-                    moved = get_specht_module(shape, src_support).straighten(
+                    tab = specht.get_specht_module(shape, b.support).tableaux[b.basis_index]
+                    moved = specht.get_specht_module(shape, src_support).straighten(
                         tuple(tuple(inv_f[a] for a in row) for row in tab)
                     )
                     expansions.append((src_support, b.type_index, sorted(moved.items())))

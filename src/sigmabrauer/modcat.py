@@ -1,9 +1,10 @@
 """Finite-rank invariants of the module category attached to a pure tuple.
 
 Composition multiplicities and Ext dimensions are pure character
-computations: they live in the symmetric function engine, and this
-module re-exports `multiplicity` and `ext_dim` from `symfun`.  The
-finite rank side evaluates the diagram category on a concrete space k^N
+computations that live in `symfun`; reading `modcat.multiplicity` or
+`modcat.ext_dim` returns the `symfun` function through the module
+`__getattr__`, so a finite-rank job never loads `symfun`.  The finite
+rank side evaluates the diagram category on a concrete space k^N
 equipped with a form (one linear functional on each generator Schur
 functor): every block becomes a concrete contraction, every diagram a
 matrix, and the traceless subspace of a tensor power together with its
@@ -19,12 +20,17 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import lcm, prod
 
-from . import brauer
+from . import brauer, symfun
 from .combinat import Partition, PartitionTuple, partitions, schur_dim, specht_dim
 from .exactla import RatMat, _eliminate, _primitive, solve
 from .schurweyl import get_tensor_rep, specht_word_expansions
 from .specht import check_specht_action, get_specht_module
-from .symfun import ext_dim, multiplicity  # re-exported
+
+
+def __getattr__(name: str):
+    if name in ("multiplicity", "ext_dim"):
+        return getattr(symfun, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _check_rank(N) -> int:

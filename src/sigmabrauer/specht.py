@@ -10,17 +10,19 @@ from row i down, B = the entries of column j+1 from the top down to row
 i, and rewrites e_T against all other ways of splitting A u B into a
 column-j part and a column-j+1 part, each kept increasing; the signs
 are the parities of the induced rearrangements.  All structure
-constants are integers.
+constants are integers.  The irreducible characters live in the leaf
+module `characters`, which the character side loads without this one;
+they are re-exported here.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import factorial
 
+from .characters import beta_set, centralizer_size, mn_character, sn_character  # re-exported
 from .combinat import Partition, specht_dim
 from .exactla import RatMat
 
@@ -61,6 +63,17 @@ def cycle_type(one_line: tuple[int, ...]) -> Partition:
             clen += 1
         lens.append(clen)
     return Partition(sorted(lens, reverse=True))
+
+
+def class_representative(cls: Partition) -> tuple[int, ...]:
+    """A permutation of cycle type cls in 0-indexed one-line notation: the
+    cycles run over consecutive positions, longest first."""
+    out = []
+    start = 0
+    for part in Partition(cls):
+        out.extend(start + (t + 1) % part for t in range(part))
+        start += part
+    return tuple(out)
 
 
 def _parity_of_rearrangement(old: tuple, new: tuple) -> int:
@@ -368,74 +381,6 @@ def check_specht_action(family, gens: list[RatMat], move, what: str):
                 raise RuntimeError(
                     f"{what} do not span a representation of S_{len(gens) + 1}"
                 )
-
-
-# ---------------------------------------------------------------------------
-# characters (Murnaghan-Nakayama)
-
-
-def beta_set(lam: tuple[int, ...]) -> tuple[int, ...]:
-    """The first-column hook lengths of a partition, decreasing; the last
-    is its last part, so a nonempty beta-set never ends in 0."""
-    return tuple(p + len(lam) - 1 - j for j, p in enumerate(lam))
-
-
-@lru_cache(maxsize=None)
-def mn_character(beta: tuple[int, ...], cls: tuple[int, ...]) -> int:
-    """Irreducible symmetric group character value at cycle type `cls`
-    (a tuple of parts, largest first) for the shape with beta-set `beta`,
-    by the Murnaghan-Nakayama rule: a border strip of length cls[0] moves
-    one entry b to a free b - cls[0], with the sign of the number of
-    entries it passes.  A beta-set ending in 0 drops it and lowers the
-    rest by one, so each shape has one key."""
-    if not cls:
-        return 1
-    m, rest = cls[0], cls[1:]
-    total = 0
-    for j, b in enumerate(beta):
-        nb = b - m
-        if nb < 0:
-            break
-        k = j + 1
-        while k < len(beta) and beta[k] > nb:
-            k += 1
-        if k < len(beta) and beta[k] == nb:
-            continue
-        new = beta[:j] + beta[j + 1 : k] + (nb,) + beta[k:]
-        while new and not new[-1]:
-            new = tuple(x - 1 for x in new[:-1])
-        value = mn_character(new, rest)
-        total += -value if (k - j) % 2 == 0 else value
-    return total
-
-
-def sn_character(lam: Partition, cls: Partition) -> int:
-    """Irreducible symmetric group character value, by border strip removal
-    on first-column hook lengths (`mn_character`)."""
-    lam, cls = Partition(lam), Partition(cls)
-    if lam.size != cls.size:
-        raise ValueError("partition and cycle type must have equal size")
-    return mn_character(beta_set(lam), tuple(cls))
-
-
-def class_representative(cls: Partition) -> tuple[int, ...]:
-    """A permutation of cycle type cls in 0-indexed one-line notation: the
-    cycles run over consecutive positions, longest first."""
-    out = []
-    start = 0
-    for part in Partition(cls):
-        out.extend(start + (t + 1) % part for t in range(part))
-        start += part
-    return tuple(out)
-
-
-def centralizer_size(cls: Partition) -> int:
-    """z_cls = prod_k k^(m_k) m_k!, where m_k counts the parts equal to k;
-    the conjugacy class of cycle type cls has |cls|!/z_cls elements."""
-    z = 1
-    for part, k in Counter(Partition(cls)).items():
-        z *= part**k * factorial(k)
-    return z
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,9 @@ p_k[p_tau] = p_{k tau}, and e_a[f] weights each term by
 free algebra character Sym_d and the exterior powers stay in power sums,
 where a product is a concatenation of cycle types.  A pairing with s_nu
 is <p_pi, s_nu> = chi^nu(pi), the Murnaghan-Nakayama value of
-`specht.mn_character`: a composition multiplicity (`multiplicity`, Sym_d
-against s_{lam/mu}) or an Ext dimension (`ext_dim`, an exterior power
-against s_{mu/lam}) pairs with the few s_nu of one skew expansion
+`characters.mn_character`: a composition multiplicity (`multiplicity`,
+Sym_d against s_{lam/mu}) or an Ext dimension (`ext_dim`, an exterior
+power against s_{mu/lam}) pairs with the few s_nu of one skew expansion
 (`schur_pairing`), and a Schur expansion reads back every s_nu.  Each
 pairing is with a GL character, so a value that is not a non-negative
 integer raises RuntimeError.  No plethysm builds a monomial or depends
@@ -26,8 +26,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
+from .characters import beta_set, centralizer_size, mn_character
 from .combinat import Partition, PartitionTuple, partitions, schur_dim, subpartitions
-from .specht import beta_set, centralizer_size, mn_character
 
 
 class SchurExpr:

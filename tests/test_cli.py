@@ -4,6 +4,7 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -250,16 +251,20 @@ def test_sigma_entry_is_held_to_the_degree_bound():
 # "exec" event (module bodies run through exec, from source or from a cache)
 
 _LAYERS = {"combinat", "exactla", "specht", "symfun", "brauer", "schurweyl", "modcat", "stabilizer"}
-_EXEC_PROBE = """
+_AUDIT = """
 import json, pathlib, sys
 files = set()
 sys.addaudithook(
     lambda event, args: event == "exec" and files.add(getattr(args[0], "co_filename", ""))
 )
+def executed():
+    paths = map(pathlib.Path, files)
+    return sorted(p.stem for p in paths if p.parent.name == "sigmabrauer")
+"""
+_EXEC_PROBE = _AUDIT + """
 from sigmabrauer.cli import main
 code = main(sys.argv[1:])
-paths = map(pathlib.Path, files)
-print(json.dumps([code, sorted(p.stem for p in paths if p.parent.name == "sigmabrauer")]))
+print(json.dumps([code, executed()]))
 """
 
 
@@ -272,18 +277,25 @@ def executed_modules(*args, exit_code=0) -> set[str]:
 
 
 def test_character_jobs_execute_only_the_character_layers():
-    character = {"__init__", "cli", "combinat", "exactla", "specht", "symfun"}
+    character = {"__init__", "cli", "combinat", "characters", "symfun"}
     ext = ("ext", "--sigma", "2|1", "--i", "4", "--lambda", "0", "--mu", "3,1,1,1")
     assert executed_modules(*ext) == character
     assert executed_modules("mult", "--sigma", "2", "--lambda", "2,2", "--mu", "2") == character
+    assert executed_modules("shift", "--lambda", "2,1", "--n", "2") == character
 
 
 def test_homdim_and_stab_skip_the_layers_they_do_not_read():
-    assert not executed_modules("homdim", "--sigma", "2", "--n", "4", "--m", "0") & {
-        "symfun", "schurweyl", "modcat", "stabilizer"
+    assert executed_modules("homdim", "--sigma", "2", "--n", "4", "--m", "0") == {
+        "__init__", "cli", "combinat", "brauer"
     }
     stab = executed_modules("stab", "check", "--sigma", "3", "--rank", "3", "--samples", "2")
-    assert "stabilizer" in stab and "brauer" not in stab
+    assert "stabilizer" in stab and not stab & {"brauer", "symfun"}
+
+
+def test_traceless_jobs_execute_no_symfun():
+    for lam in ((), ("--lambda", "1,1")):
+        executed = executed_modules("traceless", "--sigma", "2", "--rank", "3", "--n", "2", *lam)
+        assert "modcat" in executed and "symfun" not in executed, lam
 
 
 def test_rejected_job_loads_no_layer_beyond_combinat():
@@ -292,9 +304,18 @@ def test_rejected_job_loads_no_layer_beyond_combinat():
     }
 
 
+_MODCAT_PROBE = _AUDIT + """
+import sigmabrauer.modcat as modcat
+modcat.traceless_space
+before = executed()
+modcat.multiplicity
+print(json.dumps([before, executed()]))
+"""
+
+
 def test_package_contract():
     import sigmabrauer
-    from sigmabrauer import combinat, modcat, stabilizer, symfun
+    from sigmabrauer import characters, combinat, modcat, specht, stabilizer, symfun
 
     probe = "import sys, sigmabrauer.cli; print(*sorted(sys.modules))"
     loaded = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True).stdout
@@ -320,8 +341,22 @@ def test_package_contract():
     }
     assert len(sigmabrauer.__all__) == 75
     assert stabilizer.PreconditionError is combinat.PreconditionError
+    # one definition, so one Murnaghan-Nakayama cache, whichever layer reads it
+    for name in ("beta_set", "centralizer_size", "mn_character"):
+        assert getattr(characters, name) is getattr(symfun, name) is getattr(specht, name)
+    assert characters.sn_character is specht.sn_character is sigmabrauer.sn_character
     assert modcat.multiplicity is symfun.multiplicity and modcat.ext_dim is symfun.ext_dim
     assert sigmabrauer.multiplicity is symfun.multiplicity
+    exec("from sigmabrauer.modcat import multiplicity", namespace)
+    assert namespace["multiplicity"] is symfun.multiplicity
+    message = "^module 'sigmabrauer.modcat' has no attribute 'nope'$"
+    with pytest.raises(AttributeError, match=message):
+        modcat.nope
+    # modcat reaches symfun only when one of the two character names is read
+    proc = subprocess.run([sys.executable, "-c", _MODCAT_PROBE], capture_output=True, text=True)
+    before, after = json.loads(proc.stdout)
+    assert "modcat" in before and "symfun" not in before, before
+    assert {"characters", "symfun"} <= set(after), after
 
 
 # ---------------------------------------------------------------------------
