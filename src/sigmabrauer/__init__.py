@@ -20,7 +20,7 @@ import sys
 _LAYERS = {
     "combinat": (
         "Magnitude", "Partition", "PartitionTuple", "PreconditionError", "format_partition",
-        "format_tuple", "magnitude", "parse_partition", "parse_tuple", "partitions",
+        "format_tuple", "hom_dim", "magnitude", "parse_partition", "parse_tuple", "partitions",
         "schur_dim", "specht_dim",
     ),
     "exactla": ("RatMat", "kernel_basis", "rank"),
@@ -33,7 +33,7 @@ _LAYERS = {
         "sn_character",
     ),
     "brauer": (
-        "Block", "Diagram", "Morphism", "UpMorphism", "hom_basis", "hom_dim", "make_diagram",
+        "Block", "Diagram", "Morphism", "UpMorphism", "hom_basis", "make_diagram",
         "morphism_from_json", "morphism_to_json", "random_morphism", "upwards_view",
     ),
     "schurweyl": (

@@ -9,19 +9,19 @@ by the minimum of their support, every Specht coefficient expanded into
 the standard polytabloid basis, no zero terms.  The straightening
 relations of the Specht modules are therefore quotiented out by
 construction.  Only composition and `Morphism.from_blocks` read
-`specht`, as a module attribute, so counting Hom dimensions never
-loads the Specht layer.
+`specht`, as a module attribute, so enumerating Hom bases never loads
+the Specht layer.  `hom_dim` only counts, so it lives in `combinat` and
+is re-exported here.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import comb, factorial
 from typing import NamedTuple
 
 from . import specht
-from .combinat import PartitionTuple, specht_dim
+from .combinat import PartitionTuple, hom_dim, specht_dim  # hom_dim re-exported
 
 
 class Block(NamedTuple):
@@ -317,21 +317,6 @@ def hom_basis(sigma, n: int, m: int) -> list[Diagram]:
                  for typed in typed_blocks]
     keys.sort()  # block tuples are distinct, so no matching list is compared
     return [tuple.__new__(Diagram, (n, m, b, mt)) for b, mts in keys for mt in mts]
-
-
-def hom_dim(sigma, n: int, m: int) -> int:
-    """The count C(n, m) m! B_(n-m), B_k the decorated block tuples of a k-set:
-    B_k = sum_p dim S^(sigma_p) C(k-1, |sigma_p|-1) B_(k-|sigma_p|), B_0 = 1."""
-    sigma = PartitionTuple(sigma)
-    if not sigma.pure:
-        raise ValueError("sigma must be pure")
-    if m < 0 or n < 0 or m > n:
-        return 0
-    B = [1]
-    for k in range(1, n - m + 1):
-        B.append(sum(specht_dim(s) * comb(k - 1, s.size - 1) * B[k - s.size]
-                     for s in sigma if s.size <= k))
-    return comb(n, m) * factorial(m) * B[n - m]
 
 
 # ---------------------------------------------------------------------------

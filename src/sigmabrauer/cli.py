@@ -14,7 +14,7 @@ import json
 import sys
 
 from . import brauer, modcat, schurweyl, stabilizer, symfun
-from .combinat import PreconditionError, format_partition, parse_partition, parse_tuple, schur_dim
+from .combinat import PreconditionError, format_partition, hom_dim, parse_partition, parse_tuple, schur_dim
 
 AMBIENT_SAFETY_LIMIT = 100_000
 
@@ -124,7 +124,7 @@ def _run(args) -> dict:
         for name, v in (("n", args.n), ("m", args.m)):
             if v < 0:
                 raise PreconditionError(f"{name} must be non-negative")
-        return {"dim": brauer.hom_dim(sigma, args.n, args.m)}
+        return {"dim": hom_dim(sigma, args.n, args.m)}
 
     if args.command == "compose":
         with open(args.infile) as fh:

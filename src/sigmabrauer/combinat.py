@@ -9,7 +9,7 @@ partitions joins its entries with "|" (e.g. "2|1,1").
 from __future__ import annotations
 
 from functools import lru_cache, total_ordering
-from math import factorial
+from math import comb, factorial
 
 
 class PreconditionError(ValueError):
@@ -172,6 +172,22 @@ def specht_dim(p: Partition) -> int:
     if rem:
         raise RuntimeError("hook length product does not divide n!")
     return d
+
+
+def hom_dim(sigma, n: int, m: int) -> int:
+    """The dimension of Hom([n], [m]) in the downwards category of sigma,
+    the count C(n, m) m! B_(n-m), B_k the decorated block tuples of a k-set:
+    B_k = sum_p dim S^(sigma_p) C(k-1, |sigma_p|-1) B_(k-|sigma_p|), B_0 = 1."""
+    sigma = PartitionTuple(sigma)
+    if not sigma.pure:
+        raise ValueError("sigma must be pure")
+    if m < 0 or n < 0 or m > n:
+        return 0
+    B = [1]
+    for k in range(1, n - m + 1):
+        B.append(sum(specht_dim(s) * comb(k - 1, s.size - 1) * B[k - s.size]
+                     for s in sigma if s.size <= k))
+    return comb(n, m) * factorial(m) * B[n - m]
 
 
 @lru_cache(maxsize=None)

@@ -8,9 +8,10 @@ rank side evaluates the diagram category on a concrete space k^N
 equipped with a form (one linear functional on each generator Schur
 functor): every block becomes a concrete contraction, every diagram a
 matrix, and the traceless subspace of a tensor power together with its
-symmetric group action realizes the simple objects.  Only the
-specialization, contraction and socle paths read `brauer`, as a module
-attribute, so a job that moves forms alone never loads it.
+symmetric group action realizes the simple objects.  The block
+contractions reach the specializer as plain diagram tuples; only
+`socle_check` reads `brauer` (its `hom_basis`), as a module attribute,
+so no traceless job loads it.
 """
 
 from __future__ import annotations
@@ -154,26 +155,26 @@ def _word_index(word: tuple[int, ...], N: int) -> int:
     return idx
 
 
-def _specialize(form: FormPoint, f: brauer.Morphism) -> tuple[int, dict[int, dict[int, int]]]:
-    """The specialization of a morphism at the form as (L, rows): integer
-    rows, target word index -> {source word index: nonzero value times L},
-    nonzero rows only, where L is the lcm of the terms' denominators.
+def _specialize(form: FormPoint, terms) -> tuple[int, dict[int, dict[int, int]]]:
+    """The specialization at the form of the sum of the (diagram,
+    coefficient) pairs `terms` as (L, rows): integer rows, target word
+    index -> {source word index: nonzero value times L}, nonzero rows
+    only, where L is the lcm of the terms' denominators.  A diagram is any
+    (source, target, blocks, matching) tuple, as in `Morphism.terms`.
 
     Tensor slots of a disjoint union are ordered first factor then
     second; matchings act by the corresponding coordinate permutation.
     """
-    if f.sigma != form.sigma:
-        raise ValueError("morphism and form live over different tuples")
     N = form.N
-    n, m = f.source, f.target
-    terms = []
-    for d, coeff in f.terms.items():
-        fns = [(b.support, block_functional(form, b.type_index, b.basis_index)) for b in d.blocks]
-        terms.append((d.matching, coeff, coeff.denominator * prod(den for _, (den, _) in fns), fns))
-    L = lcm(*(den for _, _, den, _ in terms))
+    specs = []
+    for (n, m, blocks, matching), coeff in terms:
+        fns = [(support, block_functional(form, p, t)) for support, p, t in blocks]
+        den = coeff.denominator * prod(den for _, (den, _) in fns)
+        specs.append((n, m, matching, coeff.numerator, den, fns))
+    L = lcm(*(den for *_, den, _ in specs))
     rows: dict[int, dict[int, int]] = {}
-    for matching, coeff, den, fns in terms:
-        factor = coeff.numerator * (L // den)
+    for n, m, matching, num, den, fns in specs:
+        factor = num * (L // den)
         for col, u in enumerate(product(range(1, N + 1), repeat=n)):
             val = factor
             for support, (_, fn) in fns:
@@ -196,21 +197,23 @@ def _specialize(form: FormPoint, f: brauer.Morphism) -> tuple[int, dict[int, dic
 
 def theta_apply(form: FormPoint, f: brauer.Morphism) -> RatMat:
     """The matrix of the specialization of a morphism at the form."""
+    if f.sigma != form.sigma:
+        raise ValueError("morphism and form live over different tuples")
     cols = form.N**f.source
     data = [[Fraction(0)] * cols for _ in range(form.N**f.target)]
-    L, rows = _specialize(form, f)
+    L, rows = _specialize(form, f.terms.items())
     for i, row in rows.items():
         for c, x in row.items():
             data[i][c] = Fraction(x, L)
     return RatMat(len(data), cols, data)
 
 
-def _constraint_columns(form: FormPoint, morphisms) -> dict[int, dict[int, int]]:
-    """The nonzero rows of the specialized morphisms, stacked as sparse
-    primitive integer rows and indexed by column: source word index ->
-    {row number: nonzero entry}."""
+def _constraint_columns(form: FormPoint, terms) -> dict[int, dict[int, int]]:
+    """The nonzero rows of the (diagram, coefficient) pairs, each
+    specialized on its own, stacked as sparse primitive integer rows and
+    indexed by column: source word index -> {row number: nonzero entry}."""
     columns: dict[int, dict[int, int]] = {}
-    rows = (row for f in morphisms for row in _specialize(form, f)[1].values())
+    rows = (row for term in terms for row in _specialize(form, (term,))[1].values())
     for r, row in enumerate(rows):
         for c, x in _primitive(row).items():
             columns.setdefault(c, {})[r] = x
@@ -221,10 +224,10 @@ def _constraint_columns(form: FormPoint, morphisms) -> dict[int, dict[int, int]]
 # traceless tensors
 
 
-def _generating_contractions(sigma: PartitionTuple, n: int) -> list[brauer.Morphism]:
-    """The block contractions on n slots: one block (p, t) on the slots S,
-    the other slots kept in order.  Their joint kernel is the traceless
-    subspace."""
+def _generating_contractions(sigma: PartitionTuple, n: int) -> list:
+    """The block contractions on n slots as (diagram, 1) pairs: one block
+    (p, t) on the slots S, the other slots kept in order.  Their joint
+    kernel is the traceless subspace."""
     out = []
     for p, shape in enumerate(sigma):
         d = shape.size
@@ -233,9 +236,7 @@ def _generating_contractions(sigma: PartitionTuple, n: int) -> list[brauer.Morph
         for t in range(specht_dim(shape)):
             for S in combinations(range(1, n + 1), d):
                 rest = [s for s in range(1, n + 1) if s not in S]
-                matching = zip(rest, range(1, n - d + 1))
-                diagram = brauer.make_diagram(sigma, n, n - d, ((S, p, t),), matching)
-                out.append(brauer.Morphism.from_diagram(sigma, diagram))
+                out.append(((n, n - d, ((S, p, t),), tuple(zip(rest, range(1, n - d + 1)))), 1))
     return out
 
 
@@ -263,18 +264,18 @@ def _check_block_spans(form: FormPoint, n: int):
     """Exact certificate that, for every entry of size d <= n, the block
     functionals span a representation of S_d: for each adjacent
     transposition s_k and polytabloid t, fn_t o s_k = sum_t' M[t'][t] fn_t',
-    where M is the Specht matrix of s_k.  The constraints run over all
-    slot subsets, so a slot permutation then maps each one into the span
-    of the others, and every joint kernel of block contractions is a
-    representation of S_n.  An entry's functionals share one denominator,
-    so the check reads their integer rows."""
+    M[t'][t] the coefficient of e_t' in s_k e_t straightened.  The
+    constraints run over all slot subsets, so a slot permutation then maps
+    each one into the span of the others, and every joint kernel of block
+    contractions is a representation of S_n.  An entry's functionals share
+    one denominator, so the check reads their integer rows."""
     for p, shape in enumerate(form.sigma):
         d = shape.size
         if d > n:
             continue
         check_specht_action(
             [block_functional(form, p, t)[1] for t in range(specht_dim(shape))],
-            get_specht_module(shape, tuple(range(1, d + 1))).generator_matrices(),
+            get_specht_module(shape, tuple(range(1, d + 1))),
             lambda k, w: w[:k] + (w[k + 1], w[k]) + w[k + 2:],
             f"the block functionals of entry {p}",
         )
@@ -360,11 +361,7 @@ def socle_check(sigma, form: FormPoint, lam: Partition) -> bool:
     lam = Partition(lam)
     n = lam.size
     gen = _traceless_constraints(form, n)
-    homs = [
-        brauer.Morphism.from_diagram(sigma, d)
-        for m in range(n)
-        for d in brauer.hom_basis(sigma, n, m)
-    ]
+    homs = ((d, 1) for m in range(n) for d in brauer.hom_basis(sigma, n, m))
     hom = _constraint_columns(form, homs)
     return _restricted_nullity(gen, lam, form.N) == _restricted_nullity(hom, lam, form.N)
 

@@ -401,7 +401,7 @@ def specht_word_expansions(shape: Partition) -> tuple:
     swaps = [tuple(range(k + 1)) + (k + 2, k + 1) + tuple(range(k + 3, d + 1)) for k in range(d - 1)]
     check_specht_action(
         images,
-        module.generator_matrices(),
+        module,
         lambda k, w: tuple(map(swaps[k].__getitem__, w)),
         f"the polytabloid images of {shape}",
     )

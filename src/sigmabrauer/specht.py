@@ -359,28 +359,26 @@ def relabel(v: SpechtVector, mapping: dict) -> SpechtVector:
     return SpechtVector(tgt, moved.coords)
 
 
-def check_specht_action(family, gens: list[RatMat], move, what: str):
+def check_specht_action(family, module: SpechtModule, move, what: str):
     """Exact check that the adjacent transpositions act on a family of
-    sparse integer rows (dicts from keys to nonzero ints; a family over
-    one common denominator is checked on its rows) through the Specht
-    generator matrices `gens`: for every k and t, family[t] with each key
-    w replaced by move(k, w) equals sum_t' gens[k][t'][t] family[t'].
-    Raises RuntimeError naming `what` otherwise."""
-    for k, M in enumerate(gens):
-        for t, vec in enumerate(family):
+    sparse integer rows (dicts from keys to nonzero ints; a family over one
+    common denominator is checked on its rows) as on the polytabloids of
+    `module`: for every k and t, family[t] with each key w replaced by
+    move(k, w) equals sum_t' M[t'][t] family[t'], where column t of M is the
+    integer straightening of s_k e_t, so no matrix is built.  Raises
+    RuntimeError naming `what` otherwise."""
+    labels = module.labels
+    for k in range(len(labels) - 1):
+        swap = {labels[k]: labels[k + 1], labels[k + 1]: labels[k]}
+        for tab, vec in zip(module.tableaux, family):
             moved = {move(k, w): c for w, c in vec.items()}
             combo: dict = {}
-            for s, other in enumerate(family):
-                x = M.data[s][t]
-                if x:
-                    # Specht matrices are integral; int products are much cheaper
-                    x = x.numerator if x.denominator == 1 else x
-                    for w, c in other.items():
-                        combo[w] = combo.get(w, 0) + x * c
+            image = tuple(tuple(swap.get(a, a) for a in row) for row in tab)
+            for s, x in module.straighten(image).items():
+                for w, c in family[s].items():
+                    combo[w] = combo.get(w, 0) + x * c
             if {w: c for w, c in combo.items() if c} != moved:
-                raise RuntimeError(
-                    f"{what} do not span a representation of S_{len(gens) + 1}"
-                )
+                raise RuntimeError(f"{what} do not span a representation of S_{len(labels)}")
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from helpers import (
     ReferenceSpace,
     as_fractions,
     block_functional_reference,
+    contraction_morphisms,
     isotypic_multiplicities,
     predicted_realization_dim,
     reference_space,
@@ -32,12 +33,13 @@ from sigmabrauer.combinat import (
 from sigmabrauer import modcat, symfun
 from sigmabrauer.exactla import RatMat
 from sigmabrauer.schurweyl import get_tensor_rep, specht_word_expansions
-from sigmabrauer.specht import beta_set, isotypic_projector
+from sigmabrauer.specht import SpechtModule, beta_set, isotypic_projector
 from sigmabrauer.symfun import SchurExpr, exterior_power_char, inner_product, lr_product
 from sigmabrauer.modcat import (
     FormPoint,
     _constraint_columns,
     _restricted_nullity,
+    _traceless_constraints,
     block_functional,
     dot_product_form,
     ext_dim,
@@ -314,10 +316,10 @@ def test_finite_rank_vectors_are_integers_over_one_denominator():
                 check(fn)
             assert len({den for den, _ in fns}) == 1, (text, p)
             check(modcat._omega_tilde(form, p))
-        morphisms = modcat._generating_contractions(sigma, 3)
-        morphisms += [random_morphism(sigma, 3, rng.randint(0, 2), rng) for _ in range(4)]
-        for f in morphisms:
-            L, rows = modcat._specialize(form, f)
+        families = [[term] for term in modcat._generating_contractions(sigma, 3)]
+        families += [random_morphism(sigma, 3, rng.randint(0, 2), rng).terms.items() for _ in range(4)]
+        for terms in families:
+            L, rows = modcat._specialize(form, terms)
             for row in rows.values():
                 check((L, row))
 
@@ -540,16 +542,56 @@ def test_hom_family_restricted_nullity_matches_class_traces():
                 # block contraction, which is one of them: the kernels agree
                 assert traceless_space(sigma, form, n).dim == space.dim, (text, N, n)
                 mults = isotypic_multiplicities(space)
-                columns = _constraint_columns(form, homs)
+                columns = _constraint_columns(form, [t for f in homs for t in f.terms.items()])
                 for lam in partitions(n):
                     cases += 1
                     assert _restricted_nullity(columns, lam, N) == mults[lam], (text, N, lam)
     assert cases == 63
 
 
+def test_traceless_constraints_match_the_morphism_route():
+    # the plain contraction tuples against contraction Morphisms built and
+    # validated by the diagram category: the same columns, row numbers included
+    for text in ["2", "1,1", "3", "2|1", "2,1", "2,1|1", "3,2,1", "3|2|1"]:
+        sigma = parse_tuple(text)
+        for N in (1, 2, 3):
+            form = random_form(sigma, N, seed=4)
+            for n in range(5):
+                morphisms = contraction_morphisms(sigma, n)
+                reference = _constraint_columns(form, [t for f in morphisms for t in f.terms.items()])
+                assert _traceless_constraints(form, n) == reference, (text, N, n)
+
+
+def _no_perm_matrix(self, perm):
+    raise AssertionError("a Specht action matrix was built")
+
+
+def test_specht_certificates_build_no_action_matrix(monkeypatch):
+    # both certificates read the straightened transposition images, so the
+    # traceless path builds no RatMat of the Specht action and its values
+    # are those it has with the action matrices available
+    shapes = [Partition(shape) for shape in [(2,), (2, 1), (2, 2, 1), (3, 2, 1)]]
+    forms = [(random_form(parse_tuple(text), N, seed=7), n)
+             for text, N, n in [("2", 3, 3), ("2,1|1", 2, 4), ("2|1,1", 3, 3)]]
+
+    def values():
+        return [specht_word_expansions(shape) for shape in shapes] + [
+            (traceless_space(form.sigma, form, n).dim,
+             [simple_realization_dim(form.sigma, form, lam) for lam in partitions(n)])
+            for form, n in forms
+        ]
+
+    expected = values()
+    monkeypatch.setattr(SpechtModule, "perm_matrix", _no_perm_matrix)
+    specht_word_expansions.cache_clear()
+    assert values() == expected
+
+
 def test_unstable_block_span_is_rejected(monkeypatch):
     # one non-symmetric word of a (2,1) block functional perturbed by hand:
-    # the functionals no longer span a representation of S_3
+    # the functionals no longer span a representation of S_3; the certificate
+    # reads straightening, never a Specht action matrix
+    monkeypatch.setattr(SpechtModule, "perm_matrix", _no_perm_matrix)
     sigma = parse_tuple("2,1")
     form = random_form(sigma, 3, seed=1)
     den, row = block_functional(form, 0, 0)

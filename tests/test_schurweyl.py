@@ -303,13 +303,13 @@ def test_specht_action_certificate_rejects_a_tampered_family():
     shape = Partition((2, 2, 1))
     # the integer rows share one denominator, which the tampering keeps
     exps = [dict(e) for e in specht_word_expansions(shape)[1]]
-    gens = get_specht_module(shape, (1, 2, 3, 4, 5)).generator_matrices()
+    module = get_specht_module(shape, (1, 2, 3, 4, 5))
 
     def swap(k, w):
         return tuple({k + 1: k + 2, k + 2: k + 1}.get(x, x) for x in w)
 
-    check_specht_action(exps, gens, swap, "the expansions")
+    check_specht_action(exps, module, swap, "the expansions")
     word = min(exps[1])
     exps[1][word] += 1
     with pytest.raises(RuntimeError, match="the expansions do not span"):
-        check_specht_action(exps, gens, swap, "the expansions")
+        check_specht_action(exps, module, swap, "the expansions")
