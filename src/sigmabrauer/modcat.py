@@ -155,65 +155,56 @@ def _word_index(word: tuple[int, ...], N: int) -> int:
     return idx
 
 
-def _specialize(form: FormPoint, terms) -> tuple[int, dict[int, dict[int, int]]]:
-    """The specialization at the form of the sum of the (diagram,
-    coefficient) pairs `terms` as (L, rows): integer rows, target word
-    index -> {source word index: nonzero value times L}, nonzero rows
-    only, where L is the lcm of the terms' denominators.  A diagram is any
-    (source, target, blocks, matching) tuple, as in `Morphism.terms`.
+def _specialize(form: FormPoint, diagram) -> tuple[int, dict[int, dict[int, int]]]:
+    """The specialization at the form of one diagram, any (source, target,
+    blocks, matching) tuple as in `Morphism.terms`, as (L, rows): integer
+    rows, target word index -> {source word index: nonzero value times L},
+    where L is the product of its block functionals' denominators.  Each
+    source word has one target word, so each entry is set once.
 
     Tensor slots of a disjoint union are ordered first factor then
     second; matchings act by the corresponding coordinate permutation.
     """
     N = form.N
-    specs = []
-    for (n, m, blocks, matching), coeff in terms:
-        fns = [(support, block_functional(form, p, t)) for support, p, t in blocks]
-        den = coeff.denominator * prod(den for _, (den, _) in fns)
-        specs.append((n, m, matching, coeff.numerator, den, fns))
-    L = lcm(*(den for *_, den, _ in specs))
+    n, m, blocks, matching = diagram
+    fns = [(support, block_functional(form, p, t)) for support, p, t in blocks]
     rows: dict[int, dict[int, int]] = {}
-    for n, m, matching, num, den, fns in specs:
-        factor = num * (L // den)
-        for col, u in enumerate(product(range(1, N + 1), repeat=n)):
-            val = factor
-            for support, (_, fn) in fns:
-                c = fn.get(tuple(u[s - 1] for s in support))
-                if c is None:
-                    break
-                val *= c
-            else:
-                tgt = [0] * m
-                for s, t in matching:
-                    tgt[t - 1] = u[s - 1]
-                row = rows.setdefault(_word_index(tgt, N), {})
-                x = row.get(col, 0) + val
-                if x:
-                    row[col] = x
-                else:
-                    row.pop(col, None)
-    return L, {i: row for i, row in rows.items() if row}
+    for col, u in enumerate(product(range(1, N + 1), repeat=n)):
+        val = 1
+        for support, (_, fn) in fns:
+            c = fn.get(tuple(u[s - 1] for s in support))
+            if c is None:
+                break
+            val *= c
+        else:
+            tgt = [0] * m
+            for s, t in matching:
+                tgt[t - 1] = u[s - 1]
+            rows.setdefault(_word_index(tgt, N), {})[col] = val
+    return prod(den for _, (den, _) in fns), rows
 
 
 def theta_apply(form: FormPoint, f: brauer.Morphism) -> RatMat:
-    """The matrix of the specialization of a morphism at the form."""
+    """The matrix of the specialization of a morphism at the form: the sum
+    over its terms of the coefficient times the specialized diagram."""
     if f.sigma != form.sigma:
         raise ValueError("morphism and form live over different tuples")
     cols = form.N**f.source
     data = [[Fraction(0)] * cols for _ in range(form.N**f.target)]
-    L, rows = _specialize(form, f.terms.items())
-    for i, row in rows.items():
-        for c, x in row.items():
-            data[i][c] = Fraction(x, L)
+    for diagram, coeff in f.terms.items():
+        L, rows = _specialize(form, diagram)
+        for i, row in rows.items():
+            for c, x in row.items():
+                data[i][c] += coeff * x / L
     return RatMat(len(data), cols, data)
 
 
-def _constraint_columns(form: FormPoint, terms) -> dict[int, dict[int, int]]:
-    """The nonzero rows of the (diagram, coefficient) pairs, each
-    specialized on its own, stacked as sparse primitive integer rows and
-    indexed by column: source word index -> {row number: nonzero entry}."""
+def _constraint_columns(form: FormPoint, diagrams) -> dict[int, dict[int, int]]:
+    """The nonzero rows of the diagrams, each specialized on its own,
+    stacked as sparse primitive integer rows and indexed by column: source
+    word index -> {row number: nonzero entry}."""
     columns: dict[int, dict[int, int]] = {}
-    rows = (row for term in terms for row in _specialize(form, (term,))[1].values())
+    rows = (row for d in diagrams for row in _specialize(form, d)[1].values())
     for r, row in enumerate(rows):
         for c, x in _primitive(row).items():
             columns.setdefault(c, {})[r] = x
@@ -225,7 +216,7 @@ def _constraint_columns(form: FormPoint, terms) -> dict[int, dict[int, int]]:
 
 
 def _generating_contractions(sigma: PartitionTuple, n: int) -> list:
-    """The block contractions on n slots as (diagram, 1) pairs: one block
+    """The block contractions on n slots as diagrams: one block
     (p, t) on the slots S, the other slots kept in order.  Their joint
     kernel is the traceless subspace."""
     out = []
@@ -236,7 +227,7 @@ def _generating_contractions(sigma: PartitionTuple, n: int) -> list:
         for t in range(specht_dim(shape)):
             for S in combinations(range(1, n + 1), d):
                 rest = [s for s in range(1, n + 1) if s not in S]
-                out.append(((n, n - d, ((S, p, t),), tuple(zip(rest, range(1, n - d + 1)))), 1))
+                out.append((n, n - d, ((S, p, t),), tuple(zip(rest, range(1, n - d + 1)))))
     return out
 
 
@@ -361,7 +352,7 @@ def socle_check(sigma, form: FormPoint, lam: Partition) -> bool:
     lam = Partition(lam)
     n = lam.size
     gen = _traceless_constraints(form, n)
-    homs = ((d, 1) for m in range(n) for d in brauer.hom_basis(sigma, n, m))
+    homs = (d for m in range(n) for d in brauer.hom_basis(sigma, n, m))
     hom = _constraint_columns(form, homs)
     return _restricted_nullity(gen, lam, form.N) == _restricted_nullity(hom, lam, form.N)
 

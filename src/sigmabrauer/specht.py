@@ -10,7 +10,10 @@ from row i down, B = the entries of column j+1 from the top down to row
 i, and rewrites e_T against all other ways of splitting A u B into a
 column-j part and a column-j+1 part, each kept increasing; the signs
 are the parities of the induced rearrangements.  All structure
-constants are integers.  The irreducible characters live in the leaf
+constants are integers.  Permutations act only through straightening:
+`act`, `relabel`, `generator_matrices` and `check_specht_action` read
+the straightened polytabloid of each permuted basis tableau, and no
+action matrix is kept.  The irreducible characters live in the leaf
 module `characters`, which the character side loads without this one;
 they are re-exported here.
 """
@@ -216,7 +219,6 @@ class SpechtModule:
         if self.dim != specht_dim(self.shape):
             raise RuntimeError("standard tableau count differs from the hook length formula")
         self._straighten_cache: dict[tuple, dict[int, int]] = {}
-        self._perm_cache: dict[tuple, RatMat] = {}
 
     # -- straightening ------------------------------------------------------
 
@@ -294,39 +296,32 @@ class SpechtModule:
             raise ValueError("permutation must move exactly the module labels")
         return perm
 
-    def perm_matrix(self, perm: dict) -> RatMat:
-        """Matrix of the action of a permutation of the labels (columns are
-        the straightened images of the basis polytabloids)."""
-        perm = self._check_perm(perm)
-        key = tuple(perm[x] for x in self.labels)
-        cached = self._perm_cache.get(key)
-        if cached is not None:
-            return cached
-        cols = []
-        for tab in self.tableaux:
-            image = tuple(tuple(perm[x] for x in row) for row in tab)
-            expansion = self.straighten(image)
-            col = [Fraction(0)] * self.dim
-            for idx, c in expansion.items():
-                col[idx] = Fraction(c)
-            cols.append(col)
-        mat = RatMat(self.dim, self.dim, list(zip(*cols)))
-        self._perm_cache[key] = mat
-        return mat
-
     def act(self, perm: dict, v: SpechtVector) -> SpechtVector:
+        """The image of v under a permutation of the labels: the sum of its
+        coordinates times the straightened permuted basis tableaux."""
         if v.module is not self:
             raise ValueError("vector does not belong to this module")
-        return SpechtVector(self, self.perm_matrix(perm).matvec(v.coords))
+        perm = self._check_perm(perm)
+        out = [0] * self.dim
+        for tab, x in zip(self.tableaux, v.coords):
+            if x:
+                image = tuple(tuple(perm[a] for a in row) for row in tab)
+                for idx, c in self.straighten(image).items():
+                    out[idx] += c * x
+        return SpechtVector(self, out)
 
     def generator_matrices(self) -> list[RatMat]:
-        """Action matrices of the adjacent transpositions of the label order."""
+        """Action matrices of the adjacent transpositions of the label order:
+        column t is the straightened image of the basis polytabloid t."""
         gens = []
-        for k in range(len(self.labels) - 1):
-            a, b = self.labels[k], self.labels[k + 1]
-            perm = {x: x for x in self.labels}
-            perm[a], perm[b] = b, a
-            gens.append(self.perm_matrix(perm))
+        for a, b in zip(self.labels, self.labels[1:]):
+            swap = {a: b, b: a}
+            data = [[0] * self.dim for _ in range(self.dim)]
+            for t, tab in enumerate(self.tableaux):
+                image = tuple(tuple(swap.get(x, x) for x in row) for row in tab)
+                for s, c in self.straighten(image).items():
+                    data[s][t] = c
+            gens.append(RatMat(self.dim, self.dim, data))
         return gens
 
     def __repr__(self):
@@ -386,49 +381,40 @@ def check_specht_action(family, module: SpechtModule, move, what: str):
 
 
 def _check_coxeter(gens: list[RatMat]):
-    """Verify involution, braid, and commutation relations.
-
-    Exact matrix identities for small dimensions; for large spaces the
-    identities are verified exactly on a deterministic family of probe
-    vectors instead (full products would be needlessly expensive there).
-    """
+    """Verify the involution, braid and commutation relations exactly: each
+    is checked on every standard basis vector, with sparse products over
+    the generators' nonzero columns."""
     n = len(gens) + 1
     d = gens[0].rows if gens else 0
     for g in gens:
         if g.rows != g.cols or g.rows != d:
             raise ValueError("generator matrices must be square and equally sized")
-    if d <= 48:
-        ident = RatMat.identity(d)
-        for k, g in enumerate(gens):
-            if g @ g != ident:
-                raise ValueError(f"generator {k} is not an involution")
-        for k in range(len(gens) - 1):
-            a, b = gens[k], gens[k + 1]
-            if a @ b @ a != b @ a @ b:
-                raise ValueError(f"braid relation fails at generators {k},{k+1}")
-        for k in range(len(gens)):
-            for l in range(k + 2, len(gens)):
-                if gens[k] @ gens[l] != gens[l] @ gens[k]:
-                    raise ValueError(f"generators {k},{l} do not commute")
-        return n
-    import random
+    cols = [[{i: row[k] for i, row in enumerate(g.data) if row[k]} for k in range(d)] for g in gens]
 
-    rng = random.Random(20240 + d)
-    probes = [
-        tuple(Fraction(rng.randint(-4, 4)) for _ in range(d)) for _ in range(6)
+    def apply(word, j):
+        # the product of the generators in word applied to e_j, rightmost first
+        v = {j: 1}
+        for k in reversed(word):
+            out: dict = {}
+            for c, x in v.items():
+                for i, y in cols[k][c].items():
+                    out[i] = out.get(i, 0) + x * y
+            v = {i: x for i, x in out.items() if x}
+        return v
+
+    m = len(gens)
+    relations = [((k, k), (), f"generator {k} is not an involution") for k in range(m)]
+    relations += [
+        ((k, k + 1, k), (k + 1, k, k + 1), f"braid relation fails at generators {k},{k+1}")
+        for k in range(m - 1)
     ]
-    for v in probes:
-        for k, g in enumerate(gens):
-            if g.matvec(g.matvec(v)) != v:
-                raise ValueError(f"generator {k} is not an involution")
-        for k in range(len(gens) - 1):
-            a, b = gens[k], gens[k + 1]
-            if a.matvec(b.matvec(a.matvec(v))) != b.matvec(a.matvec(b.matvec(v))):
-                raise ValueError(f"braid relation fails at generators {k},{k+1}")
-        for k in range(len(gens)):
-            for l in range(k + 2, len(gens)):
-                if gens[k].matvec(gens[l].matvec(v)) != gens[l].matvec(gens[k].matvec(v)):
-                    raise ValueError(f"generators {k},{l} do not commute")
+    relations += [
+        ((k, l), (l, k), f"generators {k},{l} do not commute")
+        for k in range(m) for l in range(k + 2, m)
+    ]
+    for lhs, rhs, message in relations:
+        if any(apply(lhs, j) != apply(rhs, j) for j in range(d)):
+            raise ValueError(message)
     return n
 
 

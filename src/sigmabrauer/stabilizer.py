@@ -100,11 +100,20 @@ def _require_level(form: FormPoint, level: int, g: GLElement):
 
 
 def in_gamma(q: GammaQuery) -> bool:
-    """Membership in the level-n generalized stabilizer of the form."""
+    """Membership in the level-n generalized stabilizer of the form:
+    omega_p(g b_j) = omega_p(b_j) at every level-n basis index j.  g fixes
+    e_x for every letter x outside `g.cols`, and the words of b_j are
+    rearrangements of its source word, so g b_j = b_j unless that word
+    meets `g.cols`: only those indices are read, and when g moves no letter
+    at most n no realization is built."""
     form, n, g = q.form, q.level, q.g
     _require_level(form, n, g)
+    moved = g.cols.keys()
+    if all(x > n for x in moved):
+        return True
     for p, shape in enumerate(form.sigma):
-        idx = get_tensor_rep(shape, form.N).restriction_indices(n)
+        rep = get_tensor_rep(shape, form.N)
+        idx = [j for j in rep.restriction_indices(n) if not moved.isdisjoint(rep.source_words[j])]
         row = form.comps[p]
         for j, (total, div) in zip(idx, moved_values(form, p, g.den, g.cols, idx)):
             c = row[j]

@@ -33,7 +33,7 @@ from sigmabrauer.combinat import (
 from sigmabrauer import modcat, symfun
 from sigmabrauer.exactla import RatMat
 from sigmabrauer.schurweyl import get_tensor_rep, specht_word_expansions
-from sigmabrauer.specht import SpechtModule, beta_set, isotypic_projector
+from sigmabrauer.specht import beta_set, isotypic_projector
 from sigmabrauer.symfun import SchurExpr, exterior_power_char, inner_product, lr_product
 from sigmabrauer.modcat import (
     FormPoint,
@@ -316,10 +316,10 @@ def test_finite_rank_vectors_are_integers_over_one_denominator():
                 check(fn)
             assert len({den for den, _ in fns}) == 1, (text, p)
             check(modcat._omega_tilde(form, p))
-        families = [[term] for term in modcat._generating_contractions(sigma, 3)]
-        families += [random_morphism(sigma, 3, rng.randint(0, 2), rng).terms.items() for _ in range(4)]
-        for terms in families:
-            L, rows = modcat._specialize(form, terms)
+        diagrams = modcat._generating_contractions(sigma, 3)
+        diagrams += [d for _ in range(4) for d in random_morphism(sigma, 3, rng.randint(0, 2), rng).terms]
+        for diagram in diagrams:
+            L, rows = modcat._specialize(form, diagram)
             for row in rows.values():
                 check((L, row))
 
@@ -542,7 +542,7 @@ def test_hom_family_restricted_nullity_matches_class_traces():
                 # block contraction, which is one of them: the kernels agree
                 assert traceless_space(sigma, form, n).dim == space.dim, (text, N, n)
                 mults = isotypic_multiplicities(space)
-                columns = _constraint_columns(form, [t for f in homs for t in f.terms.items()])
+                columns = _constraint_columns(form, [d for f in homs for d in f.terms])
                 for lam in partitions(n):
                     cases += 1
                     assert _restricted_nullity(columns, lam, N) == mults[lam], (text, N, lam)
@@ -558,18 +558,18 @@ def test_traceless_constraints_match_the_morphism_route():
             form = random_form(sigma, N, seed=4)
             for n in range(5):
                 morphisms = contraction_morphisms(sigma, n)
-                reference = _constraint_columns(form, [t for f in morphisms for t in f.terms.items()])
+                reference = _constraint_columns(form, [d for f in morphisms for d in f.terms])
                 assert _traceless_constraints(form, n) == reference, (text, N, n)
 
 
-def _no_perm_matrix(self, perm):
-    raise AssertionError("a Specht action matrix was built")
+def _no_ratmat(self, *args):
+    raise AssertionError("a RatMat was built")
 
 
 def test_specht_certificates_build_no_action_matrix(monkeypatch):
     # both certificates read the straightened transposition images, so the
-    # traceless path builds no RatMat of the Specht action and its values
-    # are those it has with the action matrices available
+    # traceless path builds no RatMat at all, and its values are those it
+    # has with RatMat available
     shapes = [Partition(shape) for shape in [(2,), (2, 1), (2, 2, 1), (3, 2, 1)]]
     forms = [(random_form(parse_tuple(text), N, seed=7), n)
              for text, N, n in [("2", 3, 3), ("2,1|1", 2, 4), ("2|1,1", 3, 3)]]
@@ -582,7 +582,7 @@ def test_specht_certificates_build_no_action_matrix(monkeypatch):
         ]
 
     expected = values()
-    monkeypatch.setattr(SpechtModule, "perm_matrix", _no_perm_matrix)
+    monkeypatch.setattr(RatMat, "__init__", _no_ratmat)
     specht_word_expansions.cache_clear()
     assert values() == expected
 
@@ -590,8 +590,8 @@ def test_specht_certificates_build_no_action_matrix(monkeypatch):
 def test_unstable_block_span_is_rejected(monkeypatch):
     # one non-symmetric word of a (2,1) block functional perturbed by hand:
     # the functionals no longer span a representation of S_3; the certificate
-    # reads straightening, never a Specht action matrix
-    monkeypatch.setattr(SpechtModule, "perm_matrix", _no_perm_matrix)
+    # reads straightening and builds no RatMat
+    monkeypatch.setattr(RatMat, "__init__", _no_ratmat)
     sigma = parse_tuple("2,1")
     form = random_form(sigma, 3, seed=1)
     den, row = block_functional(form, 0, 0)

@@ -39,6 +39,21 @@ def test_generator_matrices_satisfy_coxeter_relations():
             _check_coxeter(m.generator_matrices())
 
 
+def test_coxeter_check_is_exact_above_48_dimensions():
+    from sigmabrauer.specht import _check_coxeter
+
+    gens = get_specht_module(Partition((5, 2, 1)), tuple(range(1, 9))).generator_matrices()
+    assert gens[0].rows == 64 and _check_coxeter(gens) == 8
+    # s_0 s_2 s_0 = s_2 differs from s_2 s_0 s_2 = s_0
+    with pytest.raises(ValueError, match="braid relation fails at generators 0,1"):
+        _check_coxeter([gens[0], *gens[2:3], *gens[2:]])
+    # one diagonal entry of s_3 raised by one
+    data = [list(row) for row in gens[3].data]
+    data[0][0] += 1
+    with pytest.raises(ValueError, match="generator 3 is not an involution"):
+        _check_coxeter([*gens[:3], RatMat(64, 64, data), *gens[4:]])
+
+
 def test_action_fixtures():
     m = get_specht_module(Partition((2, 1)), (1, 2, 3))
     v = SpechtVector(m, (1, 0))
@@ -136,8 +151,11 @@ def test_characters_are_traces_of_the_straightened_action():
                     perm[start + t] = start + (t + 1) % part
                 start += part
             for lam in partitions(n):
-                mat = get_specht_module(lam, labels).perm_matrix(perm)
-                trace = sum(mat.data[i][i] for i in range(mat.rows))
+                m = get_specht_module(lam, labels)
+                trace = sum(
+                    m.straighten(tuple(tuple(perm[x] for x in row) for row in tab)).get(t, 0)
+                    for t, tab in enumerate(m.tableaux)
+                )
                 assert sn_character(lam, mu) == trace, (lam, mu)
 
 

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import translate_reference
-from sigmabrauer import stabilizer
+from helpers import realization_reference, translate_reference
+from sigmabrauer import modcat, stabilizer
 from sigmabrauer.combinat import Partition, PartitionTuple, parse_tuple
 from sigmabrauer.modcat import FormPoint, dot_product_form, monomial_cubic_form, random_form
 from sigmabrauer.schurweyl import get_tensor_rep
@@ -235,6 +235,44 @@ def test_in_gamma_compares_rational_values_exactly():
         for lvl in range(5):
             assert _agrees(form, lvl, torus)
             assert _agrees(form, lvl, GLElement([[1, 0, 0], [0, Fraction(2, 3), 0], [0, 0, 1]])) is (lvl < 3)
+
+
+def test_queries_by_construction_read_no_realization(monkeypatch):
+    # the queries `stab check` makes: the identity, block-fixing samples at
+    # their own levels and h g at the witness level move no letter at or
+    # below the level, so in_gamma accepts them without a realization
+    forms = [random_form(parse_tuple(text), N, seed=3) for text, N in [("3", 4), ("2,1", 5), ("3,3", 6), ("2|1", 4)]]
+
+    def refuse(*args):
+        raise AssertionError("a realization was read")
+
+    for module in (modcat, stabilizer):
+        monkeypatch.setattr(module, "moved_values", refuse)
+        monkeypatch.setattr(module, "get_tensor_rep", refuse)
+    rng = random.Random(12)
+    for form in forms:
+        for n in range(form.N + 1):
+            assert in_gamma(GammaQuery(form, n, GLElement([])))
+            g = random_block_fixing(n, form.N, rng)
+            assert in_gamma(GammaQuery(form, n, g))
+            h = random_block_fixing(gamma_product_level(g, n), form.N, rng)
+            assert in_gamma(GammaQuery(form, n, h * g))
+        reports = germinal_axiom_suite(form, list(range(form.N + 1)), samples=10, seed=5)
+        assert all(r["passes"] == r["samples"] for r in reports)
+
+
+def test_omega_tilde_reads_the_form_on_the_reference_realizations():
+    # the source-word row of each form component, applied to the basis
+    # vector b_j of the reference realization, gives the j-th value
+    rng = random.Random(23)
+    for text, N in [("3", 3), ("2,1", 3), ("2|1", 4), ("1,1|1", 3), ("3,2", 2)]:
+        base = random_form(parse_tuple(text), N, seed=6)
+        form = FormPoint(base.sigma, N, [[Fraction(c, rng.randint(1, 4)) for c in row] for row in base.comps])
+        for p, shape in enumerate(form.sigma):
+            basis, _, _ = realization_reference(shape, N)
+            den, row = modcat._omega_tilde(form, p)
+            values = [sum((c * b.get(w, 0) for w, c in row.items()), Fraction(0)) / den for b in basis]
+            assert values == list(form.comps[p]), (text, N, p)
 
 
 def test_gamma_product_level_fixture():
