@@ -8,9 +8,9 @@ tensor realizations of the simple objects, and generalized stabilizers
 of tensorial forms.
 
 Each layer module is loaded on first use: importing the package binds
-the eight layers as lazy modules, and a public name below is read from
-its layer when it is first asked for, so a job executes only the layers
-it reads.
+the eight layers and the two leaf modules as lazy modules, and a public
+name below is read from its layer when it is first asked for, so a job
+executes only the modules it reads.
 """
 
 import importlib.util
@@ -50,6 +50,9 @@ _LAYERS = {
         "permutation_element", "random_block_fixing", "random_unimodular",
     ),
 }
+# Leaf modules that read only `combinat`; their public names are served by
+# the layers that re-export them (`characters` by `specht`, `forms` by `modcat`).
+_LEAVES = ("characters", "forms")
 _HOME = {name: layer for layer, names in _LAYERS.items() for name in names}
 __all__ = [*_LAYERS, *_HOME]
 
@@ -63,7 +66,7 @@ def _lazy_module(layer: str):
     return module
 
 
-globals().update((layer, _lazy_module(layer)) for layer in _LAYERS)
+globals().update((module, _lazy_module(module)) for module in (*_LAYERS, *_LEAVES))
 
 
 def __getattr__(name: str):

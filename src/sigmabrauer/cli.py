@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from . import brauer, modcat, schurweyl, stabilizer, symfun
+from . import brauer, forms, modcat, schurweyl, stabilizer, symfun
 from .combinat import PreconditionError, format_partition, hom_dim, parse_partition, parse_tuple, schur_dim
 
 AMBIENT_SAFETY_LIMIT = 100_000
@@ -116,6 +116,20 @@ def _pure_sigma(text: str, bound: int):
     return sigma
 
 
+def _random_form(sigma, rank: int, seed: int):
+    """The seeded random form of `traceless` and `stab check`, drawn only
+    when its entries, one per realization basis vector of each entry of
+    sigma, stay within the safety limit; a negative rank is rejected by
+    `random_form` itself."""
+    if rank >= 0:
+        entries = sum(schur_dim(p, rank) for p in sigma)
+        if entries > AMBIENT_SAFETY_LIMIT:
+            raise PreconditionError(
+                f"a form at rank {rank} has {entries} entries, which exceeds the safety limit"
+            )
+    return forms.random_form(sigma, rank, seed)
+
+
 def _run(args) -> dict:
     bound = args.degree_bound
     if args.command == "homdim":
@@ -170,16 +184,7 @@ def _run(args) -> dict:
             raise PreconditionError(
                 f"ambient dimension {args.rank}^{args.n} exceeds the safety limit"
             )
-        # the form has one entry per realization basis vector of each entry
-        # of sigma; a negative rank is rejected by random_form below
-        if args.rank >= 0:
-            entries = sum(schur_dim(p, args.rank) for p in sigma)
-            if entries > AMBIENT_SAFETY_LIMIT:
-                raise PreconditionError(
-                    f"a form at rank {args.rank} has {entries} entries, "
-                    "which exceeds the safety limit"
-                )
-        form = modcat.random_form(sigma, args.rank, args.seed)
+        form = _random_form(sigma, args.rank, args.seed)
         if args.lam is None:
             return {"dim": modcat.traceless_space(sigma, form, args.n).dim}
         lam = parse_partition(args.lam)
@@ -201,7 +206,7 @@ def _run(args) -> dict:
                     f"--levels must be comma-separated integers, got {args.levels!r}"
                 ) from None
         reports = stabilizer.germinal_axiom_suite(
-            modcat.random_form(sigma, args.rank, args.seed), levels, args.samples, args.seed
+            _random_form(sigma, args.rank, args.seed), levels, args.samples, args.seed
         )
         return {
             "axioms": reports,

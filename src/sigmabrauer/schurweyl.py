@@ -10,6 +10,8 @@ action of arbitrary rational N x N matrices.  The bridge from the
 abstract Specht modules into that realization (used for block
 functionals) is read off the same symmetrizer: the image of each
 standard polytabloid, certified equivariant, with no realization built.
+`specht` and `exactla` are read as module attributes, so the weight-space
+side (`weight_space_basis`) loads neither.
 """
 
 from __future__ import annotations
@@ -20,9 +22,8 @@ from itertools import combinations, permutations, product
 from math import factorial, lcm
 from typing import NamedTuple
 
+from . import exactla, specht
 from .combinat import Partition, PartitionTuple, schur_dim, specht_dim
-from .exactla import RatMat
-from .specht import check_specht_action, get_specht_module, perm_sign
 
 
 class WeightBasisElement(NamedTuple):
@@ -159,7 +160,7 @@ def _column_terms(shape: Partition) -> tuple:
     slot permutations (q, sign of q).  A slot permutation p reads a word w
     as (w[p[0]], ..., w[p[d-1]]); the Young symmetrizer reads a word
     through the row group first, then through these."""
-    return tuple((q, perm_sign(q)) for q in _group_perms(_columns(shape), shape.size))
+    return tuple((q, specht.perm_sign(q)) for q in _group_perms(_columns(shape), shape.size))
 
 
 def _semistandard_words(shape: Partition, N: int) -> list[tuple[int, ...]]:
@@ -292,7 +293,7 @@ class TensorRep:
         den = lcm(*(y.denominator for y in vals.values()))
         return den, {w: y.numerator * (den // y.denominator) for w, y in vals.items()}
 
-    def apply_matrix(self, g: RatMat, vec: dict) -> dict:
+    def apply_matrix(self, g: exactla.RatMat, vec: dict) -> dict:
         """Apply g tensor ... tensor g to a vector in word coordinates."""
         if g.rows < self.N or g.cols < self.N:
             raise ValueError("matrix is too small for this rank")
@@ -313,12 +314,12 @@ class TensorRep:
             expand(0, word, c, ())
         return {w: c for w, c in out.items() if c != 0}
 
-    def act_matrix(self, g: RatMat) -> RatMat:
+    def act_matrix(self, g: exactla.RatMat) -> exactla.RatMat:
         """Matrix of the induced action of g on the realization basis."""
         cols = []
         for den, vec in self.basis:
             cols.append(tuple(x / den for x in self.coords(self.apply_matrix(g, vec))))
-        return RatMat(self.dim, self.dim, list(zip(*cols)) if cols else [])
+        return exactla.RatMat(self.dim, self.dim, list(zip(*cols)) if cols else [])
 
     def restriction_indices(self, n: int) -> tuple[int, ...]:
         """Basis indices whose defining words use only letters 1..n; these
@@ -375,7 +376,7 @@ def specht_word_expansions(shape: Partition) -> tuple:
     # pairs in the right coset kC: C is summed once per coset.
     coset_sums: dict[tuple[int, ...], int] = {}
     for r in _group_perms(_row_filling(shape), d):
-        sr = perm_sign(r)
+        sr = specht.perm_sign(r)
         for q0, _ in col_terms:
             x = list(map(q0.__getitem__, r))
             for col in cols:
@@ -386,10 +387,10 @@ def specht_word_expansions(shape: Partition) -> tuple:
     polytabloid: dict[tuple[int, ...], int] = {}
     for k, c in coset_sums.items():
         if c:
-            c *= perm_sign(k)
+            c *= specht.perm_sign(k)
             for q, sq in col_terms:
                 polytabloid[tuple(map(k.__getitem__, q))] = sq * c
-    module = get_specht_module(shape, tuple(range(1, d + 1)))
+    module = specht.get_specht_module(shape, tuple(range(1, d + 1)))
     # w_T has distinct letters, so distinct slot permutations give distinct words
     images = [
         {tuple(map(w.__getitem__, p)): c for p, c in polytabloid.items()}
@@ -399,7 +400,7 @@ def specht_word_expansions(shape: Partition) -> tuple:
         raise RuntimeError(f"the polytabloid images of {shape} vanish")
     # swaps[k] exchanges the letters k + 1 and k + 2
     swaps = [tuple(range(k + 1)) + (k + 2, k + 1) + tuple(range(k + 3, d + 1)) for k in range(d - 1)]
-    check_specht_action(
+    specht.check_specht_action(
         images,
         module,
         lambda k, w: tuple(map(swaps[k].__getitem__, w)),

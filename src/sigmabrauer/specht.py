@@ -15,7 +15,8 @@ constants are integers.  Permutations act only through straightening:
 the straightened polytabloid of each permuted basis tableau, and no
 action matrix is kept.  The irreducible characters live in the leaf
 module `characters`, which the character side loads without this one;
-they are re-exported here.
+they are re-exported here through the module `__getattr__`, and
+`exactla` is read as a module attribute, so straightening loads neither.
 """
 
 from __future__ import annotations
@@ -25,9 +26,14 @@ from functools import lru_cache
 from itertools import combinations
 from math import factorial
 
-from .characters import beta_set, centralizer_size, mn_character, sn_character  # re-exported
+from . import characters, exactla
 from .combinat import Partition, specht_dim
-from .exactla import RatMat
+
+
+def __getattr__(name: str):
+    if name in ("beta_set", "centralizer_size", "mn_character", "sn_character"):
+        return getattr(characters, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +316,7 @@ class SpechtModule:
                     out[idx] += c * x
         return SpechtVector(self, out)
 
-    def generator_matrices(self) -> list[RatMat]:
+    def generator_matrices(self) -> list[exactla.RatMat]:
         """Action matrices of the adjacent transpositions of the label order:
         column t is the straightened image of the basis polytabloid t."""
         gens = []
@@ -321,7 +327,7 @@ class SpechtModule:
                 image = tuple(tuple(swap.get(x, x) for x in row) for row in tab)
                 for s, c in self.straighten(image).items():
                     data[s][t] = c
-            gens.append(RatMat(self.dim, self.dim, data))
+            gens.append(exactla.RatMat(self.dim, self.dim, data))
         return gens
 
     def __repr__(self):
@@ -380,7 +386,7 @@ def check_specht_action(family, module: SpechtModule, move, what: str):
 # isotypic projection
 
 
-def _check_coxeter(gens: list[RatMat]):
+def _check_coxeter(gens: list[exactla.RatMat]):
     """Verify the involution, braid and commutation relations exactly: each
     is checked on every standard basis vector, with sparse products over
     the generators' nonzero columns."""
@@ -421,10 +427,10 @@ def _check_coxeter(gens: list[RatMat]):
 def isotypic_projector(
     n: int,
     lam: Partition,
-    gens: list[RatMat],
+    gens: list[exactla.RatMat],
     dim: int | None = None,
     perm_action=None,
-) -> RatMat:
+) -> exactla.RatMat:
     """Projector onto the lam-isotypic component of a representation of the
     symmetric group on n letters, given by its adjacent transposition
     matrices.  Built by character averaging; exact and idempotent.
@@ -442,15 +448,15 @@ def isotypic_projector(
             if not gens:
                 raise ValueError("dimension required when no generators are given")
             dim = gens[0].rows
-        return RatMat.identity(dim)
+        return exactla.RatMat.identity(dim)
     if len(gens) != n - 1:
         raise ValueError("expected n-1 generator matrices")
     _check_coxeter(gens)
     d = gens[0].rows
     total = None
-    current = RatMat.identity(d)
+    current = exactla.RatMat.identity(d)
     for perm, swap in plain_changes(n):
-        chi = sn_character(lam, cycle_type(perm))
+        chi = characters.sn_character(lam, cycle_type(perm))
         if perm_action is None:
             if swap is not None:
                 current = current @ gens[swap]
@@ -464,5 +470,5 @@ def isotypic_projector(
         piece = mat.scale(chi)
         total = piece if total is None else total + piece
     if total is None:
-        return RatMat.zeros(d, d)
+        return exactla.RatMat.zeros(d, d)
     return total.scale(Fraction(specht_dim(lam), factorial(n)))

@@ -8,6 +8,9 @@ form a germinal system (nested, containing the identity, with an
 approximate product law), which the suite here verifies on sampled
 elements, constructively drawn from the subgroup fixing the first
 coordinates plus any caller-supplied symmetries of special forms.
+The realization layers (`exactla`, `schurweyl`, `modcat`) are read as
+module attributes, so a suite whose queries all hold by construction
+loads none of them.
 """
 
 from __future__ import annotations
@@ -17,17 +20,16 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
+from . import exactla, modcat, schurweyl
 from .combinat import Partition, PartitionTuple, PreconditionError, schur_dim
-from .exactla import RatMat, rank
-from .modcat import FormPoint, integer_columns, moved_form, moved_values
-from .schurweyl import get_tensor_rep
+from .forms import FormPoint, integer_columns
 
 
 class GLElement:
     """An invertible rational matrix, implicitly extended by the identity.
 
     Held as g = G / den with den > 0 least and `cols`, the integer columns
-    of G that differ from den e_k (`modcat.integer_columns`), so two
+    of G that differ from den e_k (`forms.integer_columns`), so two
     elements are equal exactly when their infinite extensions agree; `m`
     is the largest letter such a column has or reaches.
     """
@@ -35,12 +37,12 @@ class GLElement:
     __slots__ = ("m", "den", "cols")
 
     def __init__(self, mat):
-        rows = mat.data if isinstance(mat, RatMat) else mat
+        rows = mat.data if isinstance(mat, exactla.RatMat) else mat
         size = len(rows)
         if any(len(row) != size for row in rows):
             raise ValueError("matrix must be square")
-        mat = RatMat(size, size, rows)
-        if rank(mat) != size:
+        mat = exactla.RatMat(size, size, rows)
+        if exactla.rank(mat) != size:
             raise ValueError("matrix must be invertible")
         self._set(*integer_columns(mat.data))
 
@@ -49,14 +51,14 @@ class GLElement:
         self.m = max((max(k, *col) for k, col in cols.items()), default=0)
         return self
 
-    def embed(self, N: int) -> RatMat:
+    def embed(self, N: int) -> exactla.RatMat:
         if N < self.m:
             raise ValueError("cannot embed into a smaller rank")
         data = [[Fraction(int(i == j)) for j in range(N)] for i in range(N)]
         for k, col in self.cols.items():
             for i in range(N):
                 data[i][k - 1] = Fraction(col.get(i + 1, 0), self.den)
-        return RatMat(N, N, data)
+        return exactla.RatMat(N, N, data)
 
     def __mul__(self, other: "GLElement") -> "GLElement":
         # column k of (A / a)(B / b) is A (B e_k) / ab, where B e_k = b e_k
@@ -112,10 +114,10 @@ def in_gamma(q: GammaQuery) -> bool:
     if all(x > n for x in moved):
         return True
     for p, shape in enumerate(form.sigma):
-        rep = get_tensor_rep(shape, form.N)
+        rep = schurweyl.get_tensor_rep(shape, form.N)
         idx = [j for j in rep.restriction_indices(n) if not moved.isdisjoint(rep.source_words[j])]
         row = form.comps[p]
-        for j, (total, div) in zip(idx, moved_values(form, p, g.den, g.cols, idx)):
+        for j, (total, div) in zip(idx, modcat.moved_values(form, p, g.den, g.cols, idx)):
             c = row[j]
             if total * c.denominator != c.numerator * div:
                 return False
@@ -206,7 +208,7 @@ def germinal_axiom_suite(
         raise PreconditionError("levels must lie between 0 and the form rank")
     # the identity and the extra members: their verdicts depend only on
     # the level, so each is tested once per level
-    fixed = [GLElement([]), *(extra_members or [])]
+    fixed = [GLElement.__new__(GLElement)._set(1, {}), *(extra_members or [])]
     verdicts: dict[tuple[int, int], bool] = {}
 
     def member(level: int, g: GLElement, k: int = 0) -> bool:
@@ -342,7 +344,7 @@ def gamma_linearity_check(
         raise PreconditionError("form does not match sigma")
     _require_level(form, n, g)
     src_shape = sigma[phi.source_type]
-    rep = get_tensor_rep(src_shape, form.N)
+    rep = schurweyl.get_tensor_rep(src_shape, form.N)
     v = tuple(Fraction(x) for x in v)
     if len(v) != rep.dim:
         raise PreconditionError("v must have realization coordinates at the form rank")
@@ -350,7 +352,7 @@ def gamma_linearity_check(
     if any(c != 0 and j not in allowed for j, c in enumerate(v)):
         raise PreconditionError("v must lie in the evaluation at k^n")
 
-    moved = moved_form(form, g.den, g.cols)
+    moved = modcat.moved_form(form, g.den, g.cols)
     if phi.target == "unit":
         diff = Fraction(0)
         for poly, w in phi.pairs:

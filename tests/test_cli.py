@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sigmabrauer import forms
 from sigmabrauer.brauer import Morphism, make_diagram, morphism_to_json
 from sigmabrauer.cli import main
 from sigmabrauer.combinat import PartitionTuple
@@ -76,13 +77,20 @@ def test_oracle_step1_subcommand():
     assert all(c["hom"] == c["weight"] for c in doc["checks"])
 
 
-def test_compose_subcommand(tmp_path):
+def write_compose_job(tmp_path):
+    """A compose document for g o f, f the crossing and g the block on two
+    slots of sigma = (2), so g o f = g; returns its path and g."""
     sigma = PartitionTuple(((2,),))
     cross = Morphism.from_diagram(sigma, make_diagram(sigma, 2, 2, (), ((1, 2), (2, 1))))
     block = Morphism.from_diagram(sigma, make_diagram(sigma, 2, 0, (((1, 2), 0, 0),), ()))
     payload = {"sigma": "2", "f": morphism_to_json(cross), "g": morphism_to_json(block)}
     infile = tmp_path / "job.json"
     infile.write_text(json.dumps(payload))
+    return infile, block
+
+
+def test_compose_subcommand(tmp_path):
+    infile, block = write_compose_job(tmp_path)
     out = run_cli("compose", "--in", str(infile)).stdout
     assert json.loads(out) == morphism_to_json(block)
 
@@ -199,6 +207,27 @@ def test_traceless_prices_the_form():
     assert proc.stderr == "error: ambient dimension 20^4 exceeds the safety limit\n"
 
 
+def test_stab_check_prices_the_form_like_traceless(monkeypatch):
+    # 300 entries (6) at rank 6 make a form of 300 * 462 = 138 600 entries;
+    # both subcommands reject it before a form is drawn
+    def refuse(*args):
+        raise AssertionError("a form was drawn")
+
+    monkeypatch.setattr(forms, "random_form", refuse)
+    sigma = "|".join(["6"] * 300)
+    for args in (
+        ["stab", "check", "--sigma", sigma, "--rank", "6", "--samples", "1"],
+        ["traceless", "--sigma", sigma, "--rank", "6", "--n", "1"],
+    ):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            assert main(args) == 1, args[0]
+        assert out.getvalue() == ""
+        assert err.getvalue() == (
+            "error: a form at rank 6 has 138600 entries, which exceeds the safety limit\n"
+        )
+
+
 def test_traceless_rejects_negative_n():
     # 0^-1 used to escape the admission check as a ZeroDivisionError
     for extra in ((), ("--lambda", "0")):
@@ -288,16 +317,30 @@ def test_homdim_and_stab_skip_the_layers_they_do_not_read():
     assert executed_modules("homdim", "--sigma", "2", "--n", "4", "--m", "0") == {
         "__init__", "cli", "combinat"
     }
+    # every query of the suite holds by construction: no realization layer runs
     stab = executed_modules("stab", "check", "--sigma", "3", "--rank", "3", "--samples", "2")
-    assert "stabilizer" in stab and not stab & {"brauer", "symfun"}
+    assert stab == {"__init__", "cli", "combinat", "forms", "stabilizer"}
 
 
 def test_traceless_jobs_execute_no_symfun():
     # the block contractions reach the specializer as plain tuples, so
-    # neither form of the job executes the diagram category either
+    # neither form of the job executes the diagram category either, and
+    # no character is computed
+    finite_rank = {"__init__", "cli", "combinat", "exactla", "forms", "modcat", "schurweyl", "specht"}
     for lam in ((), ("--lambda", "1,1")):
         executed = executed_modules("traceless", "--sigma", "2", "--rank", "3", "--n", "2", *lam)
-        assert "modcat" in executed and not executed & {"brauer", "symfun"}, lam
+        assert executed == finite_rank, lam
+
+
+def test_compose_and_oracle_execute_only_their_layers(tmp_path):
+    # composition only straightens; the oracle only counts both bases
+    infile, _ = write_compose_job(tmp_path)
+    assert executed_modules("compose", "--in", str(infile)) == {
+        "__init__", "cli", "combinat", "brauer", "specht"
+    }
+    assert executed_modules("oracle", "step1", "--sigma", "2|1", "--max", "3") == {
+        "__init__", "cli", "combinat", "brauer", "schurweyl"
+    }
 
 
 def test_rejected_job_loads_no_layer_beyond_combinat():
@@ -348,6 +391,12 @@ def test_package_contract():
     for name in ("beta_set", "centralizer_size", "mn_character"):
         assert getattr(characters, name) is getattr(symfun, name) is getattr(specht, name)
     assert characters.sn_character is specht.sn_character is sigmabrauer.sn_character
+    # the leaf modules' names are re-exported, not copied
+    for name in ("FormPoint", "random_form", "integer_columns"):
+        assert getattr(modcat, name) is getattr(forms, name), name
+    assert sigmabrauer.FormPoint is forms.FormPoint and sigmabrauer.random_form is forms.random_form
+    with pytest.raises(AttributeError, match="^module 'sigmabrauer.specht' has no attribute 'nope'$"):
+        specht.nope
     assert modcat.multiplicity is symfun.multiplicity and modcat.ext_dim is symfun.ext_dim
     assert sigmabrauer.multiplicity is symfun.multiplicity
     exec("from sigmabrauer.modcat import multiplicity", namespace)

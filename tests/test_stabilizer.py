@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import realization_reference, translate_reference
-from sigmabrauer import modcat, stabilizer
+from sigmabrauer import modcat, schurweyl, stabilizer
 from sigmabrauer.combinat import Partition, PartitionTuple, parse_tuple
 from sigmabrauer.modcat import FormPoint, dot_product_form, monomial_cubic_form, random_form
 from sigmabrauer.schurweyl import get_tensor_rep
@@ -246,9 +246,8 @@ def test_queries_by_construction_read_no_realization(monkeypatch):
     def refuse(*args):
         raise AssertionError("a realization was read")
 
-    for module in (modcat, stabilizer):
-        monkeypatch.setattr(module, "moved_values", refuse)
-        monkeypatch.setattr(module, "get_tensor_rep", refuse)
+    for module, name in ((modcat, "moved_values"), (modcat, "get_tensor_rep"), (schurweyl, "get_tensor_rep")):
+        monkeypatch.setattr(module, name, refuse)
     rng = random.Random(12)
     for form in forms:
         for n in range(form.N + 1):
