@@ -30,7 +30,6 @@ _LAYERS = {
     ),
     "specht": (
         "SpechtModule", "SpechtVector", "get_specht_module", "isotypic_projector", "relabel",
-        "sn_character",
     ),
     "brauer": (
         "Block", "Diagram", "Morphism", "UpMorphism", "hom_basis", "make_diagram",
@@ -41,8 +40,8 @@ _LAYERS = {
         "weight_space_basis",
     ),
     "modcat": (
-        "FormPoint", "dot_product_form", "monomial_cubic_form", "random_form",
-        "simple_realization_dim", "socle_check", "theta_apply", "traceless_space", "translate",
+        "dot_product_form", "monomial_cubic_form", "simple_realization_dim", "socle_check",
+        "theta_apply", "traceless_space", "translate",
     ),
     "stabilizer": (
         "GLElement", "GammaQuery", "MapPresentation", "evaluation_presentation",
@@ -50,10 +49,10 @@ _LAYERS = {
         "permutation_element", "random_block_fixing", "random_unimodular",
     ),
 }
-# Leaf modules that read only `combinat`; their public names are served by
-# the layers that re-export them (`characters` by `specht`, `forms` by `modcat`).
-_LEAVES = ("characters", "forms")
-_HOME = {name: layer for layer, names in _LAYERS.items() for name in names}
+# Leaf modules that read only `combinat`, with the public names they define
+# (`specht` and `modcat` re-export them): reading one executes the leaf alone.
+_LEAVES = {"characters": ("sn_character",), "forms": ("FormPoint", "random_form")}
+_HOME = {name: module for module, names in (*_LAYERS.items(), *_LEAVES.items()) for name in names}
 __all__ = [*_LAYERS, *_HOME]
 
 

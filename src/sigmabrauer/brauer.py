@@ -86,6 +86,20 @@ def make_diagram(sigma, source, target, blocks, matching) -> Diagram:
     return d
 
 
+def _expand(coeff, expansions):
+    """The multilinear expansion of blocks with Specht coefficients: each
+    entry of `expansions` is (support, type index, [(basis index, c)]),
+    and each item yielded is (coeff times the chosen c's, the chosen
+    (support, type index, basis index) blocks)."""
+    for choice in product(*(terms for _, _, terms in expansions)):
+        c = coeff
+        chosen = []
+        for (support, p, _), (t, x) in zip(expansions, choice):
+            c *= x
+            chosen.append((support, p, t))
+        yield c, chosen
+
+
 class Morphism:
     """Normalized rational combination of basis diagrams with fixed boundary."""
 
@@ -127,7 +141,6 @@ class Morphism:
         vectors; the result is expanded multilinearly into basis diagrams."""
         sigma = PartitionTuple(sigma)
         expansions = []
-        plain_blocks = []
         for support, p, coords in blocks:
             support = tuple(sorted(support))
             shape = sigma[p]
@@ -136,15 +149,9 @@ class Morphism:
             coords = tuple(Fraction(c) for c in coords)
             if len(coords) != specht_dim(shape):
                 raise ValueError("block coordinate length must match the Specht dimension")
-            expansions.append([(t, c) for t, c in enumerate(coords) if c != 0])
-            plain_blocks.append((support, p))
+            expansions.append((support, p, [(t, c) for t, c in enumerate(coords) if c != 0]))
         terms: dict[Diagram, Fraction] = {}
-        for choice in product(*expansions) if expansions else [()]:
-            c = Fraction(coeff)
-            chosen = []
-            for (support, p), (t, cc) in zip(plain_blocks, choice):
-                c *= cc
-                chosen.append((support, p, t))
+        for c, chosen in _expand(Fraction(coeff), expansions):
             d = make_diagram(sigma, source, target, chosen, matching)
             terms[d] = terms.get(d, Fraction(0)) + c
         return cls(sigma, source, target, terms)
@@ -203,7 +210,6 @@ class Morphism:
         sigma = g.sigma
         out: dict[Diagram, Fraction] = {}
         for df, cf in f.terms.items():
-            i_f = dict(df.matching)
             inv_f = {t: s for s, t in df.matching}
             for dg, cg in g.terms.items():
                 # transport the blocks of dg back along the bijection of df
@@ -212,25 +218,18 @@ class Morphism:
                     src_support = tuple(sorted(inv_f[a] for a in b.support))
                     shape = sigma[b.type_index]
                     tab = specht.get_specht_module(shape, b.support).tableaux[b.basis_index]
-                    moved = specht.get_specht_module(shape, src_support).straighten(
-                        tuple(tuple(inv_f[a] for a in row) for row in tab)
+                    moved = specht.straighten_relabelled(
+                        specht.get_specht_module(shape, src_support), tab, inv_f
                     )
                     expansions.append((src_support, b.type_index, sorted(moved.items())))
                 i_g = dict(dg.matching)
                 new_matching = tuple(
                     sorted((s, i_g[a]) for s, a in df.matching if a in i_g)
                 )
-                base_blocks = list(df.blocks)
-                for choice in product(*(e[2] for e in expansions)) if expansions else [()]:
-                    c = cf * cg
-                    blocks = list(base_blocks)
-                    for (support, p, _), (t, cc) in zip(expansions, choice):
-                        c *= cc
-                        blocks.append((support, p, t))
-                    if c == 0:
-                        continue
+                # straightened coefficients are nonzero, so no term vanishes
+                for c, chosen in _expand(cf * cg, expansions):
                     d = Diagram(
-                        f.source, g.target, _normalize_blocks(blocks), new_matching
+                        f.source, g.target, _normalize_blocks([*df.blocks, *chosen]), new_matching
                     )
                     out[d] = out.get(d, Fraction(0)) + c
         return Morphism(sigma, f.source, g.target, out)

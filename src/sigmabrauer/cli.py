@@ -19,14 +19,10 @@ from .combinat import PreconditionError, format_partition, hom_dim, parse_partit
 AMBIENT_SAFETY_LIMIT = 100_000
 
 
-class BoundError(PreconditionError):
-    pass
-
-
 def _check_bound(bound: int, **values):
     for name, v in values.items():
         if v > bound:
-            raise BoundError(
+            raise PreconditionError(
                 f"{name}={v} exceeds the degree bound {bound}; "
                 "raise --degree-bound explicitly if this is intended"
             )

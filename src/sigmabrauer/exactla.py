@@ -151,23 +151,21 @@ def _primitive(row: dict[int, int]) -> dict[int, int]:
     return row
 
 
-def _integer_row(entries: dict) -> dict[int, int]:
-    """The primitive integer row proportional to the given nonzero
-    rational entries (column -> value): denominators cleared, content
-    divided out.  Scaling a row changes no rank, kernel or RREF."""
-    scale = lcm(*(x.denominator for x in entries.values()))
-    return _primitive(
-        {c: x.numerator * (scale // x.denominator) for c, x in entries.items()}
-    )
-
-
-def _integer_rows(m: RatMat) -> list[dict[int, int]]:
-    """The nonzero rows of m as sparse primitive integer rows."""
+def _integer_rows(m: RatMat, extra=None) -> list[dict[int, int]]:
+    """The nonzero rows of m as sparse primitive integer rows: each row's
+    nonzero entries (column -> value), with those of extra[i] (columns
+    past m's) appended to row i when `extra` is given, denominators
+    cleared and content divided out.  Scaling a row changes no rank,
+    kernel or RREF."""
     out = []
-    for row in m.data:
+    for i, row in enumerate(m.data):
         entries = {c: x for c, x in enumerate(row) if x}
+        if extra is not None:
+            entries.update((c, x) for c, x in extra[i].items() if x)
         if entries:
-            out.append(_integer_row(entries))
+            scale = lcm(*(x.denominator for x in entries.values()))
+            ints = {c: x.numerator * (scale // x.denominator) for c, x in entries.items()}
+            out.append(_primitive(ints))
     return out
 
 
@@ -268,16 +266,8 @@ def solve(m: RatMat, rhs) -> tuple[Fraction, ...] | None:
     if len(rhs) != m.rows:
         raise ValueError("right-hand side length does not match row count")
     n = m.cols
-    rows = []
-    for row, v in zip(m.data, rhs):
-        entries = {c: x for c, x in enumerate(row) if x}
-        v = Fraction(v)
-        if v:
-            entries[n] = v
-        if entries:
-            rows.append(_integer_row(entries))
     x = [Fraction(0)] * n
-    for c, row in _eliminate(rows, reduced=True):
+    for c, row in _eliminate(_integer_rows(m, [{n: Fraction(v)} for v in rhs]), reduced=True):
         if c == n:
             return None
         x[c] = Fraction(row.get(n, 0), row[c])
@@ -289,12 +279,7 @@ def inverse(m: RatMat) -> RatMat:
     if m.rows != m.cols:
         raise ValueError("only square matrices can be inverted")
     n = m.rows
-    rows = []
-    for i, row in enumerate(m.data):
-        entries = {c: x for c, x in enumerate(row) if x}
-        entries[n + i] = 1
-        rows.append(_integer_row(entries))
-    reduced = _eliminate(rows, reduced=True)
+    reduced = _eliminate(_integer_rows(m, [{n + i: 1} for i in range(n)]), reduced=True)
     if [c for c, _ in reduced] != list(range(n)):
         raise ValueError("matrix is singular")
     zero = Fraction(0)

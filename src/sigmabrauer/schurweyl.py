@@ -141,7 +141,7 @@ def _row_filling(shape: Partition) -> tuple[tuple[int, ...], ...]:
 def _group_perms(groups: list[tuple[int, ...]], d: int):
     """All slot permutations that keep each group inside itself."""
     perms_by_group = [list(permutations(g)) for g in groups]
-    for choice in product(*perms_by_group) if perms_by_group else [()]:
+    for choice in product(*perms_by_group):
         perm = list(range(d))
         for g, img in zip(groups, choice):
             for a, b in zip(g, img):

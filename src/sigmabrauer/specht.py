@@ -12,11 +12,12 @@ column-j part and a column-j+1 part, each kept increasing; the signs
 are the parities of the induced rearrangements.  All structure
 constants are integers.  Permutations act only through straightening:
 `act`, `relabel`, `generator_matrices` and `check_specht_action` read
-the straightened polytabloid of each permuted basis tableau, and no
-action matrix is kept.  The irreducible characters live in the leaf
-module `characters`, which the character side loads without this one;
-they are re-exported here through the module `__getattr__`, and
-`exactla` is read as a module attribute, so straightening loads neither.
+`straighten_relabelled`, the straightened polytabloid of a relabelled
+basis tableau, and no action matrix is kept.  The irreducible
+characters live in the leaf module `characters`, which the character
+side loads without this one; they are re-exported here through the
+module `__getattr__`, and `exactla` is read as a module attribute, so
+straightening loads neither.
 """
 
 from __future__ import annotations
@@ -40,25 +41,8 @@ def __getattr__(name: str):
 # permutations (as dicts label -> label, or one-line tuples for S_n work)
 
 
-def perm_sign(one_line: tuple[int, ...]) -> int:
-    seen = [False] * len(one_line)
-    sign = 1
-    for i in range(len(one_line)):
-        if seen[i]:
-            continue
-        j = i
-        clen = 0
-        while not seen[j]:
-            seen[j] = True
-            j = one_line[j]
-            clen += 1
-        if clen % 2 == 0:
-            sign = -sign
-    return sign
-
-
-def cycle_type(one_line: tuple[int, ...]) -> Partition:
-    """Cycle type of a permutation given in 0-indexed one-line notation."""
+def _cycle_lengths(one_line: tuple[int, ...]) -> list[int]:
+    """The lengths of the cycles of a 0-indexed one-line permutation."""
     seen = [False] * len(one_line)
     lens = []
     for i in range(len(one_line)):
@@ -71,7 +55,16 @@ def cycle_type(one_line: tuple[int, ...]) -> Partition:
             j = one_line[j]
             clen += 1
         lens.append(clen)
-    return Partition(sorted(lens, reverse=True))
+    return lens
+
+
+def perm_sign(one_line: tuple[int, ...]) -> int:
+    return -1 if (len(one_line) - len(_cycle_lengths(one_line))) % 2 else 1
+
+
+def cycle_type(one_line: tuple[int, ...]) -> Partition:
+    """Cycle type of a permutation given in 0-indexed one-line notation."""
+    return Partition(sorted(_cycle_lengths(one_line), reverse=True))
 
 
 def class_representative(cls: Partition) -> tuple[int, ...]:
@@ -297,24 +290,14 @@ class SpechtModule:
 
     # -- group action -------------------------------------------------------
 
-    def _check_perm(self, perm: dict) -> dict:
-        if set(perm.keys()) != set(self.labels) or set(perm.values()) != set(self.labels):
-            raise ValueError("permutation must move exactly the module labels")
-        return perm
-
     def act(self, perm: dict, v: SpechtVector) -> SpechtVector:
-        """The image of v under a permutation of the labels: the sum of its
-        coordinates times the straightened permuted basis tableaux."""
+        """The image of v under a permutation of the labels: `relabel` onto
+        the module's own labels."""
         if v.module is not self:
             raise ValueError("vector does not belong to this module")
-        perm = self._check_perm(perm)
-        out = [0] * self.dim
-        for tab, x in zip(self.tableaux, v.coords):
-            if x:
-                image = tuple(tuple(perm[a] for a in row) for row in tab)
-                for idx, c in self.straighten(image).items():
-                    out[idx] += c * x
-        return SpechtVector(self, out)
+        if set(perm.keys()) != set(self.labels) or set(perm.values()) != set(self.labels):
+            raise ValueError("permutation must move exactly the module labels")
+        return relabel(v, perm)
 
     def generator_matrices(self) -> list[exactla.RatMat]:
         """Action matrices of the adjacent transpositions of the label order:
@@ -324,8 +307,7 @@ class SpechtModule:
             swap = {a: b, b: a}
             data = [[0] * self.dim for _ in range(self.dim)]
             for t, tab in enumerate(self.tableaux):
-                image = tuple(tuple(swap.get(x, x) for x in row) for row in tab)
-                for s, c in self.straighten(image).items():
+                for s, c in straighten_relabelled(self, tab, swap).items():
                     data[s][t] = c
             gens.append(exactla.RatMat(self.dim, self.dim, data))
         return gens
@@ -339,25 +321,30 @@ def get_specht_module(shape: Partition, labels: tuple[int, ...]) -> SpechtModule
     return SpechtModule(Partition(shape), tuple(labels))
 
 
-def relabel(v: SpechtVector, mapping: dict) -> SpechtVector:
-    """Transport a Specht vector along an arbitrary bijection of label sets.
+def straighten_relabelled(target: SpechtModule, tab, mapping: dict) -> dict[int, int]:
+    """The polytabloid of `tab` with each label x read as mapping[x] (labels
+    the map leaves out stay), straightened in `target`: a map basis index
+    -> integer coefficient."""
+    return target.straighten(tuple(tuple(mapping.get(x, x) for x in row) for row in tab))
 
-    The bijection factors as (order preserving) o (permutation of the
-    source labels); the permutation acts through the module, the order
-    preserving part re-indexes the basis verbatim.
-    """
+
+def relabel(v: SpechtVector, mapping: dict) -> SpechtVector:
+    """Transport a Specht vector along an arbitrary bijection of label sets:
+    each basis polytabloid, relabelled, is straightened in the module on
+    the target labels (v's own module when the map permutes its labels)."""
     src = v.module
     if set(mapping.keys()) != set(src.labels):
         raise ValueError("mapping domain must be the source label set")
-    targets = sorted(mapping.values())
+    targets = tuple(sorted(mapping.values()))
     if len(set(targets)) != len(targets):
         raise ValueError("mapping must be a bijection")
-    order_iso = dict(zip(src.labels, targets))
-    inv_order = {v2: k for k, v2 in order_iso.items()}
-    w = {x: inv_order[mapping[x]] for x in src.labels}
-    moved = src.act(w, v)
-    tgt = get_specht_module(src.shape, tuple(targets))
-    return SpechtVector(tgt, moved.coords)
+    tgt = src if targets == src.labels else get_specht_module(src.shape, targets)
+    out = [0] * tgt.dim
+    for tab, x in zip(src.tableaux, v.coords):
+        if x:
+            for idx, c in straighten_relabelled(tgt, tab, mapping).items():
+                out[idx] += c * x
+    return SpechtVector(tgt, out)
 
 
 def check_specht_action(family, module: SpechtModule, move, what: str):
@@ -374,8 +361,7 @@ def check_specht_action(family, module: SpechtModule, move, what: str):
         for tab, vec in zip(module.tableaux, family):
             moved = {move(k, w): c for w, c in vec.items()}
             combo: dict = {}
-            image = tuple(tuple(swap.get(a, a) for a in row) for row in tab)
-            for s, x in module.straighten(image).items():
+            for s, x in straighten_relabelled(module, tab, swap).items():
                 for w, c in family[s].items():
                     combo[w] = combo.get(w, 0) + x * c
             if {w: c for w, c in combo.items() if c} != moved:

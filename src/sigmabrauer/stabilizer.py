@@ -51,6 +51,12 @@ class GLElement:
         self.m = max((max(k, *col) for k, col in cols.items()), default=0)
         return self
 
+    @classmethod
+    def _known(cls, den: int, cols: dict) -> "GLElement":
+        """The element G / den with the stored integer columns `cols` of a
+        matrix known to be invertible: no rank check."""
+        return cls.__new__(cls)._set(den, cols)
+
     def embed(self, N: int) -> exactla.RatMat:
         if N < self.m:
             raise ValueError("cannot embed into a smaller rank")
@@ -73,7 +79,7 @@ class GLElement:
         cols = {k: {r: y // g for r, y in col.items() if y} for k, col in cols.items()}
         den = a * b // g
         cols = {k: col for k, col in cols.items() if col != {k: den}}
-        return GLElement.__new__(GLElement)._set(den, cols)
+        return GLElement._known(den, cols)
 
     def __eq__(self, other):
         return isinstance(other, GLElement) and (self.den, self.cols) == (other.den, other.cols)
@@ -156,7 +162,7 @@ def random_block_fixing(j: int, size: int, rng: random.Random) -> GLElement:
         for k in range(size):
             data[a][k] += c * data[b][k]
     # row swaps and elementary moves are invertible: no rank check needed
-    return GLElement.__new__(GLElement)._set(*integer_columns(data))
+    return GLElement._known(*integer_columns(data))
 
 
 def random_unimodular(size: int, rng: random.Random) -> GLElement:
@@ -172,10 +178,8 @@ def permutation_element(images: dict[int, int]) -> GLElement:
     labels = set(range(1, size + 1))
     if not labels >= images.keys() or {images.get(i, i) for i in labels} != labels:
         raise ValueError(f"{images} does not permute the labels 1..{size}")
-    data = [[0] * size for _ in range(size)]
-    for i in range(1, size + 1):
-        data[images.get(i, i) - 1][i - 1] = 1
-    return GLElement(data)
+    # column i is e_images[i]; the fixed letters store no column
+    return GLElement._known(1, {i: {images[i]: 1} for i in sorted(images) if images[i] != i})
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +212,7 @@ def germinal_axiom_suite(
         raise PreconditionError("levels must lie between 0 and the form rank")
     # the identity and the extra members: their verdicts depend only on
     # the level, so each is tested once per level
-    fixed = [GLElement.__new__(GLElement)._set(1, {}), *(extra_members or [])]
+    fixed = [GLElement._known(1, {}), *(extra_members or [])]
     verdicts: dict[tuple[int, int], bool] = {}
 
     def member(level: int, g: GLElement, k: int = 0) -> bool:
@@ -353,17 +357,14 @@ def gamma_linearity_check(
         raise PreconditionError("v must lie in the evaluation at k^n")
 
     moved = modcat.moved_form(form, g.den, g.cols)
-    if phi.target == "unit":
-        diff = Fraction(0)
-        for poly, w in phi.pairs:
-            diff += (eval_poly(poly, moved) - eval_poly(poly, form)) * Fraction(w)
-        return diff == 0
-    acc = [Fraction(0)] * schur_dim(Partition(phi.target), form.N)
+    # the unit target is the one-coordinate realization
+    unit = phi.target == "unit"
+    acc = [Fraction(0)] * (1 if unit else schur_dim(Partition(phi.target), form.N))
     for poly, w in phi.pairs:
         c = eval_poly(poly, moved) - eval_poly(poly, form)
         if c == 0:
             continue
-        for j, x in enumerate(w):
+        for j, x in enumerate([w] if unit else w):
             acc[j] += c * Fraction(x)
     # g is invertible, so its action on the target realization is too, and
     # g acc vanishes exactly when acc does

@@ -265,6 +265,17 @@ def _power_sums(f: SchurExpr) -> tuple[int, dict[tuple[int, ...], int]]:
     return den, {tau: c for tau, c in out.items() if c}
 
 
+def _add_product(out: dict, f, g) -> dict:
+    """Add to `out` the product of two power-sum expansions, each given as
+    (cycle type, coefficient) pairs: p_pi p_tau is p of the concatenated
+    cycle type.  One multiplication per term."""
+    for pi, a in f:
+        for tau, b in g:
+            key = tuple(sorted(pi + tau, reverse=True))
+            out[key] = out.get(key, 0) + a * b
+    return out
+
+
 def _plethysm_power_sums(outer: int, inner: SchurExpr, mode: str) -> tuple[int, dict]:
     """(common, A) with h_a[inner] (mode "h") or e_a[inner] (mode "e") equal
     to sum_pi A[pi] p_pi / common and integer A."""
@@ -285,12 +296,7 @@ def _plethysm_power_sums(outer: int, inner: SchurExpr, mode: str) -> tuple[int, 
         terms = {(): -weight if mode == "e" and (outer - len(rho)) % 2 else weight}
         for k in rho:
             scaled = [(tuple(k * t for t in tau), b) for tau, b in f.items()]
-            new: dict[tuple[int, ...], int] = {}
-            for pi, a in terms.items():
-                for ktau, b in scaled:
-                    key = tuple(sorted(pi + ktau, reverse=True))
-                    new[key] = new.get(key, 0) + a * b
-            terms = new
+            terms = _add_product({}, terms.items(), scaled)
         for pi, a in terms.items():
             total[pi] = total.get(pi, 0) + a
     return common, total
@@ -365,11 +371,8 @@ def sym_algebra_power_sums(sigma: PartitionTuple, d: int) -> tuple[int, dict]:
                     pieces[l] = _plethysm_power_sums(l // g, SchurExpr.schur(p), "h")
                 common, f2 = pieces[l]
                 scale = comb(k + l, k) * (factorial(l) // common)
-                out = new.setdefault(k + l, {})
-                for pi, a in f1.items():
-                    for tau, b in f2.items():
-                        key = tuple(sorted(pi + tau, reverse=True))
-                        out[key] = out.get(key, 0) + scale * a * b
+                scaled = [(pi, scale * a) for pi, a in f1.items()]
+                _add_product(new.setdefault(k + l, {}), scaled, f2.items())
         acc = new
     return factorial(d), acc.get(d, {})
 

@@ -349,6 +349,22 @@ def test_rejected_job_loads_no_layer_beyond_combinat():
     }
 
 
+_LIBRARY_PROBE = _AUDIT + """
+import sigmabrauer
+exec(sys.argv[1])
+print(json.dumps(executed()))
+"""
+
+
+def test_leaf_names_execute_only_their_leaf():
+    # a form draw or a character lookup from the package reads one leaf module
+    for code, leaf in (("sigmabrauer.random_form('2', 3, 0)", "forms"),
+                       ("sigmabrauer.sn_character((2, 1), (1, 1, 1))", "characters")):
+        argv = [sys.executable, "-c", _LIBRARY_PROBE, code]
+        proc = subprocess.run(argv, capture_output=True, text=True)
+        assert set(json.loads(proc.stdout)) == {"__init__", "combinat", leaf}, proc.stderr
+
+
 _MODCAT_PROBE = _AUDIT + """
 import sigmabrauer.modcat as modcat
 modcat.traceless_space

@@ -127,6 +127,28 @@ def test_relabel_composition():
         assert relabel(relabel(v, f), g) == relabel(v, gf)
 
 
+def test_relabel_keeps_order_preserving_coordinates_and_intertwines_act():
+    # the two facts that define relabel: an order-preserving map re-indexes
+    # the basis verbatim, and relabel(p v, f) = (f p f^-1) relabel(v, f)
+    rng = random.Random(2718)
+    for n in range(6):
+        for shape in partitions(n):
+            m = get_specht_module(Partition(shape), tuple(range(1, n + 1)))
+            for _ in range(6):
+                coords = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(m.dim)]
+                v = SpechtVector(m, coords)
+                start = rng.randint(-5, 20)
+                targets = sorted(rng.sample(range(start, start + 2 * n + 1), n))
+                kept = relabel(v, dict(zip(m.labels, targets)))
+                assert kept.module.labels == tuple(targets) and kept.coords == v.coords
+                f = dict(zip(m.labels, rng.sample(targets, n)))
+                p = dict(zip(m.labels, rng.sample(m.labels, n)))
+                finv = {y: x for x, y in f.items()}
+                moved = relabel(v, f)
+                conjugate = {y: f[p[finv[y]]] for y in targets}
+                assert relabel(m.act(p, v), f) == moved.module.act(conjugate, moved)
+
+
 def test_characters_fixtures():
     for n in range(1, 7):
         for cls in partitions(n):

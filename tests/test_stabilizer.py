@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
 from helpers import realization_reference, translate_reference
-from sigmabrauer import modcat, schurweyl, stabilizer
+from sigmabrauer import exactla, modcat, schurweyl, stabilizer
 from sigmabrauer.combinat import Partition, PartitionTuple, parse_tuple
 from sigmabrauer.modcat import FormPoint, dot_product_form, monomial_cubic_form, random_form
 from sigmabrauer.schurweyl import get_tensor_rep
@@ -26,9 +27,23 @@ SIG3 = PartitionTuple(((3,),))
 SIG2 = PartitionTuple(((2,),))
 
 
-def test_permutation_element_rejects_non_permutations():
-    assert permutation_element({1: 2, 2: 3, 3: 1}) == GLElement([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
-    assert permutation_element({2: 2}) == GLElement([])
+def _no_ratmat(self, *args):
+    raise AssertionError("a RatMat was built")
+
+
+def test_permutation_element_rejects_non_permutations(monkeypatch):
+    # every permutation of at most 4 letters is the GLElement of its matrix,
+    # with its columns written directly: no RatMat is built
+    expected = {
+        images: GLElement([[int(x == i) for x in images] for i in range(1, len(images) + 1)])
+        for size in range(5) for images in permutations(range(1, size + 1))
+    }
+    assert expected[2, 3, 1] == GLElement([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+    monkeypatch.setattr(exactla.RatMat, "__init__", _no_ratmat)
+    for images, g in expected.items():
+        h = permutation_element(dict(enumerate(images, 1)))
+        assert (h, h.m) == (g, g.m), images
+    assert permutation_element({2: 2}) == expected[()]
     for images in ({1: 0}, {2: 0}, {0: 1}, {1: -1}, {1: 2}, {3: 1}, {1: 3, 2: 3}):
         with pytest.raises(ValueError, match="does not permute the labels"):
             permutation_element(images)
