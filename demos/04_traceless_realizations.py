@@ -31,15 +31,15 @@ print("  values on e_i (x) e_j:", [str(x) for x in mat.data[0]])
 print("\n== traceless spaces for a seeded generic form at N = 5 ==")
 form = random_form(sig2, 5, seed=20250809)
 for n in range(4):
-    print(f"  n={n}: joint contraction kernel has dimension {traceless_space(sig2, form, n).dim}")
+    print(f"  n={n}: joint contraction kernel has dimension {traceless_space(form, n)}")
 
 print("\n== isotypic pieces: finite-rank realizations of the simples ==")
 for text, expected in [("2", 14), ("1,1", 10), ("1,1,1", 10)]:
     lam = Partition(tuple(int(x) for x in text.split(",")))
-    dim = simple_realization_dim(sig2, form, lam)
+    dim = simple_realization_dim(form, lam)
     print(f"  lambda = {text}: dimension {dim} (expected {expected})")
 
 print("\n== the generating contractions already cut out the socle ==")
 for text in ["0", "1", "2", "1,1"]:
     lam = Partition(()) if text == "0" else Partition(tuple(int(x) for x in text.split(",")))
-    print(f"  lambda = {text}: {socle_check(sig2, form, lam)}")
+    print(f"  lambda = {text}: {socle_check(form, lam)}")

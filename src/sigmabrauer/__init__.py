@@ -23,7 +23,7 @@ _LAYERS = {
         "format_tuple", "hom_dim", "magnitude", "parse_partition", "parse_tuple", "partitions",
         "schur_dim", "specht_dim",
     ),
-    "exactla": ("RatMat", "kernel_basis", "rank"),
+    "exactla": ("RatMat", "rank"),
     "symfun": (
         "SchurExpr", "ext_dim", "inner_product", "lr_product", "multiplicity", "plethysm_e",
         "plethysm_h", "shift_decompose", "skew_schur_expand", "sym_algebra_degree",
@@ -44,13 +44,13 @@ _LAYERS = {
         "theta_apply", "traceless_space", "translate",
     ),
     "stabilizer": (
-        "GLElement", "GammaQuery", "MapPresentation", "evaluation_presentation",
+        "GLElement", "MapPresentation", "evaluation_presentation",
         "gamma_linearity_check", "gamma_product_level", "germinal_axiom_suite", "in_gamma",
-        "permutation_element", "random_block_fixing", "random_unimodular",
+        "permutation_element", "random_block_fixing",
     ),
 }
-# Leaf modules that read only `combinat`, with the public names they define
-# (`specht` and `modcat` re-export them): reading one executes the leaf alone.
+# Leaf modules that read only `combinat`, with the public names they define:
+# reading one executes the leaf alone.
 _LEAVES = {"characters": ("sn_character",), "forms": ("FormPoint", "random_form")}
 _HOME = {name: module for module, names in (*_LAYERS.items(), *_LEAVES.items()) for name in names}
 __all__ = [*_LAYERS, *_HOME]

@@ -10,8 +10,7 @@ the standard polytabloid basis, no zero terms.  The straightening
 relations of the Specht modules are therefore quotiented out by
 construction.  Only composition and `Morphism.from_blocks` read
 `specht`, as a module attribute, so enumerating Hom bases never loads
-the Specht layer.  `hom_dim` only counts, so it lives in `combinat` and
-is re-exported here.
+the Specht layer.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from itertools import combinations, permutations, product
 from typing import NamedTuple
 
 from . import specht
-from .combinat import PartitionTuple, hom_dim, specht_dim  # hom_dim re-exported
+from .combinat import PartitionTuple, specht_dim
 
 
 class Block(NamedTuple):
@@ -35,9 +34,6 @@ class Diagram(NamedTuple):
     target: int
     blocks: tuple[Block, ...]
     matching: tuple[tuple[int, int], ...]
-
-    def encoding(self):
-        return (self.source, self.target, self.blocks, self.matching)
 
 
 def _normalize_blocks(blocks) -> tuple[Block, ...]:
@@ -366,7 +362,7 @@ def upwards_view(f):
 
 def morphism_to_json(f: Morphism) -> dict:
     terms = []
-    for d in sorted(f.terms, key=lambda d: d.encoding()):
+    for d in sorted(f.terms):
         c = f.terms[d]
         blocks = []
         for b in d.blocks:

@@ -4,8 +4,7 @@ A shape is keyed by its beta-set (first-column hook lengths), and a
 character value at a cycle type is a signed sum over the border strips
 of the first cycle length (Macdonald, Symmetric Functions and Hall
 Polynomials, I.7).  This module reads nothing but `combinat`, so the
-character side (`symfun`) loads it without the Specht module layer;
-`specht` re-exports every name here.
+character side (`symfun`) loads it without the Specht module layer.
 """
 
 from __future__ import annotations

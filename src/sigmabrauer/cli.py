@@ -182,12 +182,12 @@ def _run(args) -> dict:
             )
         form = _random_form(sigma, args.rank, args.seed)
         if args.lam is None:
-            return {"dim": modcat.traceless_space(sigma, form, args.n).dim}
+            return {"dim": modcat.traceless_space(form, args.n)}
         lam = parse_partition(args.lam)
         _check_bound(bound, lam=lam.size)
         if lam.size != args.n:
             raise PreconditionError("--lambda must be a partition of --n")
-        return {"dim": modcat.simple_realization_dim(sigma, form, lam)}
+        return {"dim": modcat.simple_realization_dim(form, lam)}
 
     if args.command == "stab":
         sigma = _pure_sigma(args.sigma, bound)

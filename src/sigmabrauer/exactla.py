@@ -255,10 +255,6 @@ def kernel_basis_with_free(m: RatMat) -> tuple[list[tuple[Fraction, ...]], list[
     return [tuple(vecs[f]) for f in free], free
 
 
-def kernel_basis(m: RatMat) -> list[tuple[Fraction, ...]]:
-    return kernel_basis_with_free(m)[0]
-
-
 def solve(m: RatMat, rhs) -> tuple[Fraction, ...] | None:
     """One exact solution of m x = rhs, or None when inconsistent.
 

@@ -3,8 +3,7 @@
 A form for a pure tuple sigma is one linear functional on the realization
 of each generator Schur functor, stored as its values at the realization
 basis.  This module reads nothing but `combinat`, so the stabilizer side
-loads it without the realization layers; `modcat` re-exports every public
-name here.
+loads it without the realization layers.
 """
 
 from __future__ import annotations

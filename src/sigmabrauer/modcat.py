@@ -12,8 +12,8 @@ symmetric group action realizes the simple objects.  The block
 contractions reach the specializer as plain diagram tuples; only
 `socle_check` reads `brauer` (its `hom_basis`), as a module attribute,
 so no traceless job loads it.  Forms themselves live in the leaf module
-`forms`, which the stabilizer side loads without this one; `FormPoint`,
-`random_form` and `integer_columns` are re-exported here.
+`forms`, which the stabilizer side loads without this one.  A form is a
+form for one tuple sigma, so every entry point reads sigma off the form.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from math import prod
 from . import brauer, symfun
 from .combinat import Partition, PartitionTuple, partitions, schur_dim, specht_dim
 from .exactla import RatMat, _eliminate, _primitive, solve
-from .forms import FormPoint, integer_columns, random_form  # re-exported
+from .forms import FormPoint, integer_columns
 from .schurweyl import get_tensor_rep, specht_word_expansions
 from .specht import check_specht_action, get_specht_module
 
@@ -176,26 +176,6 @@ def _generating_contractions(sigma: PartitionTuple, n: int) -> list:
     return out
 
 
-class TracelessSpace:
-    """The joint kernel of all block contractions inside a tensor power,
-    described by its dimension."""
-
-    __slots__ = ("sigma", "form", "n", "dim")
-
-    def __init__(self, sigma, form: FormPoint, n: int, dim: int):
-        self.sigma = sigma
-        self.form = form
-        self.n = n
-        self.dim = dim
-
-
-def _check_form(sigma, form: FormPoint) -> PartitionTuple:
-    sigma = PartitionTuple(sigma)
-    if sigma != form.sigma:
-        raise ValueError("form does not match sigma")
-    return sigma
-
-
 def _check_block_spans(form: FormPoint, n: int):
     """Exact certificate that, for every entry of size d <= n, the block
     functionals span a representation of S_d: for each adjacent
@@ -247,39 +227,37 @@ def _restricted_nullity(columns: dict[int, dict[int, int]], lam: Partition, N: i
     return rep.dim - len(_eliminate(images, reduced=False))
 
 
-def traceless_space(sigma, form: FormPoint, n: int) -> TracelessSpace:
-    """Intersection V of the kernels of every block contraction on n slots.
-    V is a representation of S_n (certified by `_check_block_spans`), so
-    by Weyl's construction dim V is the sum, over the partitions lam of n
-    with at most N rows, of f_lam times the dimension of V meet S_lam(k^N).
-    Each term is a `_restricted_nullity`: only the realization bases are
-    eliminated, never the N^n-column constraint rows."""
-    sigma = _check_form(sigma, form)
+def traceless_space(form: FormPoint, n: int) -> int:
+    """The dimension of the intersection V of the kernels of every block
+    contraction on n slots.  V is a representation of S_n (certified by
+    `_check_block_spans`), so by Weyl's construction dim V is the sum, over
+    the partitions lam of n with at most N rows, of f_lam times the
+    dimension of V meet S_lam(k^N).  Each term is a `_restricted_nullity`:
+    only the realization bases are eliminated, never the N^n-column
+    constraint rows."""
     if n < 0:
         raise ValueError("n must be non-negative")
     columns = _traceless_constraints(form, n)
-    dim = sum(
+    return sum(
         specht_dim(lam) * _restricted_nullity(columns, lam, form.N)
         for lam in partitions(n)
         if len(lam) <= form.N
     )
-    return TracelessSpace(sigma, form, n, dim)
 
 
-def simple_realization_dim(sigma, form: FormPoint, lam: Partition) -> int:
+def simple_realization_dim(form: FormPoint, lam: Partition) -> int:
     """Dimension of the lam-isotypic piece of the traceless space V on
     |lam| slots: the rank-N realization of the corresponding simple
     object.  V is a representation of S_n (certified by
     `_check_block_spans`), so by Weyl's construction its lam-multiplicity
     is the dimension of its intersection with S_lam(k^N), and the piece
     has f_lam times that dimension."""
-    _check_form(sigma, form)
     lam = Partition(lam)
     columns = _traceless_constraints(form, lam.size)
     return specht_dim(lam) * _restricted_nullity(columns, lam, form.N)
 
 
-def socle_check(sigma, form: FormPoint, lam: Partition) -> bool:
+def socle_check(form: FormPoint, lam: Partition) -> bool:
     """Compare two descriptions of the traceless subspace on |lam| slots:
     the kernels of the generating block contractions against the kernels
     of every basis morphism to a strictly smaller object, specialized at
@@ -293,11 +271,10 @@ def socle_check(sigma, form: FormPoint, lam: Partition) -> bool:
     is a functor (criteria 3 and 4), so each specialized constraint
     precomposed with the permutation matrix is a combination of the
     specialized basis constraints, and the joint kernel is stable."""
-    sigma = _check_form(sigma, form)
     lam = Partition(lam)
     n = lam.size
     gen = _traceless_constraints(form, n)
-    homs = (d for m in range(n) for d in brauer.hom_basis(sigma, n, m))
+    homs = (d for m in range(n) for d in brauer.hom_basis(form.sigma, n, m))
     hom = _constraint_columns(form, homs)
     return _restricted_nullity(gen, lam, form.N) == _restricted_nullity(hom, lam, form.N)
 

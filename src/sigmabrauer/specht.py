@@ -15,9 +15,8 @@ constants are integers.  Permutations act only through straightening:
 `straighten_relabelled`, the straightened polytabloid of a relabelled
 basis tableau, and no action matrix is kept.  The irreducible
 characters live in the leaf module `characters`, which the character
-side loads without this one; they are re-exported here through the
-module `__getattr__`, and `exactla` is read as a module attribute, so
-straightening loads neither.
+side loads without this one; it and `exactla` are read as module
+attributes, so straightening loads neither.
 """
 
 from __future__ import annotations
@@ -29,12 +28,6 @@ from math import factorial
 
 from . import characters, exactla
 from .combinat import Partition, specht_dim
-
-
-def __getattr__(name: str):
-    if name in ("beta_set", "centralizer_size", "mn_character", "sn_character"):
-        return getattr(characters, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -411,15 +404,15 @@ def _check_coxeter(gens: list[exactla.RatMat]):
 
 
 def isotypic_projector(
-    n: int,
     lam: Partition,
     gens: list[exactla.RatMat],
     dim: int | None = None,
     perm_action=None,
 ) -> exactla.RatMat:
     """Projector onto the lam-isotypic component of a representation of the
-    symmetric group on n letters, given by its adjacent transposition
-    matrices.  Built by character averaging; exact and idempotent.
+    symmetric group on n = |lam| letters, given by its adjacent
+    transposition matrices.  Built by character averaging; exact and
+    idempotent.
 
     When `perm_action` is given it must map a 0-indexed one-line
     permutation to its action matrix; it is used in place of the
@@ -427,16 +420,13 @@ def isotypic_projector(
     underlying action is a coordinate permutation).
     """
     lam = Partition(lam)
-    if lam.size != n:
-        raise ValueError("|lam| must equal n")
+    n = lam.size
+    if len(gens) != max(n - 1, 0):
+        raise ValueError("expected n-1 generator matrices")
     if n <= 1:
         if dim is None:
-            if not gens:
-                raise ValueError("dimension required when no generators are given")
-            dim = gens[0].rows
+            raise ValueError("dimension required when no generators are given")
         return exactla.RatMat.identity(dim)
-    if len(gens) != n - 1:
-        raise ValueError("expected n-1 generator matrices")
     _check_coxeter(gens)
     d = gens[0].rows
     total = None

@@ -21,7 +21,7 @@ from math import gcd
 from typing import NamedTuple
 
 from . import exactla, modcat, schurweyl
-from .combinat import Partition, PartitionTuple, PreconditionError, schur_dim
+from .combinat import Partition, PreconditionError, schur_dim
 from .forms import FormPoint, integer_columns
 
 
@@ -91,12 +91,6 @@ class GLElement:
         return f"GLElement(size={self.m})"
 
 
-class GammaQuery(NamedTuple):
-    form: FormPoint
-    level: int
-    g: GLElement
-
-
 def _require_level(form: FormPoint, level: int, g: GLElement):
     if level < 0:
         raise PreconditionError(f"the level must be non-negative, got {level}")
@@ -107,21 +101,20 @@ def _require_level(form: FormPoint, level: int, g: GLElement):
         )
 
 
-def in_gamma(q: GammaQuery) -> bool:
-    """Membership in the level-n generalized stabilizer of the form:
-    omega_p(g b_j) = omega_p(b_j) at every level-n basis index j.  g fixes
-    e_x for every letter x outside `g.cols`, and the words of b_j are
-    rearrangements of its source word, so g b_j = b_j unless that word
+def in_gamma(form: FormPoint, level: int, g: GLElement) -> bool:
+    """Membership in the level-n generalized stabilizer of the form, n =
+    level: omega_p(g b_j) = omega_p(b_j) at every level-n basis index j.
+    g fixes e_x for every letter x outside `g.cols`, and the words of b_j
+    are rearrangements of its source word, so g b_j = b_j unless that word
     meets `g.cols`: only those indices are read, and when g moves no letter
     at most n no realization is built."""
-    form, n, g = q.form, q.level, q.g
-    _require_level(form, n, g)
+    _require_level(form, level, g)
     moved = g.cols.keys()
-    if all(x > n for x in moved):
+    if all(x > level for x in moved):
         return True
     for p, shape in enumerate(form.sigma):
         rep = schurweyl.get_tensor_rep(shape, form.N)
-        idx = [j for j in rep.restriction_indices(n) if not moved.isdisjoint(rep.source_words[j])]
+        idx = [j for j in rep.restriction_indices(level) if not moved.isdisjoint(rep.source_words[j])]
         row = form.comps[p]
         for j, (total, div) in zip(idx, modcat.moved_values(form, p, g.den, g.cols, idx)):
             c = row[j]
@@ -146,6 +139,8 @@ MOVES = 6  # elementary row moves per sampled element
 def random_block_fixing(j: int, size: int, rng: random.Random) -> GLElement:
     """A random element of the subgroup fixing the first j coordinates:
     identity block of size j, a random integer unimodular block below."""
+    if j < 0:
+        raise ValueError(f"the fixed block must be non-negative, got {j}")
     if size < j:
         raise ValueError("size must be at least the fixed block")
     data = [[int(a == b) for b in range(size)] for a in range(size)]
@@ -163,11 +158,6 @@ def random_block_fixing(j: int, size: int, rng: random.Random) -> GLElement:
             data[a][k] += c * data[b][k]
     # row swaps and elementary moves are invertible: no rank check needed
     return GLElement._known(*integer_columns(data))
-
-
-def random_unimodular(size: int, rng: random.Random) -> GLElement:
-    """A random integer matrix of determinant +-1 (elementary moves)."""
-    return random_block_fixing(0, size, rng)
 
 
 def permutation_element(images: dict[int, int]) -> GLElement:
@@ -219,9 +209,9 @@ def germinal_axiom_suite(
         """g's membership at level, where g is fixed[k] for k > 0, and a
         sample (the identity when it has no stored columns) for k = 0."""
         if not k and g.cols:
-            return in_gamma(GammaQuery(form, level, g))
+            return in_gamma(form, level, g)
         if (level, k) not in verdicts:
-            verdicts[level, k] = in_gamma(GammaQuery(form, level, fixed[k]))
+            verdicts[level, k] = in_gamma(form, level, fixed[k])
         return verdicts[level, k]
 
     def sample_member(level: int) -> tuple[GLElement, int]:
@@ -325,7 +315,6 @@ def evaluation_presentation(form: FormPoint, p: int, v_coords) -> MapPresentatio
 
 
 def gamma_linearity_check(
-    sigma,
     form: FormPoint,
     phi: MapPresentation,
     n: int,
@@ -336,19 +325,18 @@ def gamma_linearity_check(
     with g on the vector v.
 
     Preconditions (violations raise PreconditionError, distinctly from a
-    plain False): the form must be truncated deeply enough, and v must be
+    plain False): the form must be truncated deeply enough, v must be
     invariant under the subgroup fixing the first n coordinates, i.e. its
     realization coordinates must be supported on basis vectors with
-    letters at most n.  For g in the level-n stabilizer the result is
-    always True; a False return on valid preconditions means either g is
-    not a member or the presentation does not present a module map.
+    letters at most n, and every w of the presentation must be a scalar
+    for the unit target, else the coordinates of a vector in the target's
+    realization at the form rank.  For g in the level-n stabilizer the
+    result is always True; a False return on valid preconditions means
+    either g is not a member or the presentation does not present a
+    module map.
     """
-    sigma = PartitionTuple(sigma)
-    if sigma != form.sigma:
-        raise PreconditionError("form does not match sigma")
     _require_level(form, n, g)
-    src_shape = sigma[phi.source_type]
-    rep = schurweyl.get_tensor_rep(src_shape, form.N)
+    rep = schurweyl.get_tensor_rep(form.sigma[phi.source_type], form.N)
     v = tuple(Fraction(x) for x in v)
     if len(v) != rep.dim:
         raise PreconditionError("v must have realization coordinates at the form rank")
@@ -361,11 +349,16 @@ def gamma_linearity_check(
     unit = phi.target == "unit"
     acc = [Fraction(0)] * (1 if unit else schur_dim(Partition(phi.target), form.N))
     for poly, w in phi.pairs:
+        try:
+            w = [Fraction(w)] if unit else [Fraction(x) for x in w]
+        except (TypeError, ValueError):
+            w = []
+        if len(w) != len(acc):
+            expected = "a scalar" if unit else f"{len(acc)} coordinates in the target realization"
+            raise PreconditionError(f"every w must be {expected}")
         c = eval_poly(poly, moved) - eval_poly(poly, form)
-        if c == 0:
-            continue
-        for j, x in enumerate([w] if unit else w):
-            acc[j] += c * Fraction(x)
+        for j, x in enumerate(w):
+            acc[j] += c * x
     # g is invertible, so its action on the target realization is too, and
     # g acc vanishes exactly when acc does
     return all(x == 0 for x in acc)

@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
+from pathlib import Path
 from typing import NamedTuple
 
 from sigmabrauer.brauer import Block, Diagram
@@ -13,6 +17,18 @@ from sigmabrauer.combinat import Partition, PartitionTuple, specht_dim
 from sigmabrauer.exactla import RatMat
 from sigmabrauer.schurweyl import WeightBasisElement
 from sigmabrauer.symfun import SchurExpr, lr_product, plethysm_h
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter run on args with its text output captured, with
+    this checkout's `src` first on its module path, so the child imports
+    the package under test whether or not it is installed."""
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
 
 
 def as_fractions(pair) -> dict:
@@ -264,7 +280,8 @@ def traceless_isotypic_brute(form, lam: Partition) -> int:
     ambient projector are assembled directly, and the answer is the
     nullity of one stacked matrix, found by the reference elimination."""
     from sigmabrauer.schurweyl import get_tensor_rep
-    from sigmabrauer.specht import cycle_type, sn_character
+    from sigmabrauer.characters import sn_character
+    from sigmabrauer.specht import cycle_type
     from sigmabrauer.combinat import specht_dim
     from itertools import permutations as iperm
 
@@ -558,7 +575,8 @@ def isotypic_multiplicities(space) -> dict[Partition, int]:
     The space is first certified slot-stable; every multiplicity must be a
     non-negative integer and sum_nu f_nu m_nu must equal the dimension."""
     from sigmabrauer.combinat import partitions, specht_dim
-    from sigmabrauer.specht import centralizer_size, class_representative, sn_character
+    from sigmabrauer.characters import centralizer_size, sn_character
+    from sigmabrauer.specht import class_representative
 
     check_slot_stable(space)
     classes = partitions(space.n)
@@ -794,7 +812,7 @@ def hom_basis_reference(sigma, n: int, m: int) -> list[Diagram]:
             blocks = tuple(Block(*b) for b in typed)
             for image in permutations(range(1, m + 1)):
                 out.append(Diagram(n, m, blocks, tuple(sorted(zip(free, image)))))
-    out.sort(key=lambda d: d.encoding())
+    out.sort()
     return out
 
 

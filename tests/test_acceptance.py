@@ -7,11 +7,9 @@ lines; every tolerance here is exact equality.
 import json
 import math
 import random
-import subprocess
-import sys
 import time
 
-from helpers import plethysm_brute, traceless_isotypic_brute
+from helpers import plethysm_brute, run_python, traceless_isotypic_brute
 from sigmabrauer.brauer import Morphism, hom_basis, random_morphism
 from sigmabrauer.combinat import (
     Partition,
@@ -21,20 +19,20 @@ from sigmabrauer.combinat import (
     schur_dim,
     specht_dim,
 )
+from sigmabrauer.forms import random_form
 from sigmabrauer.modcat import (
     ext_dim,
     monomial_cubic_form,
     multiplicity,
-    random_form,
     simple_realization_dim,
     socle_check,
     theta_apply,
 )
 from sigmabrauer.schurweyl import weight_space_basis
-from sigmabrauer.specht import SpechtModule, _check_coxeter, sn_character
+from sigmabrauer.characters import sn_character
+from sigmabrauer.specht import SpechtModule, _check_coxeter
 from sigmabrauer.stabilizer import (
     GLElement,
-    GammaQuery,
     evaluation_presentation,
     gamma_linearity_check,
     germinal_axiom_suite,
@@ -224,13 +222,13 @@ def test_criterion_08_weyl_construction():
     for N in (4, 5, 6):
         form = random_form(SIG2, N, seed=20250809)
         for lam in partitions_upto(3):
-            eng = simple_realization_dim(SIG2, form, lam)
+            eng = simple_realization_dim(form, lam)
             bru = traceless_isotypic_brute(form, lam)
             assert eng == bru, (N, lam, eng, bru)
             if (N, lam) in fixtures:
                 assert eng == fixtures[(N, lam)], (N, lam, eng)
         for lam in partitions_upto(3):
-            assert socle_check(SIG2, form, lam) is True, (N, lam)
+            assert socle_check(form, lam) is True, (N, lam)
     elapsed = time.time() - t0
     report(8, elapsed < 300, f"engine equals kernel oracle and socle checks at N=4,5,6 in {elapsed:.0f}s")
 
@@ -281,17 +279,17 @@ def test_criterion_10_germinal_axioms_and_linearity():
     v[idx[-1]] = Fraction(-1)
     rng = random.Random(0)
     g = random_block_fixing(2, 4, rng)
-    assert gamma_linearity_check(SIG3, form, evaluation_presentation(form, 0, v), 2, g, v) is True
+    assert gamma_linearity_check(form, evaluation_presentation(form, 0, v), 2, g, v) is True
     idx3 = rep.restriction_indices(3)
     v2 = [Fraction(0)] * rep.dim
     v2[idx3[0]] = Fraction(1)
     v2[idx3[2]] = Fraction(3)
-    assert gamma_linearity_check(SIG3, mono, evaluation_presentation(mono, 0, v2), 3, cyc, v2) is True
+    assert gamma_linearity_check(mono, evaluation_presentation(mono, 0, v2), 3, cyc, v2) is True
     vneg = [Fraction(0)] * rep.dim
     vneg[rep.source_words.index((2, 2, 2))] = Fraction(1)
     shear = GLElement([[1, 1], [0, 1]])
-    assert not in_gamma(GammaQuery(form, 2, shear))
-    assert gamma_linearity_check(SIG3, form, evaluation_presentation(form, 0, vneg), 2, shear, vneg) is False
+    assert not in_gamma(form, 2, shear)
+    assert gamma_linearity_check(form, evaluation_presentation(form, 0, vneg), 2, shear, vneg) is False
     report(10, True, f"axiom suites clean at M=4,5 and the monomial form; linearity fixtures hold")
 
 
@@ -315,11 +313,7 @@ def test_criterion_11_cli_determinism():
     for k, job in enumerate(jobs):
         runs = []
         for _ in range(2):
-            proc = subprocess.run(
-                [sys.executable, "-m", "sigmabrauer.cli", *job],
-                capture_output=True,
-                text=True,
-            )
+            proc = run_python("-m", "sigmabrauer.cli", *job)
             assert proc.returncode == 0, (job, proc.stderr)
             runs.append(proc.stdout)
         assert runs[0] == runs[1], job

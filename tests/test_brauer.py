@@ -10,14 +10,13 @@ from sigmabrauer import brauer
 from sigmabrauer.brauer import (
     Morphism,
     hom_basis,
-    hom_dim,
     make_diagram,
     morphism_from_json,
     morphism_to_json,
     random_morphism,
     upwards_view,
 )
-from sigmabrauer.combinat import Partition, PartitionTuple, parse_tuple
+from sigmabrauer.combinat import Partition, PartitionTuple, hom_dim, parse_tuple
 from sigmabrauer.specht import get_specht_module
 
 SIG2 = PartitionTuple(((2,),))

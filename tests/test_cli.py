@@ -1,13 +1,12 @@
 import io
 import json
-import subprocess
-import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import run_python
 from sigmabrauer import forms
 from sigmabrauer.brauer import Morphism, make_diagram, morphism_to_json
 from sigmabrauer.cli import main
@@ -15,11 +14,7 @@ from sigmabrauer.combinat import PartitionTuple
 
 
 def run_cli(*args, check=True):
-    proc = subprocess.run(
-        [sys.executable, "-m", "sigmabrauer.cli", *args],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_python("-m", "sigmabrauer.cli", *args)
     if check and proc.returncode != 0:
         raise AssertionError(f"cli failed: {proc.returncode} {proc.stderr}")
     return proc
@@ -299,7 +294,7 @@ print(json.dumps([code, executed()]))
 
 def executed_modules(*args, exit_code=0) -> set[str]:
     """The sigmabrauer modules a fresh interpreter executes to run one job."""
-    proc = subprocess.run([sys.executable, "-c", _EXEC_PROBE, *args], capture_output=True, text=True)
+    proc = run_python("-c", _EXEC_PROBE, *args)
     code, stems = json.loads(proc.stdout.splitlines()[-1])
     assert code == exit_code, proc.stderr
     return set(stems)
@@ -360,8 +355,7 @@ def test_leaf_names_execute_only_their_leaf():
     # a form draw or a character lookup from the package reads one leaf module
     for code, leaf in (("sigmabrauer.random_form('2', 3, 0)", "forms"),
                        ("sigmabrauer.sn_character((2, 1), (1, 1, 1))", "characters")):
-        argv = [sys.executable, "-c", _LIBRARY_PROBE, code]
-        proc = subprocess.run(argv, capture_output=True, text=True)
+        proc = run_python("-c", _LIBRARY_PROBE, code)
         assert set(json.loads(proc.stdout)) == {"__init__", "combinat", leaf}, proc.stderr
 
 
@@ -376,40 +370,47 @@ print(json.dumps([before, executed()]))
 
 def test_package_contract():
     import sigmabrauer
-    from sigmabrauer import brauer, characters, combinat, modcat, specht, stabilizer, symfun
+    from sigmabrauer import brauer, characters, combinat, exactla, modcat, specht, stabilizer, symfun
 
     probe = "import sys, sigmabrauer.cli; print(*sorted(sys.modules))"
-    loaded = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True).stdout
+    loaded = run_python("-c", probe).stdout
     assert {f"sigmabrauer.{layer}" for layer in _LAYERS} <= set(loaded.split())
     namespace: dict = {}
     exec("from sigmabrauer import *", namespace)
     assert set(namespace) - {"__builtins__"} == set(sigmabrauer.__all__) == _LAYERS | {
-        "Block", "Diagram", "FormPoint", "GLElement", "GammaQuery", "Magnitude",
+        "Block", "Diagram", "FormPoint", "GLElement", "Magnitude",
         "MapPresentation", "Morphism", "Partition", "PartitionTuple", "PreconditionError",
         "RatMat", "SchurExpr", "SpechtModule", "SpechtVector", "TensorRep", "UpMorphism",
         "WeightBasisElement", "diagram_weight_iso", "dot_product_form",
         "evaluation_presentation", "ext_dim", "format_partition", "format_tuple",
         "gamma_linearity_check", "gamma_product_level", "germinal_axiom_suite",
         "get_specht_module", "get_tensor_rep", "hom_basis", "hom_dim", "in_gamma",
-        "inner_product", "isotypic_projector", "kernel_basis", "lr_product", "magnitude",
+        "inner_product", "isotypic_projector", "lr_product", "magnitude",
         "make_diagram", "monomial_cubic_form", "morphism_from_json", "morphism_to_json",
         "multiplicity", "parse_partition", "parse_tuple", "partitions", "permutation_element",
         "plethysm_e", "plethysm_h", "random_block_fixing", "random_form", "random_morphism",
-        "random_unimodular", "rank", "relabel", "schur_dim", "shift_decompose",
+        "rank", "relabel", "schur_dim", "shift_decompose",
         "simple_realization_dim", "skew_schur_expand", "sn_character", "socle_check",
         "specht_dim", "sym_algebra_degree", "theta_apply", "traceless_space", "translate",
         "upwards_view", "weight_space_basis",
     }
-    assert len(sigmabrauer.__all__) == 75
+    assert len(sigmabrauer.__all__) == 72
     assert stabilizer.PreconditionError is combinat.PreconditionError
-    assert brauer.hom_dim is combinat.hom_dim is sigmabrauer.hom_dim
+    assert combinat.hom_dim is sigmabrauer.hom_dim
     # one definition, so one Murnaghan-Nakayama cache, whichever layer reads it
     for name in ("beta_set", "centralizer_size", "mn_character"):
-        assert getattr(characters, name) is getattr(symfun, name) is getattr(specht, name)
-    assert characters.sn_character is specht.sn_character is sigmabrauer.sn_character
-    # the leaf modules' names are re-exported, not copied
-    for name in ("FormPoint", "random_form", "integer_columns"):
+        assert getattr(characters, name) is getattr(symfun, name)
+    assert characters.sn_character is sigmabrauer.sn_character
+    # the names modcat reads from the leaf are the leaf's, not copies
+    for name in ("FormPoint", "integer_columns"):
         assert getattr(modcat, name) is getattr(forms, name), name
+    # one name per function: no alias, holder type or pass-through wrapper
+    absent = [(specht, "beta_set"), (specht, "centralizer_size"), (specht, "mn_character"),
+              (specht, "sn_character"), (brauer, "hom_dim"), (modcat, "random_form"),
+              (modcat, "TracelessSpace"), (exactla, "kernel_basis"), (stabilizer, "GammaQuery"),
+              (stabilizer, "random_unimodular"), (brauer.Diagram, "encoding")]
+    for owner, name in absent:
+        assert not hasattr(owner, name), (owner, name)
     assert sigmabrauer.FormPoint is forms.FormPoint and sigmabrauer.random_form is forms.random_form
     with pytest.raises(AttributeError, match="^module 'sigmabrauer.specht' has no attribute 'nope'$"):
         specht.nope
@@ -421,7 +422,7 @@ def test_package_contract():
     with pytest.raises(AttributeError, match=message):
         modcat.nope
     # modcat reaches symfun only when one of the two character names is read
-    proc = subprocess.run([sys.executable, "-c", _MODCAT_PROBE], capture_output=True, text=True)
+    proc = run_python("-c", _MODCAT_PROBE)
     before, after = json.loads(proc.stdout)
     assert "modcat" in before and "symfun" not in before, before
     assert {"characters", "symfun"} <= set(after), after

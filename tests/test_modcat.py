@@ -33,7 +33,9 @@ from sigmabrauer.combinat import (
 from sigmabrauer import modcat, symfun
 from sigmabrauer.exactla import RatMat
 from sigmabrauer.schurweyl import get_tensor_rep, specht_word_expansions
-from sigmabrauer.specht import beta_set, isotypic_projector
+from sigmabrauer.characters import beta_set
+from sigmabrauer.forms import random_form
+from sigmabrauer.specht import isotypic_projector
 from sigmabrauer.symfun import SchurExpr, exterior_power_char, inner_product, lr_product
 from sigmabrauer.modcat import (
     FormPoint,
@@ -44,7 +46,6 @@ from sigmabrauer.modcat import (
     dot_product_form,
     ext_dim,
     multiplicity,
-    random_form,
     simple_realization_dim,
     socle_check,
     theta_apply,
@@ -357,18 +358,18 @@ def test_theta_monoidal_random():
 
 def test_traceless_fixtures_rank_five():
     form = random_form(SIG2, 5, seed=20250809)
-    assert traceless_space(SIG2, form, 0).dim == 1
-    assert traceless_space(SIG2, form, 1).dim == 5  # below every block size
-    assert traceless_space(SIG2, form, 2).dim == 24
-    assert simple_realization_dim(SIG2, form, Partition((2,))) == 14
-    assert simple_realization_dim(SIG2, form, Partition((1, 1))) == 10
-    assert simple_realization_dim(SIG2, form, Partition((1, 1, 1))) == 10
+    assert traceless_space(form, 0) == 1
+    assert traceless_space(form, 1) == 5  # below every block size
+    assert traceless_space(form, 2) == 24
+    assert simple_realization_dim(form, Partition((2,))) == 14
+    assert simple_realization_dim(form, Partition((1, 1))) == 10
+    assert simple_realization_dim(form, Partition((1, 1, 1))) == 10
 
 
 def test_traceless_matches_brute_oracle_rank_four():
     form = random_form(SIG2, 4, seed=67)
     for lam in [(1,), (2,), (1, 1), (2, 1), (1, 1, 1)]:
-        assert simple_realization_dim(SIG2, form, Partition(lam)) == traceless_isotypic_brute(
+        assert simple_realization_dim(form, Partition(lam)) == traceless_isotypic_brute(
             form, Partition(lam)
         )
 
@@ -380,17 +381,17 @@ def test_traceless_monotone_under_constraints():
     form = random_form(SIG2, 4, seed=8)
     for lam in [(2,), (1, 1), (2, 1)]:
         lam = Partition(lam)
-        dim = simple_realization_dim(SIG2, form, lam)
+        dim = simple_realization_dim(form, lam)
         assert dim <= schur_dim(lam, 4) * specht_dim(lam)
 
 
 def test_socle_fixtures():
     form5 = random_form(SIG2, 5, seed=20250809)
-    assert socle_check(SIG2, form5, Partition(())) is True
-    assert socle_check(SIG2, form5, Partition((2,))) is True
+    assert socle_check(form5, Partition(())) is True
+    assert socle_check(form5, Partition((2,))) is True
     form41 = random_form(SIG1, 4, seed=7)
-    assert socle_check(SIG1, form41, Partition((1,))) is True
-    assert traceless_space(SIG1, form41, 1).dim == 3
+    assert socle_check(form41, Partition((1,))) is True
+    assert traceless_space(form41, 1) == 3
 
 
 def test_translate_is_an_action():
@@ -447,7 +448,7 @@ def test_class_traces_match_projector():
             form = random_form(sigma, N, seed=1)
             for n in range(4):
                 space = reference_space(form, n)
-                assert traceless_space(sigma, form, n).dim == space.dim, (sigma, N, n)
+                assert traceless_space(form, n) == space.dim, (sigma, N, n)
                 mults = isotypic_multiplicities(space)
                 assert set(mults) == set(partitions(n))
                 assert sum(specht_dim(nu) * m for nu, m in mults.items()) == space.dim
@@ -456,13 +457,12 @@ def test_class_traces_match_projector():
                 gens = slot_generator_matrices(space)
                 for lam in partitions(n):
                     proj = isotypic_projector(
-                        n,
                         lam,
                         gens,
                         dim=space.dim,
                         perm_action=lambda ol: slot_permutation_matrix(space, ol),
                     )
-                    assert simple_realization_dim(sigma, form, lam) == proj.trace(), (sigma, N, lam)
+                    assert simple_realization_dim(form, lam) == proj.trace(), (sigma, N, lam)
 
 
 def test_unstable_space_is_rejected():
@@ -497,7 +497,7 @@ def test_character_side_oracle_sweep():
                     continue
                 cases += 1
                 pred = predicted_realization_dim(sigma, N, lam)
-                eng = simple_realization_dim(sigma, form, lam)
+                eng = simple_realization_dim(form, lam)
                 if pred != eng:
                     off[(text, N, tuple(lam))] = (pred, eng)
     assert cases == 140
@@ -516,11 +516,11 @@ def test_restricted_nullity_matches_class_traces():
                 if N**n > 256:
                     continue
                 space = reference_space(form, n)
-                assert traceless_space(sigma, form, n).dim == space.dim, (text, N, n)
+                assert traceless_space(form, n) == space.dim, (text, N, n)
                 mults = isotypic_multiplicities(space)
                 for lam in partitions(n):
                     cases += 1
-                    eng = simple_realization_dim(sigma, form, lam)
+                    eng = simple_realization_dim(form, lam)
                     assert eng == specht_dim(lam) * mults[lam], (text, N, lam)
     assert cases == 215
 
@@ -540,7 +540,7 @@ def test_hom_family_restricted_nullity_matches_class_traces():
                 space = reference_space(form, n, homs)
                 # every basis diagram to a smaller object factors through a
                 # block contraction, which is one of them: the kernels agree
-                assert traceless_space(sigma, form, n).dim == space.dim, (text, N, n)
+                assert traceless_space(form, n) == space.dim, (text, N, n)
                 mults = isotypic_multiplicities(space)
                 columns = _constraint_columns(form, [d for f in homs for d in f.terms])
                 for lam in partitions(n):
@@ -576,8 +576,8 @@ def test_specht_certificates_build_no_action_matrix(monkeypatch):
 
     def values():
         return [specht_word_expansions(shape) for shape in shapes] + [
-            (traceless_space(form.sigma, form, n).dim,
-             [simple_realization_dim(form.sigma, form, lam) for lam in partitions(n)])
+            (traceless_space(form, n),
+             [simple_realization_dim(form, lam) for lam in partitions(n)])
             for form, n in forms
         ]
 
@@ -600,4 +600,4 @@ def test_unstable_block_span_is_rejected(monkeypatch):
     monkeypatch.setitem(form._functionals, (0, 0), (den, fn))
     for lam in [(3,), (2, 1), (3, 1)]:
         with pytest.raises(RuntimeError, match="do not span"):
-            simple_realization_dim(sigma, form, Partition(lam))
+            simple_realization_dim(form, Partition(lam))

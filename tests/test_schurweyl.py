@@ -213,7 +213,7 @@ def test_coords_and_dual_row_read_back_random_combinations():
 
 
 def test_coordinates_invert_no_matrix(monkeypatch):
-    from sigmabrauer import exactla, modcat, schurweyl
+    from sigmabrauer import exactla, forms, modcat, schurweyl
 
     def refuse(m):
         raise RuntimeError("a realization coordinate inverted a matrix")
@@ -226,7 +226,7 @@ def test_coordinates_invert_no_matrix(monkeypatch):
     den, row = rep.dual_row([Fraction(j - 3, 2) for j in range(rep.dim)])
     assert den > 0 and row
     monkeypatch.setattr(modcat, "get_tensor_rep", TensorRep)
-    form = modcat.random_form(parse_tuple("2,1"), 3, seed=4)
+    form = forms.random_form(parse_tuple("2,1"), 3, seed=4)
     fn = modcat.block_functional(form, 0, 1)
     assert as_fractions(fn) == block_functional_reference(form, 0, 1)
 

@@ -6,11 +6,11 @@ import pytest
 
 from helpers import conjugacy_class_size, regular_representation_gens
 from sigmabrauer.combinat import Partition, partitions, specht_dim
+from sigmabrauer.characters import centralizer_size, sn_character
 from sigmabrauer.exactla import RatMat, rank
 from sigmabrauer.specht import (
     SpechtModule,
     SpechtVector,
-    centralizer_size,
     class_representative,
     cycle_type,
     get_specht_module,
@@ -18,7 +18,6 @@ from sigmabrauer.specht import (
     perm_sign,
     plain_changes,
     relabel,
-    sn_character,
     standard_tableaux,
 )
 
@@ -224,25 +223,31 @@ def test_class_representatives_and_centralizers():
 
 def test_projector_on_regular_representation():
     gens = regular_representation_gens(3)
-    p = isotypic_projector(3, Partition((2, 1)), gens)
+    p = isotypic_projector(Partition((2, 1)), gens)
     assert p @ p == p
     assert rank(p) == 4  # dim squared
-    assert isotypic_projector(3, Partition((3,)), gens).trace() == 1
-    assert isotypic_projector(3, Partition((1, 1, 1)), gens).trace() == 1
+    assert isotypic_projector(Partition((3,)), gens).trace() == 1
+    assert isotypic_projector(Partition((1, 1, 1)), gens).trace() == 1
 
 
 def test_projector_on_trivial_module():
     one = [RatMat.identity(1), RatMat.identity(1)]
-    assert isotypic_projector(3, Partition((3,)), one) == RatMat.identity(1)
-    assert isotypic_projector(3, Partition((2, 1)), one) == RatMat.zeros(1, 1)
+    assert isotypic_projector(Partition((3,)), one) == RatMat.identity(1)
+    assert isotypic_projector(Partition((2, 1)), one) == RatMat.zeros(1, 1)
 
 
 def test_projector_rejects_bad_generators():
     bad = [RatMat(1, 1, [[2]]), RatMat.identity(1)]
     with pytest.raises(ValueError):
-        isotypic_projector(3, Partition((2, 1)), bad)
-    with pytest.raises(ValueError):
-        isotypic_projector(3, Partition((2,)), [RatMat.identity(1)] * 2)
+        isotypic_projector(Partition((2, 1)), bad)
+    # n = |lam|, so the generator count is the check that n matches, also
+    # for the one-letter group, which has no generators
+    for lam, count in (((2,), 2), ((1,), 1), ((), 2)):
+        with pytest.raises(ValueError, match="expected n-1 generator matrices"):
+            isotypic_projector(Partition(lam), [RatMat.identity(1)] * count)
+    assert isotypic_projector(Partition((1,)), [], dim=2) == RatMat.identity(2)
+    with pytest.raises(ValueError, match="dimension required"):
+        isotypic_projector(Partition((1,)), [])
 
 
 def _direct_sum_module(n, mults, rng):
@@ -279,7 +284,7 @@ def test_projector_rank_is_dim_times_multiplicity():
             mults = {Partition((n,)): 1}
         gens = _direct_sum_module(n, mults, rng)
         for lam in partitions(n):
-            p = isotypic_projector(n, lam, gens)
+            p = isotypic_projector(lam, gens)
             expected = specht_dim(lam) * mults.get(lam, 0)
             assert p.trace() == expected
             assert p @ p == p

@@ -7,11 +7,11 @@ import pytest
 from helpers import realization_reference, translate_reference
 from sigmabrauer import exactla, modcat, schurweyl, stabilizer
 from sigmabrauer.combinat import Partition, PartitionTuple, parse_tuple
-from sigmabrauer.modcat import FormPoint, dot_product_form, monomial_cubic_form, random_form
+from sigmabrauer.forms import FormPoint, random_form
+from sigmabrauer.modcat import dot_product_form, monomial_cubic_form
 from sigmabrauer.schurweyl import get_tensor_rep
 from sigmabrauer.stabilizer import (
     GLElement,
-    GammaQuery,
     PreconditionError,
     evaluation_presentation,
     gamma_linearity_check,
@@ -20,7 +20,6 @@ from sigmabrauer.stabilizer import (
     in_gamma,
     permutation_element,
     random_block_fixing,
-    random_unimodular,
 )
 
 SIG3 = PartitionTuple(((3,),))
@@ -105,7 +104,7 @@ def test_gl_element_product_extends_by_identity():
 def test_identity_membership_all_levels():
     form = random_form(SIG3, 4, seed=1)
     for lvl in range(5):
-        assert in_gamma(GammaQuery(form, lvl, GLElement([])))
+        assert in_gamma(form, lvl, GLElement([]))
 
 
 def test_block_fixing_elements_are_members():
@@ -113,22 +112,22 @@ def test_block_fixing_elements_are_members():
     form = random_form(SIG3, 4, seed=3)
     for _ in range(20):
         g = random_block_fixing(2, 4, rng)
-        assert in_gamma(GammaQuery(form, 2, g))
+        assert in_gamma(form, 2, g)
 
 
 def test_generic_cubic_rejects_coordinate_swap():
     form = random_form(SIG3, 3, seed=123)
     swap = permutation_element({1: 2, 2: 1})
-    assert not in_gamma(GammaQuery(form, 2, swap))
+    assert not in_gamma(form, 2, swap)
 
 
 def test_level_violation_names_required_rank():
     form = random_form(SIG3, 3, seed=2)
-    g = random_unimodular(5, random.Random(1))
+    g = random_block_fixing(0, 5, random.Random(1))
     if g.m <= 3:  # ensure the sample is actually big
         g = GLElement([[1, 0, 0, 0, 1], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]])
     with pytest.raises(PreconditionError) as exc:
-        in_gamma(GammaQuery(form, 2, g))
+        in_gamma(form, 2, g)
     assert "rank" in str(exc.value)
 
 
@@ -136,10 +135,10 @@ def test_negative_level_is_rejected():
     form = random_form(SIG3, 3, seed=2)
     swap = permutation_element({1: 2, 2: 1})
     with pytest.raises(PreconditionError, match="non-negative"):
-        in_gamma(GammaQuery(form, -1, swap))
+        in_gamma(form, -1, swap)
     v = [Fraction(0)] * get_tensor_rep(Partition((3,)), 3).dim
     with pytest.raises(PreconditionError, match="non-negative"):
-        gamma_linearity_check(SIG3, form, evaluation_presentation(form, 0, v), -1, swap, v)
+        gamma_linearity_check(form, evaluation_presentation(form, 0, v), -1, swap, v)
 
 
 def test_monomial_form_symmetries():
@@ -147,15 +146,15 @@ def test_monomial_form_symmetries():
     cyc = permutation_element({1: 2, 2: 3, 3: 1})
     swap = permutation_element({1: 2, 2: 1})
     for lvl in range(5):
-        assert in_gamma(GammaQuery(mono, lvl, cyc))
-        assert in_gamma(GammaQuery(mono, lvl, swap))
+        assert in_gamma(mono, lvl, cyc)
+        assert in_gamma(mono, lvl, swap)
     # torus elements with product one fix the monomial
     torus = GLElement([[2, 0, 0], [0, 3, 0], [0, 0, Fraction(1, 6)]])
-    assert in_gamma(GammaQuery(mono, 4, torus))
+    assert in_gamma(mono, 4, torus)
     bad_torus = GLElement([[2, 0, 0], [0, 1, 0], [0, 0, 1]])
-    assert not in_gamma(GammaQuery(mono, 3, bad_torus))
+    assert not in_gamma(mono, 3, bad_torus)
     shear = GLElement([[1, 1], [0, 1]])
-    assert not in_gamma(GammaQuery(mono, 3, shear))
+    assert not in_gamma(mono, 3, shear)
 
 
 def _in_gamma_reference(form, n, g):
@@ -168,7 +167,7 @@ def _in_gamma_reference(form, n, g):
 
 
 def _agrees(form, n, g):
-    got = in_gamma(GammaQuery(form, n, g))
+    got = in_gamma(form, n, g)
     assert got == _in_gamma_reference(form, n, g), (form, n, g)
     return got
 
@@ -206,7 +205,7 @@ def test_in_gamma_matches_reference_on_non_members():
     assert not _agrees(mono, 3, GLElement([[2, 0, 0], [0, 1, 0], [0, 0, 1]]))
     rng = random.Random(5)
     verdicts = [
-        _agrees(random_form(parse_tuple(text), 4, seed=2), rng.randint(1, 4), random_unimodular(4, rng))
+        _agrees(random_form(parse_tuple(text), 4, seed=2), rng.randint(1, 4), random_block_fixing(0, 4, rng))
         for text in ("3", "2", "2|1", "2,1")
         for _ in range(4)
     ]
@@ -266,11 +265,11 @@ def test_queries_by_construction_read_no_realization(monkeypatch):
     rng = random.Random(12)
     for form in forms:
         for n in range(form.N + 1):
-            assert in_gamma(GammaQuery(form, n, GLElement([])))
+            assert in_gamma(form, n, GLElement([]))
             g = random_block_fixing(n, form.N, rng)
-            assert in_gamma(GammaQuery(form, n, g))
+            assert in_gamma(form, n, g)
             h = random_block_fixing(gamma_product_level(g, n), form.N, rng)
-            assert in_gamma(GammaQuery(form, n, h * g))
+            assert in_gamma(form, n, h * g)
         reports = germinal_axiom_suite(form, list(range(form.N + 1)), samples=10, seed=5)
         assert all(r["passes"] == r["samples"] for r in reports)
 
@@ -301,10 +300,10 @@ def test_product_law_randomized():
     for _ in range(30):
         n = rng.randint(1, 3)
         g = random_block_fixing(n, 5, rng)
-        assert in_gamma(GammaQuery(form, n, g))
+        assert in_gamma(form, n, g)
         j = gamma_product_level(g, n)
         h = random_block_fixing(j, 5, rng)
-        assert in_gamma(GammaQuery(form, n, h * g))
+        assert in_gamma(form, n, h * g)
 
 
 def test_axiom_suite_generic_and_monomial():
@@ -323,10 +322,10 @@ def test_axiom_suite_generic_and_monomial():
         assert r["failures"] == []
 
 
-def _in_gamma_stub(q):
+def _in_gamma_stub(form, level, g):
     """A membership predicate of (level, g) alone: the identity is rejected
     at level 2 and every other element at level 3."""
-    return (q.level, bool(q.g.cols)) not in ((2, False), (3, True))
+    return (level, bool(g.cols)) not in ((2, False), (3, True))
 
 
 def test_axiom_suite_failure_reports(monkeypatch):
@@ -358,10 +357,10 @@ def test_axiom_suite_failure_reports(monkeypatch):
 def test_axiom_suite_tests_the_identity_once_per_level(monkeypatch):
     identity_calls = []
 
-    def counting(q):
-        if not q.g.cols:
-            identity_calls.append(q.level)
-        return in_gamma(q)
+    def counting(form, level, g):
+        if not g.cols:
+            identity_calls.append(level)
+        return in_gamma(form, level, g)
 
     monkeypatch.setattr(stabilizer, "in_gamma", counting)
     mono = monomial_cubic_form(4)
@@ -389,7 +388,7 @@ def test_gamma_linearity_positive():
     v[idx[-1]] = Fraction(-1)
     phi = evaluation_presentation(form, 0, v)
     g = random_block_fixing(2, 4, rng)
-    assert gamma_linearity_check(SIG3, form, phi, 2, g, v) is True
+    assert gamma_linearity_check(form, phi, 2, g, v) is True
 
 
 def test_gamma_linearity_monomial_cycle():
@@ -401,7 +400,7 @@ def test_gamma_linearity_monomial_cycle():
     v[idx3[2]] = Fraction(3)
     phi = evaluation_presentation(mono, 0, v)
     cyc = permutation_element({1: 2, 2: 3, 3: 1})
-    assert gamma_linearity_check(SIG3, mono, phi, 3, cyc, v) is True
+    assert gamma_linearity_check(mono, phi, 3, cyc, v) is True
 
 
 def test_gamma_linearity_negative_control():
@@ -411,8 +410,8 @@ def test_gamma_linearity_negative_control():
     v[rep.source_words.index((2, 2, 2))] = Fraction(1)
     phi = evaluation_presentation(form, 0, v)
     shear = GLElement([[1, 1], [0, 1]])
-    assert not in_gamma(GammaQuery(form, 2, shear))
-    assert gamma_linearity_check(SIG3, form, phi, 2, shear, v) is False
+    assert not in_gamma(form, 2, shear)
+    assert gamma_linearity_check(form, phi, 2, shear, v) is False
 
 
 def test_gamma_linearity_preconditions_are_distinct():
@@ -422,12 +421,45 @@ def test_gamma_linearity_preconditions_are_distinct():
     phi = evaluation_presentation(form, 0, v)
     g = random_block_fixing(2, 4, random.Random(0))
     with pytest.raises(PreconditionError):
-        gamma_linearity_check(SIG3, form, phi, 2, g, v)
+        gamma_linearity_check(form, phi, 2, g, v)
     big = GLElement([[int(i == j) for j in range(5)] for i in range(4)] + [[0, 0, 0, 0, 2]])
     w = [Fraction(0)] * rep.dim
     w[rep.restriction_indices(2)[0]] = Fraction(1)
     with pytest.raises(PreconditionError):
-        gamma_linearity_check(SIG3, form, evaluation_presentation(form, 0, w), 2, big, w)
+        gamma_linearity_check(form, evaluation_presentation(form, 0, w), 2, big, w)
+
+
+def test_gamma_linearity_checks_every_w_against_its_target():
+    # a module target takes exactly its realization's coordinates, the unit
+    # target a scalar; a violation is reported even where the coefficient
+    # vanishes, and never surfaces as an IndexError or a silent zero padding
+    from sigmabrauer.stabilizer import MapPresentation
+
+    form = random_form(SIG2, 3, seed=0)
+    rep = get_tensor_rep(Partition((2,)), 3)
+    v = [Fraction(0)] * rep.dim
+    v[rep.restriction_indices(1)[0]] = Fraction(1)
+    poly = {((0, j),): c for j, c in enumerate(v) if c}
+    g = GLElement([[2]])
+    std = Partition((1,))
+    assert gamma_linearity_check(form, MapPresentation(0, std, ((poly, (1, 0, 0)),)), 1, g, v) is False
+    assert gamma_linearity_check(form, MapPresentation(0, "unit", ((poly, 1),)), 1, g, v) is False
+    bad = [(std, w, "3 coordinates") for w in ((1, 0, 0, 0), (1, 0), 1)]
+    bad += [("unit", w, "a scalar") for w in ((1,), "x")]
+    for target, w, message in bad:
+        for coeff in (poly, {}):
+            phi = MapPresentation(0, target, ((coeff, w),))
+            with pytest.raises(PreconditionError, match=message):
+                gamma_linearity_check(form, phi, 1, g, v)
+
+
+def test_random_block_fixing_rejects_a_negative_block():
+    # randrange over a negative start would alias the last rows
+    with pytest.raises(ValueError, match="non-negative"):
+        random_block_fixing(-1, 3, random.Random(0))
+    with pytest.raises(ValueError, match="at least the fixed block"):
+        random_block_fixing(4, 3, random.Random(0))
+    assert random_block_fixing(0, 3, random.Random(0)).m <= 3
 
 
 def test_gamma_linearity_with_module_target():
@@ -445,6 +477,6 @@ def test_gamma_linearity_with_module_target():
 
     phi = MapPresentation(0, Partition((1,)), ((poly, tuple(u)),))
     good = random_block_fixing(2, 4, rng)
-    assert gamma_linearity_check(SIG3, form, phi, 2, good, v) is True
+    assert gamma_linearity_check(form, phi, 2, good, v) is True
     shear = GLElement([[1, 1], [0, 1]])
-    assert gamma_linearity_check(SIG3, form, phi, 2, shear, v) is False
+    assert gamma_linearity_check(form, phi, 2, shear, v) is False
