@@ -8,7 +8,7 @@ tensor realizations of the simple objects, and generalized stabilizers
 of tensorial forms.
 
 Each layer module is loaded on first use: importing the package binds
-the eight layers and the two leaf modules as lazy modules, and a public
+the eight layers and the three leaf modules as lazy modules, and a public
 name below is read from its layer when it is first asked for, so a job
 executes only the modules it reads.
 """
@@ -51,7 +51,7 @@ _LAYERS = {
 }
 # Leaf modules that read only `combinat`, with the public names they define:
 # reading one executes the leaf alone.
-_LEAVES = {"characters": ("sn_character",), "forms": ("FormPoint", "random_form")}
+_LEAVES = {"characters": ("sn_character",), "forms": ("FormPoint", "random_form"), "setpart": ()}
 _HOME = {name: module for module, names in (*_LAYERS.items(), *_LEAVES.items()) for name in names}
 __all__ = [*_LAYERS, *_HOME]
 

@@ -10,7 +10,8 @@ the standard polytabloid basis, no zero terms.  The straightening
 relations of the Specht modules are therefore quotiented out by
 construction.  Only composition and `Morphism.from_blocks` read
 `specht`, as a module attribute, so enumerating Hom bases never loads
-the Specht layer.
+the Specht layer; only Hom bases read the typed set partitions of the
+leaf `setpart`, also as a module attribute, so composition never loads it.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from typing import NamedTuple
 
-from . import specht
+from . import setpart, specht
 from .combinat import PartitionTuple, specht_dim
 
 
@@ -259,35 +260,6 @@ class Morphism:
 # Hom-space enumeration
 
 
-def _typed_set_partitions(sigma: PartitionTuple, elements: tuple[int, ...]):
-    """All ways to split `elements` into blocks typed by entries of sigma.
-
-    Yields tuples of (support, type_index); blocks are unordered, which the
-    recursion enforces by always placing the smallest remaining element.
-    """
-    if not elements:
-        yield ()
-        return
-    first = elements[0]
-    rest = elements[1:]
-    for p, shape in enumerate(sigma):
-        k = shape.size
-        if k - 1 > len(rest):
-            continue
-        for others in combinations(rest, k - 1):
-            support = (first,) + others
-            remaining = tuple(x for x in rest if x not in others)
-            for tail in _typed_set_partitions(sigma, remaining):
-                yield ((support, p),) + tail
-
-
-def _typed_blocks(sigma: PartitionTuple, k: int) -> list:
-    """The decorated block tuples of {0..k-1}, each in normal form."""
-    return [tuple((s, p, t) for (s, p), t in zip(typed, ix))
-            for typed in _typed_set_partitions(sigma, tuple(range(k)))
-            for ix in product(*(range(specht_dim(sigma[p])) for _, p in typed))]
-
-
 def hom_basis(sigma, n: int, m: int) -> list[Diagram]:
     """All basis diagrams from [n] to [m], sorted as `Diagram` tuples
     (which is lexicographic encoding order), without repeats: the block
@@ -303,7 +275,7 @@ def hom_basis(sigma, n: int, m: int) -> list[Diagram]:
     if m < 0 or n < 0 or m > n:
         return []
     keys = []
-    typed_blocks = _typed_blocks(sigma, n - m)
+    typed_blocks = setpart.decorated_blocks(setpart.typed_set_partitions, sigma, n - m)
     images = list(permutations(range(1, m + 1)))
     for used in combinations(range(1, n + 1), n - m):
         free = [x for x in range(1, n + 1) if x not in used]

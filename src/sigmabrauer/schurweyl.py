@@ -10,8 +10,9 @@ action of arbitrary rational N x N matrices.  The bridge from the
 abstract Specht modules into that realization (used for block
 functionals) is read off the same symmetrizer: the image of each
 standard polytabloid, certified equivariant, with no realization built.
-`specht` and `exactla` are read as module attributes, so the weight-space
-side (`weight_space_basis`) loads neither.
+`specht`, `exactla` and the leaf `setpart` are read as module attributes,
+so the weight-space side (`weight_space_basis`) loads only `setpart`, and
+the realizations never load it.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from itertools import combinations, permutations, product
 from math import factorial, lcm
 from typing import NamedTuple
 
-from . import exactla, specht
-from .combinat import Partition, PartitionTuple, schur_dim, specht_dim
+from . import exactla, setpart, specht
+from .combinat import Partition, PartitionTuple, schur_dim
 
 
 class WeightBasisElement(NamedTuple):
@@ -37,50 +38,6 @@ class WeightBasisElement(NamedTuple):
 
     blocks: tuple[tuple[tuple[int, ...], int, int], ...]
     word: tuple[int, ...]
-
-
-def _typed_partitions_by_counts(sigma: PartitionTuple, elements: tuple[int, ...]):
-    """Partitions of `elements` into typed supports, driven by the multiset
-    of types: first choose how many blocks of each type, then assign
-    supports smallest-element first."""
-    total = len(elements)
-    sizes = [p.size for p in sigma]
-
-    def count_vectors(p: int, remaining: int):
-        if p == len(sigma):
-            if remaining == 0:
-                yield ()
-            return
-        for c in range(remaining // sizes[p] + 1):
-            for rest in count_vectors(p + 1, remaining - c * sizes[p]):
-                yield (c,) + rest
-
-    def assign(remaining: tuple[int, ...], counts: list[int]):
-        if not remaining:
-            yield ()
-            return
-        first = remaining[0]
-        rest = remaining[1:]
-        for p in range(len(sigma)):
-            if counts[p] == 0 or sizes[p] - 1 > len(rest):
-                continue
-            counts[p] -= 1
-            for others in combinations(rest, sizes[p] - 1):
-                support = (first,) + others
-                left = tuple(x for x in rest if x not in others)
-                for tail in assign(left, counts):
-                    yield ((support, p),) + tail
-            counts[p] += 1
-
-    for counts in count_vectors(0, total):
-        yield from assign(elements, list(counts))
-
-
-def _weight_blocks(sigma: PartitionTuple, k: int) -> list:
-    """The generator factor tuples of {0..k-1}, ordered by support minimum."""
-    return [tuple((s, p, t) for (s, p), t in zip(typed, ix))
-            for typed in _typed_partitions_by_counts(sigma, tuple(range(k)))
-            for ix in product(*(range(specht_dim(sigma[p])) for _, p in typed))]
 
 
 def weight_space_basis(sigma, n: int, m: int) -> list[WeightBasisElement]:
@@ -99,7 +56,7 @@ def weight_space_basis(sigma, n: int, m: int) -> list[WeightBasisElement]:
     if m < 0 or n < 0 or m > n:
         return []
     keys = []
-    weight_blocks = _weight_blocks(sigma, n - m)
+    weight_blocks = setpart.decorated_blocks(setpart.typed_partitions_by_counts, sigma, n - m)
     for letters in combinations(range(1, n + 1), m):
         leftover = tuple(x for x in range(1, n + 1) if x not in letters)
         words = list(permutations(letters))

@@ -328,7 +328,9 @@ def gamma_linearity_check(
     plain False): the form must be truncated deeply enough, v must be
     invariant under the subgroup fixing the first n coordinates, i.e. its
     realization coordinates must be supported on basis vectors with
-    letters at most n, and every w of the presentation must be a scalar
+    letters at most n, the source type and every (entry, basis index)
+    factor of a monomial must name an entry of sigma and a basis vector of
+    its realization, and every w of the presentation must be a scalar
     for the unit target, else the coordinates of a vector in the target's
     realization at the form rank.  For g in the level-n stabilizer the
     result is always True; a False return on valid preconditions means
@@ -336,6 +338,8 @@ def gamma_linearity_check(
     module map.
     """
     _require_level(form, n, g)
+    if not 0 <= phi.source_type < len(form.sigma):
+        raise PreconditionError("the source type must index an entry of sigma")
     rep = schurweyl.get_tensor_rep(form.sigma[phi.source_type], form.N)
     v = tuple(Fraction(x) for x in v)
     if len(v) != rep.dim:
@@ -356,6 +360,9 @@ def gamma_linearity_check(
         if len(w) != len(acc):
             expected = "a scalar" if unit else f"{len(acc)} coordinates in the target realization"
             raise PreconditionError(f"every w must be {expected}")
+        if not all(0 <= p < len(form.comps) and 0 <= j < len(form.comps[p])
+                   for mono in poly for p, j in mono):
+            raise PreconditionError("every monomial factor must be an (entry, basis index) of the form")
         c = eval_poly(poly, moved) - eval_poly(poly, form)
         for j, x in enumerate(w):
             acc[j] += c * x

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import BASIS_CASES, hom_basis_reference
-from sigmabrauer import brauer
+from sigmabrauer import setpart
 from sigmabrauer.brauer import (
     Morphism,
     hom_basis,
@@ -91,7 +91,7 @@ def test_hom_basis_enumerates_the_typed_blocks_once(monkeypatch):
     # the typed set partitions of an (n-m)-set depend only on n-m, so one
     # top-level enumeration serves every one of the C(n, m) used sets
     sigma, n, m = parse_tuple("2|1"), 6, 2
-    original = brauer._typed_set_partitions
+    original = setpart.typed_set_partitions
     top_level = []
 
     def counting(sg, elements):
@@ -99,7 +99,7 @@ def test_hom_basis_enumerates_the_typed_blocks_once(monkeypatch):
             top_level.append(elements)
         return original(sg, elements)
 
-    monkeypatch.setattr(brauer, "_typed_set_partitions", counting)
+    monkeypatch.setattr(setpart, "typed_set_partitions", counting)
     assert hom_basis(sigma, n, m) == hom_basis_reference(sigma, n, m)
     assert len(top_level) <= 1
 

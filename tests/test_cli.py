@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 from helpers import run_python
 from sigmabrauer import forms
-from sigmabrauer.brauer import Morphism, make_diagram, morphism_to_json
+from sigmabrauer.brauer import Morphism, hom_basis, make_diagram, morphism_to_json
 from sigmabrauer.cli import main
 from sigmabrauer.combinat import PartitionTuple
+from sigmabrauer.schurweyl import weight_space_basis
 
 
 def run_cli(*args, check=True):
@@ -70,6 +71,20 @@ def test_oracle_step1_subcommand():
     doc = json.loads(out)
     assert doc["all_equal"] is True
     assert all(c["hom"] == c["weight"] for c in doc["checks"])
+
+
+def test_oracle_step1_prints_the_basis_lengths():
+    # the oracle counts instead of building, and prints what the lengths of
+    # the two bases it no longer builds would give
+    sigma = PartitionTuple(((2,), (1,)))
+    checks = []
+    for n in range(7):
+        for m in range(n + 1):
+            h, w = len(hom_basis(sigma, n, m)), len(weight_space_basis(sigma, n, m))
+            checks.append({"n": n, "m": m, "hom": h, "weight": w, "equal": h == w})
+    doc = {"all_equal": all(c["equal"] for c in checks), "checks": checks}
+    out = run_cli("oracle", "step1", "--sigma", "2|1", "--max", "6").stdout
+    assert out == json.dumps(doc, sort_keys=True) + "\n"
 
 
 def write_compose_job(tmp_path):
@@ -328,13 +343,14 @@ def test_traceless_jobs_execute_no_symfun():
 
 
 def test_compose_and_oracle_execute_only_their_layers(tmp_path):
-    # composition only straightens; the oracle only counts both bases
+    # composition only straightens; the oracle only counts both typed
+    # partition enumerations, and neither reads the other's modules
     infile, _ = write_compose_job(tmp_path)
     assert executed_modules("compose", "--in", str(infile)) == {
         "__init__", "cli", "combinat", "brauer", "specht"
     }
     assert executed_modules("oracle", "step1", "--sigma", "2|1", "--max", "3") == {
-        "__init__", "cli", "combinat", "brauer", "schurweyl"
+        "__init__", "cli", "combinat", "setpart"
     }
 
 

@@ -12,9 +12,9 @@ from helpers import (
     specht_word_expansions_reference,
     weight_space_basis_reference,
 )
-from sigmabrauer import schurweyl
+from sigmabrauer import setpart
 from sigmabrauer.brauer import hom_basis
-from sigmabrauer.combinat import Partition, PartitionTuple, parse_tuple, partitions, schur_dim
+from sigmabrauer.combinat import Partition, PartitionTuple, hom_dim, parse_tuple, partitions, schur_dim
 from sigmabrauer.exactla import RatMat
 from sigmabrauer.schurweyl import (
     TensorRep,
@@ -66,16 +66,32 @@ def test_weight_basis_enumerates_the_typed_factors_once(monkeypatch):
     # the typed factors of an (n-m)-set depend only on n-m, so one
     # enumeration serves every one of the C(n, m) letter sets
     sigma, n, m = parse_tuple("2|1"), 6, 2
-    original = schurweyl._typed_partitions_by_counts
+    original = setpart.typed_partitions_by_counts
     calls = []
 
     def counting(sg, elements):
         calls.append(elements)
         return original(sg, elements)
 
-    monkeypatch.setattr(schurweyl, "_typed_partitions_by_counts", counting)
+    monkeypatch.setattr(setpart, "typed_partitions_by_counts", counting)
     assert weight_space_basis(sigma, n, m) == weight_space_basis_reference(sigma, n, m)
     assert len(calls) <= 1
+
+
+def test_block_counts_give_both_basis_lengths():
+    # each basis relabels the decorated block tuples of an (n-m)-set through
+    # C(n, m) m! used sets and matchings (letter sets and words), so the
+    # oracle's per-size count of either enumeration gives its basis length,
+    # and the hom_dim recurrence, which shares neither enumerator, agrees
+    for sigma in [*FAMILY, parse_tuple("2,1|1")]:
+        for k in range(7):
+            hom = setpart.decorated_count(setpart.typed_set_partitions, sigma, k)
+            weight = setpart.decorated_count(setpart.typed_partitions_by_counts, sigma, k)
+            for n in range(k, 7):
+                m, relabellings = n - k, math.perm(n, n - k)
+                assert relabellings * hom == len(hom_basis(sigma, n, m)), (sigma, n, m)
+                assert relabellings * weight == len(weight_space_basis(sigma, n, m)), (sigma, n, m)
+                assert relabellings * hom == hom_dim(sigma, n, m), (sigma, n, m)
 
 
 def test_weight_basis_rejects_impure_sigma():

@@ -453,6 +453,25 @@ def test_gamma_linearity_checks_every_w_against_its_target():
                 gamma_linearity_check(form, phi, 1, g, v)
 
 
+def test_gamma_linearity_checks_the_presentation_against_the_form():
+    # a monomial factor or a source type that the form does not have is a
+    # precondition violation, not an IndexError from the evaluation
+    from sigmabrauer.stabilizer import MapPresentation
+
+    form = random_form(SIG2, 3, seed=0)
+    g = GLElement([[2]])
+    v = (1, 0, 0, 0, 0, 0)
+    assert gamma_linearity_check(form, MapPresentation(0, "unit", (({((0, 5),): 1}, 1),)), 1, g, v)
+    bad = [(MapPresentation(0, "unit", (({((0, 99),): 1}, 1),)), "monomial factor"),
+           (MapPresentation(0, "unit", (({((1, 0),): 1}, 1),)), "monomial factor"),
+           (MapPresentation(0, "unit", (({((-1, 0),): 1}, 1),)), "monomial factor"),
+           (MapPresentation(5, "unit", (({((0, 0),): 1}, 1),)), "source type"),
+           (MapPresentation(-1, "unit", ()), "source type")]
+    for phi, message in bad:
+        with pytest.raises(PreconditionError, match=message):
+            gamma_linearity_check(form, phi, 1, g, v)
+
+
 def test_random_block_fixing_rejects_a_negative_block():
     # randrange over a negative start would alias the last rows
     with pytest.raises(ValueError, match="non-negative"):
