@@ -22,9 +22,9 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import prod
 
-from . import brauer, symfun
+from . import brauer, exactla, symfun
 from .combinat import Partition, PartitionTuple, partitions, schur_dim, specht_dim
-from .exactla import RatMat, _eliminate, _primitive, solve
+from .exactla import _eliminate, _primitive
 from .forms import FormPoint, integer_columns
 from .schurweyl import get_tensor_rep, specht_word_expansions
 from .specht import check_specht_action, get_specht_module
@@ -129,7 +129,7 @@ def _specialize(form: FormPoint, diagram) -> tuple[int, dict[int, dict[int, int]
     return prod(den for _, (den, _) in fns), rows
 
 
-def theta_apply(form: FormPoint, f: brauer.Morphism) -> RatMat:
+def theta_apply(form: FormPoint, f: brauer.Morphism) -> exactla.RatMat:
     """The matrix of the specialization of a morphism at the form: the sum
     over its terms of the coefficient times the specialized diagram."""
     if f.sigma != form.sigma:
@@ -141,7 +141,7 @@ def theta_apply(form: FormPoint, f: brauer.Morphism) -> RatMat:
         for i, row in rows.items():
             for c, x in row.items():
                 data[i][c] += coeff * x / L
-    return RatMat(len(data), cols, data)
+    return exactla.RatMat(len(data), cols, data)
 
 
 def _constraint_columns(form: FormPoint, diagrams) -> dict[int, dict[int, int]]:
@@ -326,7 +326,7 @@ def moved_form(form: FormPoint, den: int, cols: dict) -> FormPoint:
     return FormPoint(form.sigma, form.N, comps)
 
 
-def translate(form: FormPoint, g: RatMat) -> FormPoint:
+def translate(form: FormPoint, g: exactla.RatMat) -> FormPoint:
     """The form v -> omega(g v), for g square of size at most N (extended by the identity)."""
     if g.rows != g.cols or g.rows > form.N:
         raise ValueError("matrix does not fit inside the requested rank")
@@ -357,7 +357,7 @@ def form_from_tensor_values(sigma, N: int, p: int, values: dict) -> FormPoint:
             v_u[q] = v_u.get(q, 0) + c
         rows.append(rep.coords({q: c for q, c in v_u.items() if c}))
         rhs.append(Fraction(target) * gden)
-    sol = solve(RatMat(len(rows), rep.dim, rows), rhs)
+    sol = exactla.solve(exactla.RatMat(len(rows), rep.dim, rows), rhs)
     if sol is None:
         raise ValueError("no form takes the prescribed values")
     return FormPoint(sigma, N, [sol if q == p else [0] * schur_dim(sigma[q], N) for q in range(len(sigma))])

@@ -1,85 +1,37 @@
-"""Weight-space combinatorics and concrete Schur functor realizations.
+"""Concrete Schur functor realizations and the Specht bridge into them.
 
-This module is the first-principles side of the central consistency
-check: the weight space of (free algebra) tensor (tensor power) with all
-torus weights equal to one has an explicit monomial basis, enumerated
-here directly, and a bijection onto the basis diagrams of the downwards
-category.  It also realizes Schur functors on k^N concretely as Young
-symmetrizer images inside the tensor power, with exact matrices for the
-action of arbitrary rational N x N matrices.  The bridge from the
-abstract Specht modules into that realization (used for block
-functionals) is read off the same symmetrizer: the image of each
-standard polytabloid, certified equivariant, with no realization built.
-`specht`, `exactla` and the leaf `setpart` are read as module attributes,
-so the weight-space side (`weight_space_basis`) loads only `setpart`, and
-the realizations never load it.
+Schur functors on k^N are realized concretely as Young symmetrizer
+images inside the tensor power, with exact matrices for the action of
+arbitrary rational N x N matrices.  The bridge from the abstract Specht
+modules into that realization (used for block functionals) is read off
+the same symmetrizer: the image of each standard polytabloid, certified
+equivariant, with no realization built.  The weight-space side of the
+central consistency check (`weight_space_basis`, `WeightBasisElement`
+and the pairing `diagram_weight_iso`) lives in `oracles` and is read
+here through the module `__getattr__`.  `specht` and `exactla` are read
+as module attributes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import permutations, product
 from math import factorial, lcm
-from typing import NamedTuple
 
-from . import exactla, setpart, specht
-from .combinat import Partition, PartitionTuple, schur_dim
+from . import exactla, specht
+from .combinat import Partition, schur_dim
 
-
-class WeightBasisElement(NamedTuple):
-    """A monomial basis element: typed generator factors plus a tensor word.
-
-    `blocks` holds (support, type index, basis polytabloid index) triples
-    with pairwise disjoint supports; `word` is the sequence of labels in
-    the pure tensor part.  Supports and word letters together partition
-    the ground set {1..n}.
-    """
-
-    blocks: tuple[tuple[tuple[int, ...], int, int], ...]
-    word: tuple[int, ...]
+# The weight-space names `oracles` defines, served from here on first read.
+_ORACLES = ("WeightBasisElement", "weight_space_basis", "diagram_weight_iso")
 
 
-def weight_space_basis(sigma, n: int, m: int) -> list[WeightBasisElement]:
-    """The monomial basis of the all-weights-one subspace in degree (n, m),
-    sorted by (blocks, word): the factor tuples of {0..n-m-1}, relabelled
-    through each ascending leftover set, are sorted, and the words of each
-    come out of `permutations` in order.
+def __getattr__(name: str):
+    if name in _ORACLES:
+        from . import oracles
 
-    The order is part of the contract, as the `Diagram` order of
-    `brauer.hom_basis` is for `random_morphism` and the benchmark's compose
-    documents; `diagram_weight_iso` lists its pairs in this order.
-    """
-    sigma = PartitionTuple(sigma)
-    if not sigma.pure:
-        raise ValueError("sigma must be pure")
-    if m < 0 or n < 0 or m > n:
-        return []
-    keys = []
-    weight_blocks = setpart.decorated_blocks(setpart.typed_partitions_by_counts, sigma, n - m)
-    for letters in combinations(range(1, n + 1), m):
-        leftover = tuple(x for x in range(1, n + 1) if x not in letters)
-        words = list(permutations(letters))
-        for typed in weight_blocks:
-            keys.append((tuple((tuple(leftover[i] for i in s), p, t) for s, p, t in typed), words))
-    keys.sort()  # factor tuples are distinct, so no word list is compared
-    return [tuple.__new__(WeightBasisElement, (b, w)) for b, words in keys for w in words]
-
-
-def diagram_weight_iso(sigma, n: int, m: int) -> dict:
-    """The explicit pairing: generator factors become blocks, the j-th
-    tensor letter is matched to target j.  Returns a dict from
-    WeightBasisElement to Diagram; the map is total and injective onto
-    the basis diagram list."""
-    from .brauer import Block, Diagram, _normalize_blocks
-
-    sigma = PartitionTuple(sigma)
-    out = {}
-    for el in weight_space_basis(sigma, n, m):
-        matching = tuple(sorted((s, j + 1) for j, s in enumerate(el.word)))
-        blocks = _normalize_blocks([Block(sup, p, t) for sup, p, t in el.blocks])
-        out[el] = Diagram(n, m, blocks, matching)
-    return out
+        return getattr(oracles, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------

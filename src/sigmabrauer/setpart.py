@@ -3,7 +3,7 @@
 A typed set partition of a finite set splits it into unordered blocks,
 each block typed by an entry of sigma of the block's size.  Hom bases
 (`brauer.hom_basis`) read them from a smallest-element recursion and
-weight-space bases (`schurweyl.weight_space_basis`) from the multiset of
+weight-space bases (`oracles.weight_space_basis`) from the multiset of
 block types.  The two algorithms are kept apart on purpose: each basis is
 C(n, m) m! relabellings of the decorated block tuples of an (n-m)-set
 from its own enumerator, so the step-1 oracle compares the two bases by

@@ -11,12 +11,15 @@ i, and rewrites e_T against all other ways of splitting A u B into a
 column-j part and a column-j+1 part, each kept increasing; the signs
 are the parities of the induced rearrangements.  All structure
 constants are integers.  Permutations act only through straightening:
-`act`, `relabel`, `generator_matrices` and `check_specht_action` read
+`act`, `generator_matrices` and `check_specht_action` read
 `straighten_relabelled`, the straightened polytabloid of a relabelled
 basis tableau, and no action matrix is kept.  The irreducible
 characters live in the leaf module `characters`, which the character
-side loads without this one; it and `exactla` are read as module
-attributes, so straightening loads neither.
+side loads without this one.  The reference operations on the symmetric
+group (`relabel`, cycle types, class representatives, plain changes and
+isotypic projectors) live in `oracles` and are read here through the
+module `__getattr__`; `exactla` is read as a module attribute, so
+straightening loads neither.
 """
 
 from __future__ import annotations
@@ -24,10 +27,23 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import factorial
 
-from . import characters, exactla
+from . import exactla
 from .combinat import Partition, specht_dim
+
+# The reference operations `oracles` defines, served from here on first read.
+_ORACLES = (
+    "isotypic_projector", "_check_coxeter", "plain_changes", "relabel",
+    "class_representative", "cycle_type",
+)
+
+
+def __getattr__(name: str):
+    if name in _ORACLES:
+        from . import oracles
+
+        return getattr(oracles, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -55,58 +71,10 @@ def perm_sign(one_line: tuple[int, ...]) -> int:
     return -1 if (len(one_line) - len(_cycle_lengths(one_line))) % 2 else 1
 
 
-def cycle_type(one_line: tuple[int, ...]) -> Partition:
-    """Cycle type of a permutation given in 0-indexed one-line notation."""
-    return Partition(sorted(_cycle_lengths(one_line), reverse=True))
-
-
-def class_representative(cls: Partition) -> tuple[int, ...]:
-    """A permutation of cycle type cls in 0-indexed one-line notation: the
-    cycles run over consecutive positions, longest first."""
-    out = []
-    start = 0
-    for part in Partition(cls):
-        out.extend(start + (t + 1) % part for t in range(part))
-        start += part
-    return tuple(out)
-
-
 def _parity_of_rearrangement(old: tuple, new: tuple) -> int:
     """Sign of the permutation carrying the tuple `old` to `new`."""
     pos = {v: k for k, v in enumerate(old)}
     return perm_sign(tuple(pos[v] for v in new))
-
-
-def plain_changes(n: int):
-    """Steinhaus-Johnson-Trotter: yields (one_line, swapped_adjacent_position).
-
-    The first item carries the identity and position None; each later
-    permutation differs from its predecessor by the transposition of
-    positions (k, k+1), with k reported.
-    """
-    perm = list(range(n))
-    dirs = [-1] * n
-    yield tuple(perm), None
-    if n < 2:
-        return
-    while True:
-        mobile = -1
-        mi = -1
-        for i in range(n):
-            j = i + dirs[i]
-            if 0 <= j < n and perm[i] > perm[j] and perm[i] > mobile:
-                mobile = perm[i]
-                mi = i
-        if mi == -1:
-            return
-        j = mi + dirs[mi]
-        k = min(mi, j)
-        perm[mi], perm[j] = perm[j], perm[mi]
-        dirs[mi], dirs[j] = dirs[j], dirs[mi]
-        for i in range(n):
-            if perm[i] > mobile:
-                dirs[i] = -dirs[i]
-        yield tuple(perm), k
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +254,8 @@ class SpechtModule:
     def act(self, perm: dict, v: SpechtVector) -> SpechtVector:
         """The image of v under a permutation of the labels: `relabel` onto
         the module's own labels."""
+        from .oracles import relabel
+
         if v.module is not self:
             raise ValueError("vector does not belong to this module")
         if set(perm.keys()) != set(self.labels) or set(perm.values()) != set(self.labels):
@@ -321,25 +291,6 @@ def straighten_relabelled(target: SpechtModule, tab, mapping: dict) -> dict[int,
     return target.straighten(tuple(tuple(mapping.get(x, x) for x in row) for row in tab))
 
 
-def relabel(v: SpechtVector, mapping: dict) -> SpechtVector:
-    """Transport a Specht vector along an arbitrary bijection of label sets:
-    each basis polytabloid, relabelled, is straightened in the module on
-    the target labels (v's own module when the map permutes its labels)."""
-    src = v.module
-    if set(mapping.keys()) != set(src.labels):
-        raise ValueError("mapping domain must be the source label set")
-    targets = tuple(sorted(mapping.values()))
-    if len(set(targets)) != len(targets):
-        raise ValueError("mapping must be a bijection")
-    tgt = src if targets == src.labels else get_specht_module(src.shape, targets)
-    out = [0] * tgt.dim
-    for tab, x in zip(src.tableaux, v.coords):
-        if x:
-            for idx, c in straighten_relabelled(tgt, tab, mapping).items():
-                out[idx] += c * x
-    return SpechtVector(tgt, out)
-
-
 def check_specht_action(family, module: SpechtModule, move, what: str):
     """Exact check that the adjacent transpositions act on a family of
     sparse integer rows (dicts from keys to nonzero ints; a family over one
@@ -359,92 +310,3 @@ def check_specht_action(family, module: SpechtModule, move, what: str):
                     combo[w] = combo.get(w, 0) + x * c
             if {w: c for w, c in combo.items() if c} != moved:
                 raise RuntimeError(f"{what} do not span a representation of S_{len(labels)}")
-
-
-# ---------------------------------------------------------------------------
-# isotypic projection
-
-
-def _check_coxeter(gens: list[exactla.RatMat]):
-    """Verify the involution, braid and commutation relations exactly: each
-    is checked on every standard basis vector, with sparse products over
-    the generators' nonzero columns."""
-    n = len(gens) + 1
-    d = gens[0].rows if gens else 0
-    for g in gens:
-        if g.rows != g.cols or g.rows != d:
-            raise ValueError("generator matrices must be square and equally sized")
-    cols = [[{i: row[k] for i, row in enumerate(g.data) if row[k]} for k in range(d)] for g in gens]
-
-    def apply(word, j):
-        # the product of the generators in word applied to e_j, rightmost first
-        v = {j: 1}
-        for k in reversed(word):
-            out: dict = {}
-            for c, x in v.items():
-                for i, y in cols[k][c].items():
-                    out[i] = out.get(i, 0) + x * y
-            v = {i: x for i, x in out.items() if x}
-        return v
-
-    m = len(gens)
-    relations = [((k, k), (), f"generator {k} is not an involution") for k in range(m)]
-    relations += [
-        ((k, k + 1, k), (k + 1, k, k + 1), f"braid relation fails at generators {k},{k+1}")
-        for k in range(m - 1)
-    ]
-    relations += [
-        ((k, l), (l, k), f"generators {k},{l} do not commute")
-        for k in range(m) for l in range(k + 2, m)
-    ]
-    for lhs, rhs, message in relations:
-        if any(apply(lhs, j) != apply(rhs, j) for j in range(d)):
-            raise ValueError(message)
-    return n
-
-
-def isotypic_projector(
-    lam: Partition,
-    gens: list[exactla.RatMat],
-    dim: int | None = None,
-    perm_action=None,
-) -> exactla.RatMat:
-    """Projector onto the lam-isotypic component of a representation of the
-    symmetric group on n = |lam| letters, given by its adjacent
-    transposition matrices.  Built by character averaging; exact and
-    idempotent.
-
-    When `perm_action` is given it must map a 0-indexed one-line
-    permutation to its action matrix; it is used in place of the
-    incremental products over generator words (worthwhile when the
-    underlying action is a coordinate permutation).
-    """
-    lam = Partition(lam)
-    n = lam.size
-    if len(gens) != max(n - 1, 0):
-        raise ValueError("expected n-1 generator matrices")
-    if n <= 1:
-        if dim is None:
-            raise ValueError("dimension required when no generators are given")
-        return exactla.RatMat.identity(dim)
-    _check_coxeter(gens)
-    d = gens[0].rows
-    total = None
-    current = exactla.RatMat.identity(d)
-    for perm, swap in plain_changes(n):
-        chi = characters.sn_character(lam, cycle_type(perm))
-        if perm_action is None:
-            if swap is not None:
-                current = current @ gens[swap]
-            mat = current
-        else:
-            if chi == 0:
-                continue
-            mat = perm_action(perm)
-        if chi == 0:
-            continue
-        piece = mat.scale(chi)
-        total = piece if total is None else total + piece
-    if total is None:
-        return exactla.RatMat.zeros(d, d)
-    return total.scale(Fraction(specht_dim(lam), factorial(n)))

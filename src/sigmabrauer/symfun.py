@@ -1,9 +1,9 @@
 """Exact symmetric function calculus in the Schur basis.
 
-Products and Kostka numbers read the ballot-pruned skew expansion
-`skew_schur_expand`, the one Littlewood-Richardson tableau enumerator.
-Plethysms h_a[f] and e_a[f] go through the power-sum basis (Macdonald,
-Symmetric Functions and Hall Polynomials, I.7-I.8): each term of f
+Products read the ballot-pruned skew expansion `skew_schur_expand`, the
+one Littlewood-Richardson tableau enumerator.  Plethysms h_a[f] and
+e_a[f] go through the power-sum basis (Macdonald, Symmetric Functions
+and Hall Polynomials, I.7-I.8): each term of f
 expands as s_nu = sum_tau chi^nu(tau) p_tau / z_tau, then
 h_a[f] = sum over rho of a of z_rho^-1 prod_k p_{rho_k}[f] with
 p_k[p_tau] = p_{k tau}, and e_a[f] weights each term by
@@ -17,7 +17,10 @@ power against s_{mu/lam}) pairs with the few s_nu of one skew expansion
 (`schur_pairing`), and a Schur expansion reads back every s_nu.  Each
 pairing is with a GL character, so a value that is not a non-negative
 integer raises RuntimeError.  No plethysm builds a monomial or depends
-on a number of variables.
+on a number of variables.  The Kostka numbers (`kostka`, read off
+`lr_product`) and the monomial expansions (`schur_monomials`) are
+reference operations: they live in `oracles` and are read here through
+the module `__getattr__`, each with its own cache.
 """
 
 from __future__ import annotations
@@ -28,6 +31,17 @@ from math import comb, factorial
 
 from .characters import beta_set, centralizer_size, mn_character
 from .combinat import Partition, PartitionTuple, partitions, schur_dim, subpartitions
+
+# The reference operations `oracles` defines, served from here on first read.
+_ORACLES = ("kostka", "schur_monomials", "_distinct_arrangements")
+
+
+def __getattr__(name: str):
+    if name in _ORACLES:
+        from . import oracles
+
+        return getattr(oracles, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class SchurExpr:
@@ -114,8 +128,9 @@ def skew_schur_expand(lam: Partition, mu: Partition) -> SchurExpr:
     reading word is a ballot sequence, abandoning a partial filling as
     soon as its word stops being a ballot prefix; each filling contributes
     1 to the coefficient of its content.  This is the package's only
-    Littlewood-Richardson enumerator: `lr_product`, `kostka`,
-    `shift_decompose`, `multiplicity` and `ext_dim` read it.
+    Littlewood-Richardson enumerator: `lr_product`, `shift_decompose`,
+    `multiplicity` and `ext_dim` read it, and `oracles.kostka` reads it
+    through `lr_product`.
     """
     lam, mu = Partition(lam), Partition(mu)
     if not lam.contains(mu):
@@ -184,62 +199,6 @@ def inner_product(a: SchurExpr, b: SchurExpr) -> Fraction:
     """Hall inner product: Schur functions are orthonormal."""
     small, big = (a.terms, b.terms) if len(a.terms) <= len(b.terms) else (b.terms, a.terms)
     return sum((c * big[p] for p, c in small.items() if p in big), Fraction(0))
-
-
-# ---------------------------------------------------------------------------
-# Kostka numbers and monomial expansions
-
-
-@lru_cache(maxsize=None)
-def kostka(lam: Partition, mu: tuple[int, ...]) -> int:
-    """Number of semistandard tableaux of shape lam and content mu: by
-    K_{lam,mu} = <s_lam, h_mu> (Macdonald I.6), the coefficient of s_lam
-    in the product of the one-row functions s_(mu_1) s_(mu_2) ....  No
-    plethysm path calls it."""
-    product = SchurExpr.one()
-    for part in filter(None, mu):
-        product = lr_product(product, SchurExpr.schur((part,)))
-    return int(product.coefficient(lam))
-
-
-def _distinct_arrangements(mu: Partition, nvars: int):
-    """Distinct length-`nvars` exponent tuples whose nonzero entries are
-    mu, for `schur_monomials`; no plethysm path calls it."""
-    if len(mu) > nvars:
-        return
-    values: dict[int, int] = {0: nvars - len(mu)}
-    for part in mu:
-        values[part] = values.get(part, 0) + 1
-    keys = sorted(values)
-
-    def rec(slot: int, current: tuple[int, ...]):
-        if slot == nvars:
-            yield current
-            return
-        for v in keys:
-            if values[v] > 0:
-                values[v] -= 1
-                yield from rec(slot + 1, current + (v,))
-                values[v] += 1
-
-    yield from rec(0, ())
-
-
-@lru_cache(maxsize=None)
-def schur_monomials(lam: Partition, nvars: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Monomial expansion of a Schur function in nvars variables.  No
-    plethysm path calls it."""
-    lam = Partition(lam)
-    out: dict[tuple[int, ...], int] = {}
-    for mu in partitions(lam.size):
-        if len(mu) > nvars:
-            continue
-        k = kostka(lam, tuple(mu))
-        if k == 0:
-            continue
-        for exp in _distinct_arrangements(mu, nvars):
-            out[exp] = out.get(exp, 0) + k
-    return tuple(sorted(out.items()))
 
 
 # ---------------------------------------------------------------------------

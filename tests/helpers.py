@@ -281,7 +281,7 @@ def traceless_isotypic_brute(form, lam: Partition) -> int:
     nullity of one stacked matrix, found by the reference elimination."""
     from sigmabrauer.schurweyl import get_tensor_rep
     from sigmabrauer.characters import sn_character
-    from sigmabrauer.specht import cycle_type
+    from sigmabrauer.oracles import cycle_type
     from sigmabrauer.combinat import specht_dim
     from itertools import permutations as iperm
 
@@ -576,7 +576,7 @@ def isotypic_multiplicities(space) -> dict[Partition, int]:
     non-negative integer and sum_nu f_nu m_nu must equal the dimension."""
     from sigmabrauer.combinat import partitions, specht_dim
     from sigmabrauer.characters import centralizer_size, sn_character
-    from sigmabrauer.specht import class_representative
+    from sigmabrauer.oracles import class_representative
 
     check_slot_stable(space)
     classes = partitions(space.n)

@@ -30,7 +30,8 @@ from sigmabrauer.modcat import (
 )
 from sigmabrauer.schurweyl import weight_space_basis
 from sigmabrauer.characters import sn_character
-from sigmabrauer.specht import SpechtModule, _check_coxeter
+from sigmabrauer.oracles import _check_coxeter
+from sigmabrauer.specht import SpechtModule
 from sigmabrauer.stabilizer import (
     GLElement,
     evaluation_presentation,

@@ -1,5 +1,7 @@
+import importlib
 import io
 import json
+import pathlib
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -375,6 +377,21 @@ def test_leaf_names_execute_only_their_leaf():
         assert set(json.loads(proc.stdout)) == {"__init__", "combinat", leaf}, proc.stderr
 
 
+# the names that moved out of the modules a traceless job executes: their
+# home -> {old home: names}, each still read at the old home
+_MOVED = {
+    "dense": {
+        "exactla": ("RatMat", "rank", "solve", "inverse", "kernel_basis_with_free", "vstack",
+                    "_integer_rows", "_to_fraction_rows"),
+    },
+    "oracles": {
+        "specht": ("isotypic_projector", "_check_coxeter", "plain_changes", "relabel",
+                   "class_representative", "cycle_type"),
+        "schurweyl": ("WeightBasisElement", "weight_space_basis", "diagram_weight_iso"),
+        "symfun": ("kostka", "schur_monomials", "_distinct_arrangements"),
+    },
+}
+
 _MODCAT_PROBE = _AUDIT + """
 import sigmabrauer.modcat as modcat
 modcat.traceless_space
@@ -442,6 +459,63 @@ def test_package_contract():
     before, after = json.loads(proc.stdout)
     assert "modcat" in before and "symfun" not in before, before
     assert {"characters", "symfun"} <= set(after), after
+    # each moved name is one object at its home, at its old home and, when
+    # public, at the package
+    for home, olds in _MOVED.items():
+        home_module = importlib.import_module(f"sigmabrauer.{home}")
+        for old, names in olds.items():
+            old_module = importlib.import_module(f"sigmabrauer.{old}")
+            for name in names:
+                obj = getattr(home_module, name)
+                assert getattr(old_module, name) is obj, (old, name)
+                exec(f"from sigmabrauer.{old} import {name}", namespace)
+                assert namespace[name] is obj, (old, name)
+                if name in sigmabrauer.__all__:
+                    assert getattr(sigmabrauer, name) is obj, name
+            with pytest.raises(AttributeError, match=f"^module 'sigmabrauer.{old}' has no attribute 'nope'$"):
+                old_module.nope
+    # the moved names stay out of the package's lazy layers, and reading the
+    # matrix type executes only the core and the dense layer
+    assert not {"dense", "oracles"} & set(sigmabrauer.__all__)
+    proc = run_python("-c", _LIBRARY_PROBE, "sigmabrauer.RatMat")
+    assert set(json.loads(proc.stdout)) == {"__init__", "exactla", "dense"}, proc.stderr
+
+
+# the benchmark's traced harness wraps names at their dotted paths in the
+# package; it is read from the checkout, as `perfbench/run.py` reads it
+_HARNESS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "traced_cli.py"
+_HARNESS_PROBE = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("traced_cli", sys.argv[1])
+traced = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(traced)
+imported = sorted(m for m in sys.modules if m.startswith("sigmabrauer"))
+import sigmabrauer.cli
+modules = {
+    name.split(".", 1)[1]: module
+    for name, module in sys.modules.items()
+    if name.startswith("sigmabrauer.")
+}
+missing, uncached = [], []
+for dotted in traced.SPANNED + traced.COUNTED + traced.CACHED:
+    try:
+        owner, attr = traced._resolve(modules, dotted)
+        obj = getattr(owner, attr)
+    except AttributeError as exc:
+        missing.append(f"{dotted}: {exc}")
+        continue
+    if dotted in traced.CACHED and not hasattr(obj, "cache_info"):
+        uncached.append(dotted)
+print(json.dumps([imported, missing, uncached]))
+"""
+
+
+def test_traced_harness_names_resolve():
+    proc = run_python("-c", _HARNESS_PROBE, str(_HARNESS))
+    imported, missing, uncached = json.loads(proc.stdout)
+    assert imported == [], imported
+    assert missing == [], missing
+    assert uncached == [], uncached
 
 
 # ---------------------------------------------------------------------------

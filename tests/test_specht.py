@@ -8,15 +8,13 @@ from helpers import conjugacy_class_size, regular_representation_gens
 from sigmabrauer.combinat import Partition, partitions, specht_dim
 from sigmabrauer.characters import centralizer_size, sn_character
 from sigmabrauer.exactla import RatMat, rank
+from sigmabrauer.oracles import _check_coxeter, class_representative, cycle_type, plain_changes
 from sigmabrauer.specht import (
     SpechtModule,
     SpechtVector,
-    class_representative,
-    cycle_type,
     get_specht_module,
     isotypic_projector,
     perm_sign,
-    plain_changes,
     relabel,
     standard_tableaux,
 )
@@ -30,8 +28,6 @@ def test_basis_sizes_match_syt_counts():
 
 
 def test_generator_matrices_satisfy_coxeter_relations():
-    from sigmabrauer.specht import _check_coxeter
-
     for n in range(2, 7):
         for shape in partitions(n):
             m = get_specht_module(Partition(shape), tuple(range(1, n + 1)))
@@ -39,8 +35,6 @@ def test_generator_matrices_satisfy_coxeter_relations():
 
 
 def test_coxeter_check_is_exact_above_48_dimensions():
-    from sigmabrauer.specht import _check_coxeter
-
     gens = get_specht_module(Partition((5, 2, 1)), tuple(range(1, 9))).generator_matrices()
     assert gens[0].rows == 64 and _check_coxeter(gens) == 8
     # s_0 s_2 s_0 = s_2 differs from s_2 s_0 s_2 = s_0
