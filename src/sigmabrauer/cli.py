@@ -177,6 +177,8 @@ def _run(args) -> dict:
         _check_bound(bound, n=args.n)
         if args.n < 0:
             raise PreconditionError("n must be non-negative")
+        if args.rank < 0:
+            raise PreconditionError(f"the rank must be non-negative, got {args.rank}")
         if args.rank**args.n > AMBIENT_SAFETY_LIMIT:
             raise PreconditionError(
                 f"ambient dimension {args.rank}^{args.n} exceeds the safety limit"

@@ -8,19 +8,21 @@ rank side evaluates the diagram category on a concrete space k^N
 equipped with a form (one linear functional on each generator Schur
 functor): every block becomes a concrete contraction, every diagram a
 matrix, and the traceless subspace of a tensor power together with its
-symmetric group action realizes the simple objects.  The block
-contractions reach the specializer as plain diagram tuples; only
-`socle_check` reads `brauer` (its `hom_basis`), as a module attribute,
-so no traceless job loads it.  Forms themselves live in the leaf module
-`forms`, which the stabilizer side loads without this one.  A form is a
-form for one tuple sigma, so every entry point reads sigma off the form.
+symmetric group action realizes the simple objects.  A diagram is read
+one source word at a time (`_word_reader`): only `theta_apply` reads it
+at all N^n words, while the traceless dimensions read the block
+contractions, plain diagram tuples, only at the words of the realization
+bases they eliminate.  Only `socle_check` reads `brauer` (its
+`hom_basis`), as a module attribute, so no traceless job loads it.
+Forms live in the leaf module `forms`, which the stabilizer side loads
+without this one; every entry point reads sigma off the form.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import prod
+from math import gcd, prod
 
 from . import brauer, exactla, symfun
 from .combinat import Partition, PartitionTuple, partitions, schur_dim, specht_dim
@@ -93,40 +95,31 @@ def block_functional(form: FormPoint, p: int, t: int) -> tuple[int, dict[tuple[i
     return out
 
 
-def _word_index(word: tuple[int, ...], N: int) -> int:
-    idx = 0
-    for x in word:
-        idx = idx * N + (x - 1)
-    return idx
-
-
-def _specialize(form: FormPoint, diagram) -> tuple[int, dict[int, dict[int, int]]]:
-    """The specialization at the form of one diagram, any (source, target,
-    blocks, matching) tuple as in `Morphism.terms`, as (L, rows): integer
-    rows, target word index -> {source word index: nonzero value times L},
-    where L is the product of its block functionals' denominators.  Each
-    source word has one target word, so each entry is set once.
-
-    Tensor slots of a disjoint union are ordered first factor then
-    second; matchings act by the corresponding coordinate permutation.
-    """
+def _word_reader(form: FormPoint, diagram):
+    """One diagram, any (source, target, blocks, matching) tuple as in
+    `Morphism.terms`, specialized at the form and read one source word at a
+    time: (L, g, read).  read(u) is None where the diagram sends e_u to
+    zero, else (target word index, value times L): each block's functional
+    row is read on its slots, the matched slots in target order.  L and g
+    are the products of the block functionals' denominators and of the
+    gcds of their rows; the values at one target word are the products of
+    one value per block, so dividing them by g makes that row primitive.
+    Tensor slots of a disjoint union are ordered first factor then second."""
     N = form.N
-    n, m, blocks, matching = diagram
-    fns = [(support, block_functional(form, p, t)) for support, p, t in blocks]
-    rows: dict[int, dict[int, int]] = {}
-    for col, u in enumerate(product(range(1, N + 1), repeat=n)):
+    _, m, blocks, matching = diagram
+    fns = [([s - 1 for s in support], block_functional(form, p, t)) for support, p, t in blocks]
+    place = [(s - 1, N ** (m - t)) for s, t in matching]
+
+    def read(u):
         val = 1
-        for support, (_, fn) in fns:
-            c = fn.get(tuple(u[s - 1] for s in support))
+        for slots, (_, row) in fns:
+            c = row.get(tuple(map(u.__getitem__, slots)))
             if c is None:
-                break
+                return None
             val *= c
-        else:
-            tgt = [0] * m
-            for s, t in matching:
-                tgt[t - 1] = u[s - 1]
-            rows.setdefault(_word_index(tgt, N), {})[col] = val
-    return prod(den for _, (den, _) in fns), rows
+        return sum((u[s] - 1) * x for s, x in place), val
+
+    return prod(den for _, (den, _) in fns), prod(gcd(*row.values()) for _, (_, row) in fns), read
 
 
 def theta_apply(form: FormPoint, f: brauer.Morphism) -> exactla.RatMat:
@@ -134,26 +127,16 @@ def theta_apply(form: FormPoint, f: brauer.Morphism) -> exactla.RatMat:
     over its terms of the coefficient times the specialized diagram."""
     if f.sigma != form.sigma:
         raise ValueError("morphism and form live over different tuples")
-    cols = form.N**f.source
-    data = [[Fraction(0)] * cols for _ in range(form.N**f.target)]
+    N = form.N
+    cols = N**f.source
+    data = [[Fraction(0)] * cols for _ in range(N**f.target)]
     for diagram, coeff in f.terms.items():
-        L, rows = _specialize(form, diagram)
-        for i, row in rows.items():
-            for c, x in row.items():
-                data[i][c] += coeff * x / L
+        L, _, read = _word_reader(form, diagram)
+        for c, u in enumerate(product(range(1, N + 1), repeat=f.source)):
+            hit = read(u)
+            if hit is not None:
+                data[hit[0]][c] += coeff * hit[1] / L
     return exactla.RatMat(len(data), cols, data)
-
-
-def _constraint_columns(form: FormPoint, diagrams) -> dict[int, dict[int, int]]:
-    """The nonzero rows of the diagrams, each specialized on its own,
-    stacked as sparse primitive integer rows and indexed by column: source
-    word index -> {row number: nonzero entry}."""
-    columns: dict[int, dict[int, int]] = {}
-    rows = (row for d in diagrams for row in _specialize(form, d)[1].values())
-    for r, row in enumerate(rows):
-        for c, x in _primitive(row).items():
-            columns.setdefault(c, {})[r] = x
-    return columns
 
 
 # ---------------------------------------------------------------------------
@@ -197,34 +180,48 @@ def _check_block_spans(form: FormPoint, n: int):
         )
 
 
-def _traceless_constraints(form: FormPoint, n: int) -> dict[int, dict[int, int]]:
-    """The block contractions on n slots as column-indexed integer rows,
-    after `_check_block_spans` has certified that their joint kernel is a
-    representation of S_n."""
-    _check_block_spans(form, n)
-    return _constraint_columns(form, _generating_contractions(form.sigma, n))
+def _restricted_nullity(form: FormPoint, diagrams: list, lams: list) -> list[int]:
+    """For each lam of lams, the dimension of the intersection of V, the
+    joint kernel of the diagrams on n = |lam| slots specialized at the
+    form, with the Young symmetrizer image S_lam(k^N) that `get_tensor_rep`
+    realizes: the number of its basis vectors b_j less the rank of their
+    images.  The image of b_j is the sum of the columns at its words,
+    weighted by its integer row.  The column at u is a flat tuple of (row
+    key, primitive value) pairs, one for each diagram i that reads u (see
+    `_word_reader`), keyed i * N^n + target word index; it is built on the
+    first read of u and serves every lam, and equal keys share one int."""
+    N = form.N
+    readers = [(i * N ** d[0], _word_reader(form, d)) for i, d in enumerate(diagrams)]
+    keys: dict[int, int] = {}
+    columns: dict[tuple[int, ...], tuple[int, ...]] = {}
 
+    def column(u):
+        col = []
+        for base, (_, g, read) in readers:
+            hit = read(u)
+            if hit is not None:
+                k = base + hit[0]
+                col += keys.setdefault(k, k), hit[1] // g
+        return tuple(col)
 
-def _restricted_nullity(columns: dict[int, dict[int, int]], lam: Partition, N: int) -> int:
-    """The dimension of the intersection of V, the joint kernel of the
-    column-indexed integer constraint rows on the |lam|-th tensor power
-    of k^N, with the Young symmetrizer image S_lam(k^N) that
-    `get_tensor_rep` realizes: the number of its basis vectors b_j less
-    the rank of their images.  Each image is the sum of the integer
-    columns at the words of b_j, weighted by its integer row."""
-    rep = get_tensor_rep(lam, N)
-    images = []
-    for _, vec in rep.basis:
-        image: dict[int, int] = {}
-        for w, k in vec.items():
-            col = columns.get(_word_index(w, N))
-            if col:
-                for i, x in col.items():
+    out = []
+    for lam in lams:
+        rep = get_tensor_rep(lam, N)
+        images = []
+        for _, vec in rep.basis:
+            image: dict[int, int] = {}
+            for w, k in vec.items():
+                col = columns.get(w)
+                if col is None:
+                    col = columns[w] = column(w)
+                pairs = iter(col)
+                for i, x in zip(pairs, pairs):
                     image[i] = image.get(i, 0) + k * x
-        image = {i: x for i, x in image.items() if x}
-        if image:
-            images.append(_primitive(image))
-    return rep.dim - len(_eliminate(images, reduced=False))
+            image = {i: x for i, x in image.items() if x}
+            if image:
+                images.append(_primitive(image))
+        out.append(rep.dim - len(_eliminate(images, reduced=False)))
+    return out
 
 
 def traceless_space(form: FormPoint, n: int) -> int:
@@ -233,16 +230,14 @@ def traceless_space(form: FormPoint, n: int) -> int:
     `_check_block_spans`), so by Weyl's construction dim V is the sum, over
     the partitions lam of n with at most N rows, of f_lam times the
     dimension of V meet S_lam(k^N).  Each term is a `_restricted_nullity`:
-    only the realization bases are eliminated, never the N^n-column
-    constraint rows."""
+    only the realization bases are eliminated, and the contractions are
+    read only at their words."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    columns = _traceless_constraints(form, n)
-    return sum(
-        specht_dim(lam) * _restricted_nullity(columns, lam, form.N)
-        for lam in partitions(n)
-        if len(lam) <= form.N
-    )
+    _check_block_spans(form, n)
+    lams = [lam for lam in partitions(n) if len(lam) <= form.N]
+    nullities = _restricted_nullity(form, _generating_contractions(form.sigma, n), lams)
+    return sum(specht_dim(lam) * k for lam, k in zip(lams, nullities))
 
 
 def simple_realization_dim(form: FormPoint, lam: Partition) -> int:
@@ -253,8 +248,9 @@ def simple_realization_dim(form: FormPoint, lam: Partition) -> int:
     is the dimension of its intersection with S_lam(k^N), and the piece
     has f_lam times that dimension."""
     lam = Partition(lam)
-    columns = _traceless_constraints(form, lam.size)
-    return specht_dim(lam) * _restricted_nullity(columns, lam, form.N)
+    _check_block_spans(form, lam.size)
+    [k] = _restricted_nullity(form, _generating_contractions(form.sigma, lam.size), [lam])
+    return specht_dim(lam) * k
 
 
 def socle_check(form: FormPoint, lam: Partition) -> bool:
@@ -273,10 +269,10 @@ def socle_check(form: FormPoint, lam: Partition) -> bool:
     specialized basis constraints, and the joint kernel is stable."""
     lam = Partition(lam)
     n = lam.size
-    gen = _traceless_constraints(form, n)
-    homs = (d for m in range(n) for d in brauer.hom_basis(form.sigma, n, m))
-    hom = _constraint_columns(form, homs)
-    return _restricted_nullity(gen, lam, form.N) == _restricted_nullity(hom, lam, form.N)
+    _check_block_spans(form, n)
+    homs = [d for m in range(n) for d in brauer.hom_basis(form.sigma, n, m)]
+    gen = _generating_contractions(form.sigma, n)
+    return _restricted_nullity(form, gen, [lam]) == _restricted_nullity(form, homs, [lam])
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +334,8 @@ def form_from_tensor_values(sigma, N: int, p: int, values: dict) -> FormPoint:
     polytabloid of entry p) takes prescribed values on the given words;
     unspecified components are zero."""
     sigma = PartitionTuple(sigma)
+    if not 0 <= p < len(sigma):
+        raise ValueError(f"the entry index must lie in 0..{len(sigma) - 1}, got {p}")
     shape = sigma[p]
     d = shape.size
     gden, gammas = specht_word_expansions(shape)

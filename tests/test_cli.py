@@ -198,10 +198,12 @@ def test_homdim_rejects_negative_sizes():
 
 
 def test_traceless_rejects_negative_rank():
-    proc = run_cli("traceless", "--sigma", "2", "--rank", "-1", "--n", "2", check=False)
-    assert proc.returncode == 1 and proc.stdout == ""
-    assert len(proc.stderr.splitlines()) == 1
-    assert proc.stderr.startswith("error: the rank must be non-negative")
+    # (-400)^2 is over the ambient safety limit, but the rank is checked first
+    for rank, n in (("-1", "2"), ("-4", "2"), ("-400", "2"), ("-400", "3"), ("-400", "0")):
+        proc = run_cli("traceless", "--sigma", "2", "--rank", rank, "--n", n, check=False)
+        assert proc.returncode == 1 and proc.stdout == "", (rank, n)
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr == f"error: the rank must be non-negative, got {rank}\n", proc.stderr
 
 
 def test_traceless_prices_the_form():

@@ -2,6 +2,7 @@ import random
 import sys
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 
@@ -39,9 +40,7 @@ from sigmabrauer.specht import isotypic_projector
 from sigmabrauer.symfun import SchurExpr, exterior_power_char, inner_product, lr_product
 from sigmabrauer.modcat import (
     FormPoint,
-    _constraint_columns,
     _restricted_nullity,
-    _traceless_constraints,
     block_functional,
     dot_product_form,
     ext_dim,
@@ -277,6 +276,16 @@ def test_form_from_tensor_values_rejects_words_outside_the_rank():
             modcat.form_from_tensor_values(SIG2, 2, 0, {word: 0})
 
 
+def test_form_from_tensor_values_rejects_an_entry_index_outside_sigma():
+    # an index outside 0..len(sigma)-1 names no entry: a negative one must not
+    # select an entry from the end, whose solved values would then be dropped
+    values = {(1, 1): 1, (1, 2): 0}
+    assert any(modcat.form_from_tensor_values(SIG2, 3, 0, values).comps[0])
+    for sigma, p in [(SIG2, -1), (SIG2, 1), (parse_tuple("2|1"), -1), (parse_tuple("2|1"), 2)]:
+        with pytest.raises(ValueError, match="entry index"):
+            modcat.form_from_tensor_values(sigma, 3, p, values)
+
+
 def test_form_from_tensor_values_round_trip_with_expansion_denominators():
     # the polytabloid expansions of (2,1), (3,2) and (2,2) have denominators
     # 2, 4 and 4, so the solve only holds if the prescribed values are
@@ -320,9 +329,15 @@ def test_finite_rank_vectors_are_integers_over_one_denominator():
         diagrams = modcat._generating_contractions(sigma, 3)
         diagrams += [d for _ in range(4) for d in random_morphism(sigma, 3, rng.randint(0, 2), rng).terms]
         for diagram in diagrams:
-            L, rows = modcat._specialize(form, diagram)
+            L, g, read = modcat._word_reader(form, diagram)
+            rows = {}
+            for col, u in enumerate(product(range(1, N + 1), repeat=diagram[0])):
+                hit = read(u)
+                if hit is not None:
+                    rows.setdefault(hit[0], {})[col] = hit[1]
             for row in rows.values():
                 check((L, row))
+                assert gcd(*row.values()) == g, (text, diagram)
 
 
 def test_theta_functoriality_random():
@@ -542,24 +557,66 @@ def test_hom_family_restricted_nullity_matches_class_traces():
                 # block contraction, which is one of them: the kernels agree
                 assert traceless_space(form, n) == space.dim, (text, N, n)
                 mults = isotypic_multiplicities(space)
-                columns = _constraint_columns(form, [d for f in homs for d in f.terms])
-                for lam in partitions(n):
+                lams = list(partitions(n))
+                nullities = _restricted_nullity(form, [d for f in homs for d in f.terms], lams)
+                for lam, nullity in zip(lams, nullities):
                     cases += 1
-                    assert _restricted_nullity(columns, lam, N) == mults[lam], (text, N, lam)
+                    assert nullity == mults[lam], (text, N, lam)
     assert cases == 63
 
 
 def test_traceless_constraints_match_the_morphism_route():
     # the plain contraction tuples against contraction Morphisms built and
-    # validated by the diagram category: the same columns, row numbers included
+    # validated by the diagram category: the same diagrams in the same order,
+    # each a single term with coefficient 1, so every form reads the same
+    # rows under the same keys
     for text in ["2", "1,1", "3", "2|1", "2,1", "2,1|1", "3,2,1", "3|2|1"]:
         sigma = parse_tuple(text)
-        for N in (1, 2, 3):
-            form = random_form(sigma, N, seed=4)
-            for n in range(5):
-                morphisms = contraction_morphisms(sigma, n)
-                reference = _constraint_columns(form, [d for f in morphisms for d in f.terms])
-                assert _traceless_constraints(form, n) == reference, (text, N, n)
+        for n in range(5):
+            morphisms = contraction_morphisms(sigma, n)
+            assert all(list(f.terms.values()) == [1] for f in morphisms), (text, n)
+            reference = [d for f in morphisms for d in f.terms]
+            assert modcat._generating_contractions(sigma, n) == reference, (text, n)
+
+
+def test_contractions_are_read_once_at_each_realization_word(monkeypatch):
+    # the block contractions are read only at the words of the realization
+    # bases, each (contraction, word) pair once, and traceless_space shares
+    # the words read across its lam
+    cases = [("2", 3, (2, 1)), ("2,1", 3, (2, 1, 1)), ("2|1", 4, (3, 1)), ("3", 3, None)]
+    forms = [(random_form(parse_tuple(text), N, seed=0), lam) for text, N, lam in cases]
+
+    def run(form, lam):
+        if lam is None:
+            return traceless_space(form, 4)
+        return simple_realization_dim(form, Partition(lam))
+
+    expected = [run(form, lam) for form, lam in forms]
+    original = modcat._word_reader
+    reads = []
+
+    def counting(form, diagram):
+        L, g, read = original(form, diagram)
+
+        def traced(u):
+            reads.append((diagram, u))
+            return read(u)
+
+        return L, g, traced
+
+    monkeypatch.setattr(modcat, "_word_reader", counting)
+    for (form, lam), value in zip(forms, expected):
+        reads.clear()
+        assert run(form, lam) == value
+        lams = [Partition(lam)] if lam else [mu for mu in partitions(4) if len(mu) <= form.N]
+        n = lams[0].size
+        words = {w for mu in lams for _, vec in get_tensor_rep(mu, form.N).basis for w in vec}
+        diagrams = modcat._generating_contractions(form.sigma, n)
+        assert len(reads) == len(set(reads)) == len(diagrams) * len(words), (form.sigma, lam)
+        assert {u for _, u in reads} == words
+        # one realization touches only part of the tensor space; together
+        # the realizations of traceless_space read each word once
+        assert len(words) < form.N**n if lam else len(words) == form.N**n
 
 
 def _no_ratmat(self, *args):
