@@ -402,7 +402,7 @@ def morphism_from_json(doc: dict, sigma, max_size: int | None = None) -> Morphis
             raise ValueError(f"{key} must be non-negative")
         if max_size is not None and v > max_size:
             raise ValueError(f"{key}={v} exceeds the degree bound {max_size}")
-    total = Morphism.zero(sigma, n, m)
+    terms: dict[Diagram, Fraction] = {}
     for term in _json_list(doc.get("terms", []), "terms"):
         term = _json_object(term, "a term")
         coeff = _json_rational(_json_field(term, "coef", "a term"), "coef")
@@ -431,8 +431,9 @@ def morphism_from_json(doc: dict, sigma, max_size: int | None = None) -> Morphis
             matching.append(
                 (_json_int(pair[0], "a source label"), _json_int(pair[1], "a target label"))
             )
-        total = total + Morphism.from_blocks(sigma, n, m, blocks, matching, coeff)
-    return total
+        for d, c in Morphism.from_blocks(sigma, n, m, blocks, matching, coeff).terms.items():
+            terms[d] = terms.get(d, Fraction(0)) + c
+    return Morphism(sigma, n, m, terms)
 
 
 MAX_TERMS = 2  # basis diagrams drawn by random_morphism

@@ -8,8 +8,8 @@ reduced row echelon form, so the coordinates of a kernel vector are its
 entries in the free columns.  No finite-rank path of the package builds
 a `RatMat`: `rank` and `solve` serve group elements given as matrices
 and forms solved from prescribed values, and the rest serves the tests
-and the reference operations.  Every name here is also read as an
-`exactla` attribute.
+and the reference operations.  Every public name here is also read as
+an `exactla` attribute.
 """
 
 from __future__ import annotations

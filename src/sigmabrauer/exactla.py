@@ -8,9 +8,9 @@ with its denominators cleared and the gcd of its entries divided out
 small.  The finite-rank engine builds its own rows and calls the core
 directly.  The dense rational layer (`RatMat`, `rank`, `solve`,
 `inverse`, `kernel_basis_with_free`, `vstack` and their row builder)
-lives in `dense`, on top of this core; its names are read here through
-the module `__getattr__`, so a job that eliminates only its own sparse
-rows never loads it.
+lives in `dense`, on top of this core.  Its public names are read here
+through the module `__getattr__`, so a job that eliminates only its own
+sparse rows never loads it; its private helpers are read only there.
 """
 
 from __future__ import annotations
@@ -18,10 +18,7 @@ from __future__ import annotations
 from math import gcd
 
 # The names `dense` defines, served from here on first read.
-_DENSE = (
-    "RatMat", "rank", "solve", "inverse", "kernel_basis_with_free", "vstack",
-    "_integer_rows", "_to_fraction_rows",
-)
+_DENSE = ("RatMat", "rank", "solve", "inverse", "kernel_basis_with_free", "vstack")
 
 
 def __getattr__(name: str):

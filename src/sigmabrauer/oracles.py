@@ -1,11 +1,13 @@
 """Reference operations: the ones no CLI job runs.
 
 The tests, the demos and the package exports read these to check the
-engine from first principles; no engine path calls them.  Each is also
-read at its old home through that module's `__getattr__`: the symmetric
-group operations as `specht` attributes, the weight-space basis and its
-pairing with the basis diagrams as `schurweyl` attributes, and the
-Kostka numbers and monomial expansions as `symfun` attributes.  Every
+engine from first principles; no engine path calls them.  The public
+ones are also read at their old homes through that module's
+`__getattr__`: `relabel` and `isotypic_projector` as `specht`
+attributes, the weight-space basis and its pairing with the basis
+diagrams as `schurweyl` attributes, and the Kostka numbers and monomial
+expansions as `symfun` attributes.  Cycle types, class representatives,
+plain changes and the private helpers are read only here.  Every
 layer is read here as a module attribute, so reading one name executes
 only the layer that name needs.
 """

@@ -17,9 +17,10 @@ basis tableau, and no action matrix is kept.  The irreducible
 characters live in the leaf module `characters`, which the character
 side loads without this one.  The reference operations on the symmetric
 group (`relabel`, cycle types, class representatives, plain changes and
-isotypic projectors) live in `oracles` and are read here through the
-module `__getattr__`; `exactla` is read as a module attribute, so
-straightening loads neither.
+isotypic projectors) live in `oracles`.  `relabel` and
+`isotypic_projector` are also read here through the module
+`__getattr__`, the others only there; `exactla` is read as a module
+attribute, so straightening loads neither.
 """
 
 from __future__ import annotations
@@ -32,10 +33,7 @@ from . import exactla
 from .combinat import Partition, specht_dim
 
 # The reference operations `oracles` defines, served from here on first read.
-_ORACLES = (
-    "isotypic_projector", "_check_coxeter", "plain_changes", "relabel",
-    "class_representative", "cycle_type",
-)
+_ORACLES = ("isotypic_projector", "relabel")
 
 
 def __getattr__(name: str):

@@ -20,7 +20,8 @@ integer raises RuntimeError.  No plethysm builds a monomial or depends
 on a number of variables.  The Kostka numbers (`kostka`, read off
 `lr_product`) and the monomial expansions (`schur_monomials`) are
 reference operations: they live in `oracles` and are read here through
-the module `__getattr__`, each with its own cache.
+the module `__getattr__`, each with its own cache; their private helper
+is read only there.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .characters import beta_set, centralizer_size, mn_character
 from .combinat import Partition, PartitionTuple, partitions, schur_dim, subpartitions
 
 # The reference operations `oracles` defines, served from here on first read.
-_ORACLES = ("kostka", "schur_monomials", "_distinct_arrangements")
+_ORACLES = ("kostka", "schur_monomials")
 
 
 def __getattr__(name: str):

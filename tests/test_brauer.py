@@ -235,6 +235,24 @@ def test_serialization_round_trip():
             assert morphism_from_json(doc, sigma) == f
 
 
+def test_morphism_from_json_sums_all_terms_in_one_pass(monkeypatch):
+    # a document whose terms repeat diagrams and cancel is read without
+    # adding Morphisms term by term, which would copy the sum at every term
+    sigma = PartitionTuple(((2, 1),))
+    f = random_morphism(sigma, 6, 3, random.Random(5))
+    doc = morphism_to_json(f)
+    halves = [dict(t, coef=str(Fraction(t["coef"]) / 2)) for t in doc["terms"]]
+    spread = [{**b, "coords": ["1", "-2"]} for b in doc["terms"][0]["blocks"]]
+    pair = [dict(doc["terms"][0], coef=c, blocks=spread) for c in ("3/4", "-3/4")]
+
+    def no_add(self, other):
+        raise AssertionError("Morphism.__add__ called")
+
+    monkeypatch.setattr(Morphism, "__add__", no_add)
+    got = morphism_from_json(dict(doc, terms=halves + pair[:1] + halves + pair[1:]), sigma)
+    assert got.terms == f.terms and len(f.terms) > 0
+
+
 def test_make_diagram_validation():
     with pytest.raises(ValueError):
         make_diagram(SIG2, 2, 0, (((1,), 0, 0),), ())  # support too small

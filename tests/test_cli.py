@@ -383,14 +383,12 @@ def test_leaf_names_execute_only_their_leaf():
 # home -> {old home: names}, each still read at the old home
 _MOVED = {
     "dense": {
-        "exactla": ("RatMat", "rank", "solve", "inverse", "kernel_basis_with_free", "vstack",
-                    "_integer_rows", "_to_fraction_rows"),
+        "exactla": ("RatMat", "rank", "solve", "inverse", "kernel_basis_with_free", "vstack"),
     },
     "oracles": {
-        "specht": ("isotypic_projector", "_check_coxeter", "plain_changes", "relabel",
-                   "class_representative", "cycle_type"),
+        "specht": ("isotypic_projector", "relabel"),
         "schurweyl": ("WeightBasisElement", "weight_space_basis", "diagram_weight_iso"),
-        "symfun": ("kostka", "schur_monomials", "_distinct_arrangements"),
+        "symfun": ("kostka", "schur_monomials"),
     },
 }
 
@@ -443,7 +441,11 @@ def test_package_contract():
     absent = [(specht, "beta_set"), (specht, "centralizer_size"), (specht, "mn_character"),
               (specht, "sn_character"), (brauer, "hom_dim"), (modcat, "random_form"),
               (modcat, "TracelessSpace"), (exactla, "kernel_basis"), (stabilizer, "GammaQuery"),
-              (stabilizer, "random_unimodular"), (brauer.Diagram, "encoding")]
+              (stabilizer, "random_unimodular"), (brauer.Diagram, "encoding"),
+              # moved to `dense` and `oracles`, and read only there
+              (exactla, "_integer_rows"), (exactla, "_to_fraction_rows"), (specht, "_check_coxeter"),
+              (specht, "plain_changes"), (specht, "class_representative"), (specht, "cycle_type"),
+              (symfun, "_distinct_arrangements")]
     for owner, name in absent:
         assert not hasattr(owner, name), (owner, name)
     assert sigmabrauer.FormPoint is forms.FormPoint and sigmabrauer.random_form is forms.random_form
