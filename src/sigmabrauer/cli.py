@@ -9,10 +9,10 @@ violation, 2 argument parse error.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from math import perm
+from types import SimpleNamespace
 
 from . import brauer, forms, modcat, setpart, stabilizer, symfun
 from .combinat import PreconditionError, format_partition, hom_dim, parse_partition, parse_tuple, schur_dim
@@ -29,80 +29,150 @@ def _check_bound(bound: int, **values):
             )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="sigmabrauer",
-        description="exact computations in block-decorated Brauer categories",
-    )
-    p.add_argument(
-        "--degree-bound",
-        type=int,
-        default=6,
-        help="cap on all sizes and degrees (default 6)",
-    )
-    p.add_argument("--out", default=None, help="write the JSON document to a file")
-    # the global flags are also accepted after the subcommand
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--degree-bound", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--out", default=argparse.SUPPRESS)
-    sub = p.add_subparsers(dest="command", required=True)
+REQUIRED = object()  # the default of a flag that has to be given
 
-    q = sub.add_parser(
-        "homdim", parents=[common], help="dimension of a Hom space of the downwards category"
-    )
-    q.add_argument("--sigma", required=True)
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--m", type=int, required=True)
 
-    q = sub.add_parser("compose", parents=[common], help="compose two serialized morphisms (g o f)")
-    q.add_argument("--in", dest="infile", required=True)
+def _flag(option, dest=None, type=str, default=REQUIRED, help=None):
+    return option, dest or option[2:].replace("-", "_"), type, default, help
 
-    q = sub.add_parser(
-        "mult", parents=[common], help="composition multiplicity of a simple in an injective"
-    )
-    q.add_argument("--sigma", required=True)
-    q.add_argument("--lambda", dest="lam", required=True)
-    q.add_argument("--mu", required=True)
 
-    q = sub.add_parser("ext", parents=[common], help="Ext dimension between two simples")
-    q.add_argument("--sigma", required=True)
-    q.add_argument("--i", type=int, required=True)
-    q.add_argument("--lambda", dest="lam", required=True)
-    q.add_argument("--mu", required=True)
+HELP = _flag("--help", default=None, help="show this help message and exit")
+GLOBAL_FLAGS = (
+    _flag("--degree-bound", type=int, default=6, help="cap on all sizes and degrees (default 6)"),
+    _flag("--out", default=None, help="write the JSON document to a file"),
+)
+# the command line: each command's words -> its help and its own flags; the
+# global flags are read before the command and again after it
+COMMANDS = {
+    "homdim": ("dimension of a Hom space of the downwards category",
+               (_flag("--sigma"), _flag("--n", type=int), _flag("--m", type=int))),
+    "compose": ("compose two serialized morphisms (g o f)", (_flag("--in", "infile"),)),
+    "mult": ("composition multiplicity of a simple in an injective",
+             (_flag("--sigma"), _flag("--lambda", "lam"), _flag("--mu"))),
+    "ext": ("Ext dimension between two simples",
+            (_flag("--sigma"), _flag("--i", type=int), _flag("--lambda", "lam"), _flag("--mu"))),
+    "shift": ("decomposition of the rank-n shift of a Schur functor",
+              (_flag("--lambda", "lam"), _flag("--n", type=int))),
+    "traceless": ("traceless tensor space at finite rank",
+                  (_flag("--sigma"), _flag("--rank", type=int), _flag("--n", type=int),
+                   _flag("--lambda", "lam", default=None), _flag("--seed", type=int, default=0))),
+    "stab check": ("verify the germinal subgroup axioms on samples",
+                   (_flag("--sigma"), _flag("--rank", type=int), _flag("--seed", type=int, default=0),
+                    _flag("--samples", type=int, default=50),
+                    _flag("--levels", default=None, help="comma separated; default 1..rank"))),
+    "oracle step1": ("diagram basis against weight space basis, full sweep",
+                     (_flag("--sigma"), _flag("--max", "max_n", type=int))),
+}
+GROUPS = {"": "exact computations in block-decorated Brauer categories",
+          "stab": "generalized stabilizer checks", "oracle": "independent consistency oracles"}
 
-    q = sub.add_parser(
-        "shift", parents=[common], help="decomposition of the rank-n shift of a Schur functor"
-    )
-    q.add_argument("--lambda", dest="lam", required=True)
-    q.add_argument("--n", type=int, required=True)
 
-    q = sub.add_parser("traceless", parents=[common], help="traceless tensor space at finite rank")
-    q.add_argument("--sigma", required=True)
-    q.add_argument("--rank", type=int, required=True)
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--lambda", dest="lam", default=None)
-    q.add_argument("--seed", type=int, default=0)
+def _usage_error(message: str):
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(2)
 
-    stab = sub.add_parser("stab", help="generalized stabilizer checks")
-    stab_sub = stab.add_subparsers(dest="stab_command", required=True)
-    q = stab_sub.add_parser(
-        "check", parents=[common], help="verify the germinal subgroup axioms on samples"
-    )
-    q.add_argument("--sigma", required=True)
-    q.add_argument("--rank", type=int, required=True)
-    q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--samples", type=int, default=50)
-    q.add_argument("--levels", default=None, help="comma separated; default 1..rank")
 
-    oracle = sub.add_parser("oracle", help="independent consistency oracles")
-    oracle_sub = oracle.add_subparsers(dest="oracle_command", required=True)
-    q = oracle_sub.add_parser(
-        "step1", parents=[common], help="diagram basis against weight space basis, full sweep"
-    )
-    q.add_argument("--sigma", required=True)
-    q.add_argument("--max", dest="max_n", type=int, required=True)
+def _classify(word: str, options: dict):
+    """What argparse read a word as among these option strings: None for a
+    value, else the option it names (None if none; a unique prefix names its
+    option) and the value attached by `=` or, after `-h`, directly."""
+    if word in options:
+        return word, None
+    if word[:1] != "-" or word == "-":
+        return None
+    head, eq, value = word.partition("=")
+    if eq and head in options:
+        return head, value
+    if word[1] != "-":
+        matches, value = [o for o in options if o == word[:2]], word[2:]
+    else:
+        matches, value = [o for o in options if o.startswith(head)], value if eq else None
+    if len(matches) > 1:
+        _usage_error(f"ambiguous option: {word!r} could match {', '.join(matches)}")
+    if matches:
+        return matches[0], value
+    import re  # loaded with json; only a word no option names reaches here
+    if re.match(r"^-\d+$|^-\d*\.\d+$", word) or " " in word:
+        return None  # a negative number or a word with a space is a value
+    return None, None
 
-    return p
+
+def _help(path: list, shared) -> str:
+    """The help of a command, or of the commands under a group, from the table."""
+    name = " ".join(path)
+    about, own = COMMANDS[name] if name in COMMANDS else (GROUPS[name], ())
+    usage = ["usage: sigmabrauer", *path, "[options]"] + ([] if own else ["COMMAND"])
+    lines = [" ".join(usage), "", about]
+    if not own:
+        lines += ["", "commands:"]
+        for command, (text, _) in COMMANDS.items():
+            if command.split()[: len(path)] == path:
+                lines.append(f"  {' '.join(command.split()[len(path):]):<30}{text}")
+    lines += ["", "options:", f"  {'-h, --help':<30}{HELP[4]}"]
+    for option, dest, _, default, text in (*own, *shared):
+        text = text or ("required" if default is REQUIRED else f"default {default}")
+        lines.append(f"  {option + ' ' + dest.upper():<30}{text}")
+    return "\n".join(lines)
+
+
+def parse_args(argv) -> SimpleNamespace:
+    """The attributes `_run` reads, from argv read against COMMANDS as the
+    earlier argparse parser read it: global flags on either side of the
+    command (the last one wins), `--flag=value` and unique prefixes.  Help
+    exits 0; any other misuse prints one `error:` line and exits 2."""
+    values = {dest: default for _, dest, _, default, _ in GLOBAL_FLAGS}
+    extras, path, words = [], [], list(argv)
+    while True:  # one round per command word, then one for the command's flags
+        name = " ".join(path)
+        own = COMMANDS[name][1] if name in COMMANDS else ()
+        shared = GLOBAL_FLAGS if own or not path else ()  # none after `stab`
+        options = {"-h": HELP, HELP[0]: HELP} | {f[0]: f for f in (*shared, *own)}
+        # all words are read before any is used, as argparse did (an ambiguous
+        # prefix fails even after -h); after "--" every word is a value
+        cut = words.index("--") if "--" in words else len(words)
+        kinds = [_classify(w, options) for w in words[:cut]] + [None] * (len(words) - cut)
+        values.update((dest, default) for _, dest, _, default, _ in own if default is not REQUIRED)
+        seen, i, command = set(), 0, None
+        while i < len(words) and command is None:
+            word, kind, i = words[i], kinds[i], i + 1
+            if kind is None and not own:
+                command = word
+            elif kind is None or kind[0] is None:
+                extras.append(word)
+            elif options[kind[0]] is HELP:
+                attached = kind[1]  # -hh is -h twice; any other attached value is an error
+                if attached is not None and (kind[0] != "-h" or not attached or attached.strip("h")):
+                    _usage_error(f"argument -h/--help: ignored explicit argument {attached!r}")
+                print(_help(path, shared))
+                raise SystemExit(0)
+            else:
+                option, dest, type, _, value = *options[kind[0]][:4], kind[1]
+                if value is None:
+                    if i in (len(words), cut) or kinds[i] is not None:  # "--" is no flag's value
+                        _usage_error(f"argument {option}: expected one argument")
+                    value, i = words[i], i + 1
+                try:
+                    values[dest] = type(value)
+                except ValueError:
+                    _usage_error(f"argument {option}: invalid int value: {value!r}")
+                seen.add(option)
+        if own:
+            break
+        attr = f"{name}_command" if name else "command"
+        under = [c.split() for c in COMMANDS if c.split()[: len(path)] == path]
+        choices = list(dict.fromkeys(c[len(path)] for c in under))
+        if command is None:
+            _usage_error(f"the following arguments are required: {attr}")
+        if command not in choices:
+            _usage_error(f"argument {attr}: invalid choice: {command!r} (choose from {', '.join(choices)})")
+        values[attr], words = command, words[i:]
+        path.append(command)
+    missing = [f[0] for f in own if f[3] is REQUIRED and f[0] not in seen]
+    if missing:
+        _usage_error(f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        _usage_error(f"unrecognized arguments: {' '.join(map(repr, extras))}")
+    return SimpleNamespace(**values)
 
 
 def _pure_sigma(text: str, bound: int):
@@ -235,18 +305,22 @@ def _run(args) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         text = json.dumps(_run(args), sort_keys=True)
         if args.out:
             with open(args.out, "w") as fh:
                 fh.write(text + "\n")
+        else:
+            print(text, flush=True)
     except (PreconditionError, ValueError, OSError) as e:
+        if isinstance(e, BrokenPipeError):
+            # the reader of stdout is gone; point stdout at devnull, so that
+            # flushing it again at exit cannot fail
+            import os  # loaded at start-up; only this path reads it
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: {e}", file=sys.stderr)
         return 1
-    if not args.out:
-        print(text)
     return 0
 
 

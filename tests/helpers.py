@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import math
 import os
 import subprocess
@@ -22,13 +23,97 @@ from sigmabrauer.symfun import SchurExpr, lr_product, plethysm_h
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def run_python(*args: str) -> subprocess.CompletedProcess:
-    """A fresh interpreter run on args with its text output captured, with
-    this checkout's `src` first on its module path, so the child imports
-    the package under test whether or not it is installed."""
+def run_python(*args: str, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+    """A fresh interpreter run on args with its text output captured (or
+    its stdout sent to `stdout`), with this checkout's `src` first on its
+    module path, so the child imports the package under test whether or
+    not it is installed."""
     path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
     env = dict(os.environ, PYTHONPATH=path)
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+    return subprocess.run(
+        [sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE, text=True, env=env
+    )
+
+
+# ---------------------------------------------------------------------------
+# reference command line: the argparse parser the CLI ran before its own
+# table parser, kept as the oracle of which argv it accepts and how
+
+
+def build_parser() -> argparse.ArgumentParser:
+    p = argparse.ArgumentParser(
+        prog="sigmabrauer",
+        description="exact computations in block-decorated Brauer categories",
+    )
+    p.add_argument(
+        "--degree-bound",
+        type=int,
+        default=6,
+        help="cap on all sizes and degrees (default 6)",
+    )
+    p.add_argument("--out", default=None, help="write the JSON document to a file")
+    # the global flags are also accepted after the subcommand
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--degree-bound", type=int, default=argparse.SUPPRESS)
+    common.add_argument("--out", default=argparse.SUPPRESS)
+    sub = p.add_subparsers(dest="command", required=True)
+
+    q = sub.add_parser(
+        "homdim", parents=[common], help="dimension of a Hom space of the downwards category"
+    )
+    q.add_argument("--sigma", required=True)
+    q.add_argument("--n", type=int, required=True)
+    q.add_argument("--m", type=int, required=True)
+
+    q = sub.add_parser("compose", parents=[common], help="compose two serialized morphisms (g o f)")
+    q.add_argument("--in", dest="infile", required=True)
+
+    q = sub.add_parser(
+        "mult", parents=[common], help="composition multiplicity of a simple in an injective"
+    )
+    q.add_argument("--sigma", required=True)
+    q.add_argument("--lambda", dest="lam", required=True)
+    q.add_argument("--mu", required=True)
+
+    q = sub.add_parser("ext", parents=[common], help="Ext dimension between two simples")
+    q.add_argument("--sigma", required=True)
+    q.add_argument("--i", type=int, required=True)
+    q.add_argument("--lambda", dest="lam", required=True)
+    q.add_argument("--mu", required=True)
+
+    q = sub.add_parser(
+        "shift", parents=[common], help="decomposition of the rank-n shift of a Schur functor"
+    )
+    q.add_argument("--lambda", dest="lam", required=True)
+    q.add_argument("--n", type=int, required=True)
+
+    q = sub.add_parser("traceless", parents=[common], help="traceless tensor space at finite rank")
+    q.add_argument("--sigma", required=True)
+    q.add_argument("--rank", type=int, required=True)
+    q.add_argument("--n", type=int, required=True)
+    q.add_argument("--lambda", dest="lam", default=None)
+    q.add_argument("--seed", type=int, default=0)
+
+    stab = sub.add_parser("stab", help="generalized stabilizer checks")
+    stab_sub = stab.add_subparsers(dest="stab_command", required=True)
+    q = stab_sub.add_parser(
+        "check", parents=[common], help="verify the germinal subgroup axioms on samples"
+    )
+    q.add_argument("--sigma", required=True)
+    q.add_argument("--rank", type=int, required=True)
+    q.add_argument("--seed", type=int, default=0)
+    q.add_argument("--samples", type=int, default=50)
+    q.add_argument("--levels", default=None, help="comma separated; default 1..rank")
+
+    oracle = sub.add_parser("oracle", help="independent consistency oracles")
+    oracle_sub = oracle.add_subparsers(dest="oracle_command", required=True)
+    q = oracle_sub.add_parser(
+        "step1", parents=[common], help="diagram basis against weight space basis, full sweep"
+    )
+    q.add_argument("--sigma", required=True)
+    q.add_argument("--max", dest="max_n", type=int, required=True)
+
+    return p
 
 
 def as_fractions(pair) -> dict:

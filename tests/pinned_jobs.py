@@ -16,6 +16,8 @@ import tempfile
 EACH = "a layer loaded on first use warns or breaks"  # one job of each subcommand
 JOBS = [
     ("homdim --sigma 2 --n 4 --m 0", 60, '{"dim": 3}', None, EACH),
+    ("homdim --sigma=2 --n 8 --m 0 --deg 9", 60, '{"dim": 105}', None,
+     "the table parser drops an argv form that argparse accepted"),
     ("mult --sigma 2 --lambda 2,2 --mu 2", 60, '{"mult": 1}', None, EACH),
     ("ext --sigma 2 --i 2 --lambda 0 --mu 3,1", 60, '{"dim": 1}', None, EACH),
     ("shift --lambda 2 --n 1", 60, '{"0": 1, "1": 1, "2": 1}', None, EACH),
