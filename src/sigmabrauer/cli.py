@@ -101,8 +101,7 @@ def _help(path: list, shared) -> str:
     """The help of a command, or of the commands under a group, from the table."""
     name = " ".join(path)
     about, own = COMMANDS[name] if name in COMMANDS else (GROUPS[name], ())
-    usage = ["usage: sigmabrauer", *path, "[options]"] + ([] if own else ["COMMAND"])
-    lines = [" ".join(usage), "", about]
+    lines = [" ".join(["usage: sigmabrauer", *path, "[options]" if own else "[options] COMMAND"]), "", about]
     if not own:
         lines += ["", "commands:"]
         for command, (text, _) in COMMANDS.items():
@@ -132,7 +131,7 @@ def parse_args(argv) -> SimpleNamespace:
         cut = words.index("--") if "--" in words else len(words)
         kinds = [_classify(w, options) for w in words[:cut]] + [None] * (len(words) - cut)
         values.update((dest, default) for _, dest, _, default, _ in own if default is not REQUIRED)
-        seen, i, command = set(), 0, None
+        i, command = 0, None
         while i < len(words) and command is None:
             word, kind, i = words[i], kinds[i], i + 1
             if kind is None and not own:
@@ -155,7 +154,6 @@ def parse_args(argv) -> SimpleNamespace:
                     values[dest] = type(value)
                 except ValueError:
                     _usage_error(f"argument {option}: invalid int value: {value!r}")
-                seen.add(option)
         if own:
             break
         attr = f"{name}_command" if name else "command"
@@ -167,7 +165,7 @@ def parse_args(argv) -> SimpleNamespace:
             _usage_error(f"argument {attr}: invalid choice: {command!r} (choose from {', '.join(choices)})")
         values[attr], words = command, words[i:]
         path.append(command)
-    missing = [f[0] for f in own if f[3] is REQUIRED and f[0] not in seen]
+    missing = [f[0] for f in own if f[1] not in values]  # only a required flag has no default
     if missing:
         _usage_error(f"the following arguments are required: {', '.join(missing)}")
     if extras:
@@ -315,8 +313,7 @@ def main(argv=None) -> int:
             print(text, flush=True)
     except (PreconditionError, ValueError, OSError) as e:
         if isinstance(e, BrokenPipeError):
-            # the reader of stdout is gone; point stdout at devnull, so that
-            # flushing it again at exit cannot fail
+            # the reader is gone: stdout goes to devnull, so the flush at exit cannot fail
             import os  # loaded at start-up; only this path reads it
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: {e}", file=sys.stderr)

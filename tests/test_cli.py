@@ -596,8 +596,8 @@ def _argv(draw):
         for flag, (values, optional) in _FLAGS[command].items()
         if not optional or draw(st.booleans())
     ]
-    # a malformed form, each of them an exit 2 (the prefix --s is ambiguous
-    # only under traceless and stab check)
+    # a malformed form, each of them an exit 2 but `--s`, which is ambiguous
+    # only under traceless and stab check and elsewhere names --sigma
     form = draw(st.sampled_from([None, None, "drop", "--bogus", "bogus", "dangling", "x", "--s"]))
     if form == "drop":
         del pairs[0]  # a required flag
