@@ -16,6 +16,18 @@ class PreconditionError(ValueError):
     """A documented precondition was violated (as opposed to a check failing)."""
 
 
+def exact(num, den=1):
+    """num / den as an int when it is integral, else as a Fraction (only then
+    is `fractions` imported); num is anything `Fraction()` reads, den nonzero."""
+    if isinstance(num, int) and isinstance(den, int):
+        q, r = divmod(num, den)
+        if not r:
+            return q
+    from fractions import Fraction
+    x = Fraction(Fraction(num), den)
+    return x.numerator if x.denominator == 1 else x
+
+
 class Partition(tuple):
     """A weakly decreasing tuple of positive integers; () is the empty partition."""
 

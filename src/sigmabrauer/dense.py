@@ -6,10 +6,9 @@ one row builder, `_integer_rows`, to `exactla._eliminate`: `rank`
 counts the pivots of the echelon form, and the other three read the
 reduced row echelon form, so the coordinates of a kernel vector are its
 entries in the free columns.  No finite-rank path of the package builds
-a `RatMat`: `rank` and `solve` serve group elements given as matrices
-and forms solved from prescribed values, and the rest serves the tests
-and the reference operations.  Every public name here is also read as
-an `exactla` attribute.
+a `RatMat`: `solve` serves forms solved from prescribed values, and the
+rest serves the tests and the reference operations.  Every public name
+here is also read as an `exactla` attribute.
 """
 
 from __future__ import annotations

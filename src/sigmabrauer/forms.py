@@ -9,10 +9,9 @@ loads it without the realization layers.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from math import lcm
 
-from .combinat import PartitionTuple, schur_dim
+from .combinat import PartitionTuple, exact, schur_dim
 
 
 def _check_rank(N) -> int:
@@ -34,7 +33,7 @@ class FormPoint:
         if not self.sigma.pure:
             raise ValueError("a form needs a pure tuple")
         self.N = _check_rank(N)
-        comps = tuple(tuple(Fraction(c) for c in row) for row in comps)
+        comps = tuple(tuple(map(exact, row)) for row in comps)
         if len(comps) != len(self.sigma):
             raise ValueError("need exactly one component per entry of sigma")
         for p, row in enumerate(comps):

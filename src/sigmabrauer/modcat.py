@@ -20,12 +20,11 @@ without this one; every entry point reads sigma off the form.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, prod
 
 from . import brauer, exactla, symfun
-from .combinat import Partition, PartitionTuple, partitions, schur_dim, specht_dim
+from .combinat import Partition, PartitionTuple, exact, partitions, schur_dim, specht_dim
 from .exactla import _eliminate, _primitive
 from .forms import FormPoint, integer_columns
 from .schurweyl import get_tensor_rep, specht_word_expansions
@@ -129,13 +128,13 @@ def theta_apply(form: FormPoint, f: brauer.Morphism) -> exactla.RatMat:
         raise ValueError("morphism and form live over different tuples")
     N = form.N
     cols = N**f.source
-    data = [[Fraction(0)] * cols for _ in range(N**f.target)]
+    data = [[0] * cols for _ in range(N**f.target)]
     for diagram, coeff in f.terms.items():
         L, _, read = _word_reader(form, diagram)
         for c, u in enumerate(product(range(1, N + 1), repeat=f.source)):
             hit = read(u)
             if hit is not None:
-                data[hit[0]][c] += coeff * hit[1] / L
+                data[hit[0]][c] += coeff * exact(hit[1], L)
     return exactla.RatMat(len(data), cols, data)
 
 
@@ -315,11 +314,8 @@ def moved_values(form: FormPoint, p: int, den: int, cols: dict, indices):
 def moved_form(form: FormPoint, den: int, cols: dict) -> FormPoint:
     """The form v -> omega(g v), for g = G / den given by `integer_columns`
     with every letter at most N."""
-    comps = [
-        tuple(Fraction(*v) for v in moved_values(form, p, den, cols, range(len(row))))
-        for p, row in enumerate(form.comps)
-    ]
-    return FormPoint(form.sigma, form.N, comps)
+    values = (moved_values(form, p, den, cols, range(len(row))) for p, row in enumerate(form.comps))
+    return FormPoint(form.sigma, form.N, [[exact(*v) for v in vals] for vals in values])
 
 
 def translate(form: FormPoint, g: exactla.RatMat) -> FormPoint:
@@ -340,8 +336,7 @@ def form_from_tensor_values(sigma, N: int, p: int, values: dict) -> FormPoint:
     d = shape.size
     gden, gammas = specht_word_expansions(shape)
     rep = get_tensor_rep(shape, N)
-    rows = []
-    rhs = []
+    rows, rhs = [], []
     for u, target in sorted(values.items()):
         if len(u) != d or not all(1 <= x <= N for x in u):
             raise ValueError(f"{u} is not a word of length {d} in the letters 1..{N}")
@@ -354,7 +349,7 @@ def form_from_tensor_values(sigma, N: int, p: int, values: dict) -> FormPoint:
             q = tuple(u[w[j] - 1] for j in range(d))
             v_u[q] = v_u.get(q, 0) + c
         rows.append(rep.coords({q: c for q, c in v_u.items() if c}))
-        rhs.append(Fraction(target) * gden)
+        rhs.append(exact(target) * gden)
     sol = exactla.solve(exactla.RatMat(len(rows), rep.dim, rows), rhs)
     if sol is None:
         raise ValueError("no form takes the prescribed values")
@@ -363,12 +358,8 @@ def form_from_tensor_values(sigma, N: int, p: int, values: dict) -> FormPoint:
 
 def dot_product_form(N: int) -> FormPoint:
     """The standard symmetric bilinear form on k^N as a FormPoint for [(2)]."""
-    sigma = PartitionTuple(((2,),))
-    values = {}
-    for i in range(1, N + 1):
-        for j in range(i, N + 1):
-            values[(i, j)] = 1 if i == j else 0
-    return form_from_tensor_values(sigma, N, 0, values)
+    values = {(i, j): int(i == j) for i in range(1, N + 1) for j in range(i, N + 1)}
+    return form_from_tensor_values(PartitionTuple(((2,),)), N, 0, values)
 
 
 def monomial_cubic_form(M: int) -> FormPoint:
@@ -377,9 +368,5 @@ def monomial_cubic_form(M: int) -> FormPoint:
     the word (1, 2, 3)."""
     if M < 3:
         raise ValueError("the monomial form needs rank at least 3")
-    sigma = PartitionTuple(((3,),))
-    rep = get_tensor_rep(Partition((3,)), M)
-    table = [Fraction(0)] * rep.dim
-    idx = rep.source_words.index((1, 2, 3))
-    table[idx] = Fraction(1)
-    return FormPoint(sigma, M, [table])
+    words = get_tensor_rep(Partition((3,)), M).source_words
+    return FormPoint(PartitionTuple(((3,),)), M, [[int(w == (1, 2, 3)) for w in words]])

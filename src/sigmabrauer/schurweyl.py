@@ -14,13 +14,12 @@ as module attributes.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 
 from . import exactla, specht
-from .combinat import Partition, schur_dim
+from .combinat import Partition, exact, schur_dim
 
 # The weight-space names `oracles` defines, served from here on first read.
 _ORACLES = ("WeightBasisElement", "weight_space_basis", "diagram_weight_iso")
@@ -152,13 +151,13 @@ class TensorRep:
             lead = vec[min(vec)]
             self.basis.append((abs(lead), vec if lead > 0 else {w: -v for w, v in vec.items()}))
 
-    def coords(self, vec: dict[tuple[int, ...], Fraction]) -> tuple[Fraction, ...]:
+    def coords(self, vec: dict) -> tuple:
         """Coordinates of a vector known to lie in the realization, read off
         the source words of each content class from last to first: b_c is
         zero at the later source words of its class, so
         v[w_c] = sum_{i >= c} a_i b_i[w_c] fixes a_c once the later a_i are
-        known (back substitution)."""
-        out = [Fraction(0)] * self.dim
+        known (back substitution).  Integral coordinates are ints."""
+        out = [0] * self.dim
         by_cls: dict[tuple[int, ...], dict] = {}
         for w, c in vec.items():
             by_cls.setdefault(tuple(sorted(w)), {})[w] = c
@@ -169,13 +168,13 @@ class TensorRep:
             for pos in range(len(members) - 1, -1, -1):
                 j = members[pos]
                 w = self.source_words[j]
-                x = Fraction(piece.get(w, 0))
+                x = exact(piece.get(w, 0))
                 for i in members[pos + 1 :]:
                     den, b = self.basis[i]
                     if w in b:
-                        x -= out[i] * b[w] / den
+                        x -= exact(out[i] * b[w], den)
                 den, b = self.basis[j]
-                out[j] = x * den / b[w]
+                out[j] = exact(x * den, b[w])
         return tuple(out)
 
     def dual_row(self, table) -> tuple[int, dict[tuple[int, ...], int]]:
@@ -186,21 +185,28 @@ class TensorRep:
         class from first to last: b_c = B_c / den_c is zero at the later
         source words of its class, so table[c] = sum_{i <= c} y_i b_c[w_i]
         fixes y_c = (table[c] den_c - sum_{i < c} y_i B_c[w_i]) / B_c[w_c]
-        once the earlier y_i are known (forward substitution)."""
-        vals: dict[tuple[int, ...], Fraction] = {}
+        once the earlier y_i are known (forward substitution).  A class
+        holds its nonzero y_i as ints ys[w_i] over one running denominator
+        D, the lcm of their reduced denominators, so the lcm of the
+        classes' D is the least den."""
+        classes = []
         for members in self._class_members.values():
-            ys: list[tuple[tuple[int, ...], Fraction]] = []
+            D, ys = 1, {}
             for j in members:
                 den, b = self.basis[j]
-                x = Fraction(table[j]) * den
-                for u, y in ys:
-                    if u in b:
-                        x -= y * b[u]
-                w = self.source_words[j]
-                ys.append((w, x / b[w]))
-            vals.update((w, y) for w, y in ys if y)
-        den = lcm(*(y.denominator for y in vals.values()))
-        return den, {w: y.numerator * (den // y.denominator) for w, y in vals.items()}
+                w, t = self.source_words[j], exact(table[j])
+                x = t.numerator * den * D - t.denominator * sum(y * b[u] for u, y in ys.items() if u in b)
+                if x:
+                    q = t.denominator * D * b[w]
+                    g = gcd(x, q) if q > 0 else -gcd(x, q)
+                    x, q = x // g, q // g
+                    f = q // gcd(D, q)
+                    if f != 1:
+                        D, ys = D * f, {u: y * f for u, y in ys.items()}
+                    ys[w] = x * (D // q)
+            classes.append((D, ys))
+        den = lcm(*(D for D, _ in classes))
+        return den, {w: y * (den // D) for D, ys in classes for w, y in ys.items()}
 
     def apply_matrix(self, g: exactla.RatMat, vec: dict) -> dict:
         """Apply g tensor ... tensor g to a vector in word coordinates."""
@@ -210,24 +216,24 @@ class TensorRep:
             [(i, g.data[i][j]) for i in range(g.rows) if g.data[i][j] != 0]
             for j in range(g.cols)
         ]
-        out: dict[tuple[int, ...], Fraction] = {}
+        out = {}
 
-        def expand(slot: int, word, c: Fraction, current: tuple[int, ...]):
+        def expand(slot: int, word, c, current: tuple[int, ...]):
             if slot == self.d:
-                out[current] = out.get(current, Fraction(0)) + c
+                out[current] = out.get(current, 0) + c
                 return
             for i, v in colmap[word[slot] - 1]:
                 expand(slot + 1, word, c * v, current + (i + 1,))
 
         for word, c in vec.items():
             expand(0, word, c, ())
-        return {w: c for w, c in out.items() if c != 0}
+        return {w: exact(c) for w, c in out.items() if c}
 
     def act_matrix(self, g: exactla.RatMat) -> exactla.RatMat:
         """Matrix of the induced action of g on the realization basis."""
         cols = []
         for den, vec in self.basis:
-            cols.append(tuple(x / den for x in self.coords(self.apply_matrix(g, vec))))
+            cols.append(tuple(exact(x, den) for x in self.coords(self.apply_matrix(g, vec))))
         return exactla.RatMat(self.dim, self.dim, list(zip(*cols)) if cols else [])
 
     def restriction_indices(self, n: int) -> tuple[int, ...]:

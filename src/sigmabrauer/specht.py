@@ -25,12 +25,11 @@ attribute, so straightening loads neither.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
 from . import exactla
-from .combinat import Partition, specht_dim
+from .combinat import Partition, exact, specht_dim
 
 # The reference operations `oracles` defines, served from here on first read.
 _ORACLES = ("isotypic_projector", "relabel")
@@ -132,7 +131,7 @@ class SpechtVector:
     __slots__ = ("module", "coords")
 
     def __init__(self, module: "SpechtModule", coords):
-        coords = tuple(Fraction(c) for c in coords)
+        coords = tuple(map(exact, coords))
         if len(coords) != module.dim:
             raise ValueError("coordinate length does not match the basis size")
         self.module = module
@@ -151,7 +150,7 @@ class SpechtVector:
         return SpechtVector(self.module, [a + b for a, b in zip(self.coords, other.coords)])
 
     def scale(self, c):
-        c = Fraction(c)
+        c = exact(c)
         return SpechtVector(self.module, [c * x for x in self.coords])
 
     def is_zero(self) -> bool:
@@ -242,10 +241,8 @@ class SpechtModule:
         return result
 
     def polytabloid(self, tab) -> SpechtVector:
-        coords = [Fraction(0)] * self.dim
-        for idx, c in self.straighten(tab).items():
-            coords[idx] = Fraction(c)
-        return SpechtVector(self, coords)
+        terms = self.straighten(tab)
+        return SpechtVector(self, [terms.get(idx, 0) for idx in range(self.dim)])
 
     # -- group action -------------------------------------------------------
 

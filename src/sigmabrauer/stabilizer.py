@@ -16,17 +16,17 @@ loads none of them.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
 from . import exactla, modcat, schurweyl
-from .combinat import Partition, PreconditionError, schur_dim
+from .combinat import Partition, PreconditionError, exact, schur_dim
 from .forms import FormPoint, integer_columns
 
 
 class GLElement:
-    """An invertible rational matrix, implicitly extended by the identity.
+    """An invertible rational matrix, implicitly extended by the identity,
+    given as its rows (or a `RatMat`) of values that `combinat.exact` reads.
 
     Held as g = G / den with den > 0 least and `cols`, the integer columns
     of G that differ from den e_k (`forms.integer_columns`), so two
@@ -37,14 +37,17 @@ class GLElement:
     __slots__ = ("m", "den", "cols")
 
     def __init__(self, mat):
-        rows = mat.data if isinstance(mat, exactla.RatMat) else mat
+        rows = getattr(mat, "data", mat)
         size = len(rows)
         if any(len(row) != size for row in rows):
             raise ValueError("matrix must be square")
-        mat = exactla.RatMat(size, size, rows)
-        if exactla.rank(mat) != size:
+        rows = [[exact(x) for x in row] for row in rows]
+        den, cols = integer_columns(rows)
+        # g is invertible exactly when the integer rows of den g have full rank
+        ints = [{k: int(x * den) for k, x in enumerate(row) if x} for row in rows]
+        if len(exactla._eliminate([exactla._primitive(r) for r in ints if r], reduced=False)) != size:
             raise ValueError("matrix must be invertible")
-        self._set(*integer_columns(mat.data))
+        self._set(den, cols)
 
     def _set(self, den: int, cols: dict) -> "GLElement":
         self.den, self.cols = den, cols
@@ -60,10 +63,10 @@ class GLElement:
     def embed(self, N: int) -> exactla.RatMat:
         if N < self.m:
             raise ValueError("cannot embed into a smaller rank")
-        data = [[Fraction(int(i == j)) for j in range(N)] for i in range(N)]
+        data = [[int(i == j) for j in range(N)] for i in range(N)]
         for k, col in self.cols.items():
             for i in range(N):
-                data[i][k - 1] = Fraction(col.get(i + 1, 0), self.den)
+                data[i][k - 1] = exact(col.get(i + 1, 0), self.den)
         return exactla.RatMat(N, N, data)
 
     def __mul__(self, other: "GLElement") -> "GLElement":
@@ -292,14 +295,14 @@ class MapPresentation(NamedTuple):
     pairs: tuple
 
 
-def eval_poly(poly: dict, form: FormPoint) -> Fraction:
-    total = Fraction(0)
+def eval_poly(poly: dict, form: FormPoint):
+    total = 0
     for mono, c in poly.items():
-        val = Fraction(c)
+        val = exact(c)
         for p, j in mono:
             val *= form.comps[p][j]
         total += val
-    return total
+    return exact(total)
 
 
 def evaluation_presentation(form: FormPoint, p: int, v_coords) -> MapPresentation:
@@ -308,10 +311,10 @@ def evaluation_presentation(form: FormPoint, p: int, v_coords) -> MapPresentatio
     becomes a degree-one coefficient function."""
     poly = {}
     for j, c in enumerate(v_coords):
-        c = Fraction(c)
+        c = exact(c)
         if c:
             poly[((p, j),)] = c
-    return MapPresentation(p, "unit", ((poly, Fraction(1)),))
+    return MapPresentation(p, "unit", ((poly, 1),))
 
 
 def gamma_linearity_check(
@@ -341,7 +344,7 @@ def gamma_linearity_check(
     if not 0 <= phi.source_type < len(form.sigma):
         raise PreconditionError("the source type must index an entry of sigma")
     rep = schurweyl.get_tensor_rep(form.sigma[phi.source_type], form.N)
-    v = tuple(Fraction(x) for x in v)
+    v = tuple(map(exact, v))
     if len(v) != rep.dim:
         raise PreconditionError("v must have realization coordinates at the form rank")
     allowed = set(rep.restriction_indices(n))
@@ -351,10 +354,10 @@ def gamma_linearity_check(
     moved = modcat.moved_form(form, g.den, g.cols)
     # the unit target is the one-coordinate realization
     unit = phi.target == "unit"
-    acc = [Fraction(0)] * (1 if unit else schur_dim(Partition(phi.target), form.N))
+    acc = [0] * (1 if unit else schur_dim(Partition(phi.target), form.N))
     for poly, w in phi.pairs:
         try:
-            w = [Fraction(w)] if unit else [Fraction(x) for x in w]
+            w = [exact(w)] if unit else [exact(x) for x in w]
         except (TypeError, ValueError):
             w = []
         if len(w) != len(acc):

@@ -26,12 +26,11 @@ is read only there.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
 from .characters import beta_set, centralizer_size, mn_character
-from .combinat import Partition, PartitionTuple, partitions, schur_dim, subpartitions
+from .combinat import Partition, PartitionTuple, exact, partitions, schur_dim, subpartitions
 
 # The reference operations `oracles` defines, served from here on first read.
 _ORACLES = ("kostka", "schur_monomials")
@@ -46,15 +45,16 @@ def __getattr__(name: str):
 
 
 class SchurExpr:
-    """A finitely supported Q-linear combination of Schur functions."""
+    """A finitely supported Q-linear combination of Schur functions; an
+    integral coefficient is held as an int (see `combinat.exact`)."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        clean: dict[Partition, Fraction] = {}
+        clean = {}
         for p, c in (terms or {}).items():
-            c = Fraction(c)
-            if c != 0:
+            c = exact(c)
+            if c:
                 clean[Partition(p)] = c
         self.terms = clean
 
@@ -64,11 +64,11 @@ class SchurExpr:
 
     @classmethod
     def one(cls) -> "SchurExpr":
-        return cls({Partition(): Fraction(1)})
+        return cls({Partition(): 1})
 
     @classmethod
     def schur(cls, p) -> "SchurExpr":
-        return cls({Partition(p): Fraction(1)})
+        return cls({Partition(p): 1})
 
     def __bool__(self):
         return bool(self.terms)
@@ -82,21 +82,21 @@ class SchurExpr:
     def __add__(self, other: "SchurExpr") -> "SchurExpr":
         out = dict(self.terms)
         for p, c in other.terms.items():
-            out[p] = out.get(p, Fraction(0)) + c
+            out[p] = out.get(p, 0) + c
         return SchurExpr(out)
 
     def __sub__(self, other: "SchurExpr") -> "SchurExpr":
         return self + other.scale(-1)
 
     def scale(self, c) -> "SchurExpr":
-        c = Fraction(c)
+        c = exact(c)
         return SchurExpr({p: c * v for p, v in self.terms.items()})
 
     def __mul__(self, other: "SchurExpr") -> "SchurExpr":
         return lr_product(self, other)
 
-    def coefficient(self, p) -> Fraction:
-        return self.terms.get(Partition(p), Fraction(0))
+    def coefficient(self, p):
+        return self.terms.get(Partition(p), 0)
 
     def degrees(self) -> set[int]:
         return {p.size for p in self.terms}
@@ -184,7 +184,7 @@ def lr_product(a: SchurExpr, b: SchurExpr) -> SchurExpr:
     <s_{nu/lam}, s_mu> (Macdonald I.5), the coefficient of s_nu in
     s_lam * b_d, for b_d the degree-d part of b, is the pairing of b_d
     with the skew expansion of nu/lam."""
-    out: dict[Partition, Fraction] = {}
+    out = {}
     for d in b.degrees():
         b_d = b.degree_component(d)
         for lam, ca in a.terms.items():
@@ -192,14 +192,14 @@ def lr_product(a: SchurExpr, b: SchurExpr) -> SchurExpr:
                 if nu.contains(lam):
                     c = inner_product(skew_schur_expand(nu, lam), b_d)
                     if c:
-                        out[nu] = out.get(nu, Fraction(0)) + ca * c
+                        out[nu] = out.get(nu, 0) + ca * c
     return SchurExpr(out)
 
 
-def inner_product(a: SchurExpr, b: SchurExpr) -> Fraction:
+def inner_product(a: SchurExpr, b: SchurExpr):
     """Hall inner product: Schur functions are orthonormal."""
     small, big = (a.terms, b.terms) if len(a.terms) <= len(b.terms) else (b.terms, a.terms)
-    return sum((c * big[p] for p, c in small.items() if p in big), Fraction(0))
+    return exact(sum(c * big[p] for p, c in small.items() if p in big))
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +273,7 @@ def schur_pairing(expansion: tuple[int, dict], g: SchurExpr) -> int:
         beta, n = beta_set(nu), nu.size
         c = sum(a * mn_character(beta, pi) for pi, a in terms.items() if sum(pi) == n)
         if c % common or c < 0:
-            raise RuntimeError(f"coefficient {Fraction(c, common)} of s{tuple(nu)} is not a count")
+            raise RuntimeError(f"coefficient {exact(c, common)} of s{tuple(nu)} is not a count")
         total += int(m) * (c // common)
     return total
 

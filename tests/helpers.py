@@ -783,6 +783,26 @@ def realization_reference(shape: Partition, N: int):
     return basis, pivot_words, source_words
 
 
+def dual_row_reference(rep, table) -> tuple[int, dict[tuple[int, ...], int]]:
+    """`TensorRep.dual_row` as it was written in Fractions: each y_c by
+    forward substitution on the source words of its content class, one
+    Fraction per value, and the row over the lcm of their denominators."""
+    vals: dict[tuple[int, ...], Fraction] = {}
+    for members in rep._class_members.values():
+        ys: list[tuple[tuple[int, ...], Fraction]] = []
+        for j in members:
+            den, b = rep.basis[j]
+            x = Fraction(table[j]) * den
+            for u, y in ys:
+                if u in b:
+                    x -= y * b[u]
+            w = rep.source_words[j]
+            ys.append((w, x / b[w]))
+        vals.update((w, y) for w, y in ys if y)
+    den = math.lcm(*(y.denominator for y in vals.values()))
+    return den, {w: y.numerator * (den // y.denominator) for w, y in vals.items()}
+
+
 # ---------------------------------------------------------------------------
 # the Specht bridge as an intertwiner solve on the realization (independent
 # of the engine's polytabloid images in `schurweyl.specht_word_expansions`)

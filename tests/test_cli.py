@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import build_parser, run_python
+from helpers import SRC, build_parser, run_python
 from sigmabrauer import forms
 from sigmabrauer.brauer import Morphism, hom_basis, make_diagram, morphism_to_json
 from sigmabrauer.cli import main, parse_args
@@ -392,6 +392,75 @@ def test_rejected_job_loads_no_layer_beyond_combinat():
     assert executed_modules("homdim", "--sigma", "2", "--n", "7", "--m", "0", exit_code=1) == {
         "__init__", "cli", "combinat"
     }
+
+
+def test_traceless_path_is_at_most_1850_lines():
+    # the package source a traceless job executes, whole modules by line
+    # count: fails if the dense matrix layer or the reference operations
+    # come back onto the finite-rank path
+    stems = executed_modules("traceless", "--sigma", "2", "--rank", "3", "--n", "2")
+    lines = {s: len(pathlib.Path(SRC, "sigmabrauer", f"{s}.py").read_text().splitlines()) for s in stems}
+    assert sum(lines.values()) <= 1850, (sum(lines.values()), lines)
+
+
+# `fractions` imports `decimal` and `numbers`; a job whose values are all
+# integral builds no Fraction, so it loads none of the three
+_NUMERIC_PROBE = """
+import json, sys
+from sigmabrauer.cli import main
+code = main(sys.argv[1:])
+print(json.dumps([code, sorted({"fractions", "decimal", "numbers"} & sys.modules.keys())]))
+"""
+
+
+def numeric_modules(*args) -> set[str]:
+    """Which of fractions, decimal and numbers a fresh interpreter loads to run one job."""
+    proc = run_python("-c", _NUMERIC_PROBE, *args)
+    code, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0, proc.stderr
+    return set(loaded)
+
+
+def test_only_compose_loads_fractions(tmp_path):
+    jobs = [
+        ("ext", "--sigma", "2|1", "--i", "4", "--lambda", "0", "--mu", "3,1,1,1"),
+        ("mult", "--sigma", "2", "--lambda", "2,2", "--mu", "2"),
+        ("shift", "--lambda", "3,2", "--n", "2"),
+        ("traceless", "--sigma", "2|1", "--rank", "3", "--n", "3", "--seed", "1"),
+        ("traceless", "--sigma", "2", "--rank", "3", "--n", "3", "--lambda", "2,1", "--seed", "1"),
+        ("stab", "check", "--sigma", "2,1", "--rank", "4", "--seed", "1", "--samples", "5"),
+        ("homdim", "--sigma", "2", "--n", "4", "--m", "0"),
+        ("oracle", "step1", "--sigma", "2|1", "--max", "4"),
+    ]
+    for job in jobs:
+        assert numeric_modules(*job) == set(), job
+    # a morphism's coefficients are "p/q" strings, read as Fractions
+    infile, _ = write_compose_job(tmp_path)
+    assert "fractions" in numeric_modules("compose", "--in", str(infile))
+
+
+# the traceless dimension of every integer form drawn for these tuples, at
+# N <= 4 and n <= 5 with N^n <= 300 and seeds 0 and 1; prints the first
+# case that loads fractions, or null
+_SWEEP_PROBE = """
+import json, sys
+from sigmabrauer import parse_tuple, random_form, traceless_space
+
+def first_case():
+    for sigma in sys.argv[1:]:
+        for N, n, seed in [(N, n, s) for N in range(1, 5) for n in range(6) for s in (0, 1) if N**n <= 300]:
+            traceless_space(random_form(parse_tuple(sigma), N, seed), n)
+            if "fractions" in sys.modules:
+                return sigma, N, n, seed
+
+print(json.dumps(first_case()))
+"""
+
+
+def test_traceless_space_loads_no_fractions_on_integer_forms():
+    sigmas = ("2", "1,1", "3", "2,1", "1,1,1", "2|1", "3|2", "4", "3,1", "4,1", "5", "2,2", "1|1,1")
+    proc = run_python("-c", _SWEEP_PROBE, *sigmas)
+    assert proc.stdout.strip() == "null", proc.stdout + proc.stderr
 
 
 _LIBRARY_PROBE = _AUDIT + """

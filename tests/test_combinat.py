@@ -1,13 +1,19 @@
+import ast
 import math
+import pathlib
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import SRC
 from sigmabrauer.combinat import (
     Magnitude,
     Partition,
     PartitionTuple,
+    exact,
     format_partition,
     format_tuple,
     magnitude,
@@ -138,3 +144,60 @@ def test_subpartitions():
         Partition((1, 1)),
         Partition((2, 1)),
     }
+
+
+# ---------------------------------------------------------------------------
+# exact quotients
+
+# every kind of single argument Fraction() reads, integral or not
+_VALUES = [3, True, Fraction(4, 2), "1/2", 0.5, Decimal("1.25")]
+
+
+def _same_as_fractions(stored, values):
+    """Each stored value equals and hashes like Fraction(value), is an int
+    exactly when integral, and is never a float."""
+    for x, value in zip(stored, values, strict=True):
+        f = Fraction(value)
+        assert x == f and hash(x) == hash(f), (x, value)
+        assert type(x) is (int if f.denominator == 1 else Fraction), (x, value)
+
+
+def test_exact_keeps_integral_values_int():
+    _same_as_fractions([exact(x) for x in _VALUES], _VALUES)
+    _same_as_fractions([exact(-7), exact("4/2"), exact(Decimal(3)), exact(False)], [-7, 2, 3, 0])
+    assert exact(2) == 2 and type(exact(Fraction(4, 2))) is int
+    # num / den, the sign on the numerator
+    quotients = [exact(6, -3), exact(7, -2), exact("1/2", 3), exact(Fraction(3, 2), Fraction(1, 2))]
+    _same_as_fractions(quotients, [-2, Fraction(-7, 2), Fraction(1, 6), 3])
+    with pytest.raises(ZeroDivisionError):
+        exact(1, 0)
+    with pytest.raises(ZeroDivisionError):
+        exact("1/2", 0)
+    with pytest.raises(ValueError):
+        exact("one half")
+    with pytest.raises(TypeError):
+        exact(None)
+
+
+def test_stored_values_equal_the_fractions_they_replace():
+    from sigmabrauer.forms import FormPoint
+    from sigmabrauer.specht import SpechtVector, get_specht_module
+    from sigmabrauer.symfun import SchurExpr
+
+    form = FormPoint(PartitionTuple(((1,),)), len(_VALUES), [_VALUES])
+    _same_as_fractions(form.comps[0], _VALUES)
+    expr = SchurExpr({(k,): x for k, x in enumerate(_VALUES, 1)})
+    _same_as_fractions([expr.coefficient((k,)) for k in range(1, len(_VALUES) + 1)], _VALUES)
+    _same_as_fractions(expr.scale("1/2").terms.values(), [Fraction(x) / 2 for x in _VALUES])
+    module = get_specht_module(Partition((3, 1, 1)), (1, 2, 3, 4, 5))
+    _same_as_fractions(SpechtVector(module, _VALUES).coords, _VALUES)
+
+
+def test_no_true_division_in_the_package():
+    # int / int is a float: exact quotients go through `exact` or Fraction(num, den)
+    found = []
+    for path in sorted(pathlib.Path(SRC, "sigmabrauer").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found

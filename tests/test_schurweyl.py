@@ -3,11 +3,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     BASIS_CASES,
     as_fractions,
     block_functional_reference,
+    dual_row_reference,
     realization_reference,
     specht_word_expansions_reference,
     weight_space_basis_reference,
@@ -226,6 +229,22 @@ def test_coords_and_dual_row_read_back_random_combinations():
                     assert all(type(c) is int and c for c in row.values()), (shape, N)
                     value = Fraction(sum(c * v.get(w, 0) for w, c in row.items()), den)
                     assert value == sum(t * x for t, x in zip(table, a)), (shape, N)
+
+
+# every realization with |lambda| <= 4 and N <= 4, and table entries that are
+# zero, negative, integral or not
+_REALIZATIONS = [(shape, N) for d in range(5) for shape in partitions(d) for N in range(1, 5)]
+_ENTRY = st.one_of(st.just(0), st.integers(-9, 9), st.fractions(-9, 9, max_denominator=12))
+
+
+@given(st.sampled_from(_REALIZATIONS), st.data())
+@settings(max_examples=200, deadline=None)
+def test_dual_row_matches_the_fraction_reference(realization, data):
+    # the integer substitution over one running denominator per content
+    # class gives the least (den, row), as the Fraction reference does
+    rep = get_tensor_rep(*realization)
+    table = data.draw(st.lists(_ENTRY, min_size=rep.dim, max_size=rep.dim))
+    assert rep.dual_row(table) == dual_row_reference(rep, table), (realization, table)
 
 
 def test_coordinates_invert_no_matrix(monkeypatch):

@@ -1,10 +1,11 @@
+import json
 import random
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
 
-from helpers import realization_reference, translate_reference
+from helpers import realization_reference, run_python, translate_reference
 from sigmabrauer import exactla, modcat, schurweyl, stabilizer
 from sigmabrauer.combinat import Partition, PartitionTuple, parse_tuple
 from sigmabrauer.forms import FormPoint, random_form
@@ -51,10 +52,30 @@ def test_permutation_element_rejects_non_permutations(monkeypatch):
 def test_gl_element_normalization():
     assert GLElement([[1, 0], [0, 1]]).m == 0
     assert GLElement([[2, 0], [0, 1]]) == GLElement([[2]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="matrix must be invertible"):
         GLElement([[1, 2], [2, 4]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="matrix must be square"):
         GLElement([[1, 2, 3], [4, 5, 6]])
+    # rational entries in any form Fraction() reads, from rows or a RatMat
+    g = GLElement([["1/2", 0.25], [0, Fraction(3, 2)]])
+    assert (g.den, g.cols, g.m) == (4, {1: {1: 2}, 2: {1: 1, 2: 6}}, 2)
+    assert GLElement(exactla.RatMat(2, 2, [[Fraction(1, 2), Fraction(1, 4)], [0, Fraction(3, 2)]])) == g
+    with pytest.raises(ValueError, match="matrix must be invertible"):
+        GLElement([["1/2", "1/3"], [Fraction(3, 2), 1]])
+
+
+_GL_PROBE = """
+import json, sys
+from sigmabrauer import GLElement
+g = GLElement([[0, 1], [1, 0]])
+print(json.dumps([g.den, g.cols, sorted({"fractions", "sigmabrauer.dense"} & sys.modules.keys())]))
+"""
+
+
+def test_gl_element_on_integer_rows_loads_neither_dense_nor_fractions():
+    # the invertibility check eliminates the integer rows of den g
+    proc = run_python("-c", _GL_PROBE)
+    assert json.loads(proc.stdout) == [1, {"1": {"2": 1}, "2": {"1": 1}}, []], proc.stderr
 
 
 def _random_element(rng, size, fixed=0):
